@@ -3,8 +3,8 @@ deterministic output emission.
 
 Subcommands: validate-env, transform, index, simulate, audit, bound.
 Exit status: 0 on success, 1 on audit/validation failure, 2 on config
-errors.  Identical (config, seed) pairs produce byte-identical output
-files regardless of DYNAMECH_THREADS.
+or argument errors.  Identical (config, seed) pairs produce
+byte-identical output files regardless of DYNAMECH_THREADS.
 """
 
 from __future__ import annotations
@@ -127,6 +127,9 @@ def _cmd_transform(cfg: RunConfig, env, out: Path, seed: int, fmt: str) -> int:
 def _cmd_index(cfg: RunConfig, env, out: Path, seed: int, fmt: str, args) -> int:
     runtime = _runtime(cfg, env)
     agent_id = args.agent
+    if not 0 <= agent_id < env.k:
+        print(f"error: --agent {agent_id} is out of range (agents 0..{env.k - 1})", file=sys.stderr)
+        return 2
     agent = env.agents[agent_id]
     report = args.report if args.report is not None else agent.distribution.theta_bar
     theta = args.theta if args.theta is not None else report
@@ -239,7 +242,7 @@ def _run_suite(name: str, cfg: RunConfig, env, runtime, seed: int):
         return results
     if name == "bound":
         return ver.audit_revenue_bound(
-            env, episodes=cfg.audit_episodes, seeds=(seed,), nodes=cfg.quad_nodes, runtime=runtime
+            env, episodes=cfg.audit_episodes, seeds=(seed,), runtime=runtime
         )
     if name == "monotone":
         return ver.audit_monotone_allocation(env, runtime=runtime)

@@ -144,9 +144,12 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"delta must lie in (0, 1), got {cfg.delta!r}")
     for name in _POSITIVE_FIELDS:
         v = getattr(cfg, name)
-        if not isinstance(v, (int, float)) or v <= 0:
-            raise ConfigError(f"{name} must be positive, got {v!r}")
-    if cfg.horizon is not None and (not isinstance(cfg.horizon, int) or cfg.horizon < 1):
+        kinds, what = ((int, float), "number") if name in _FLOAT_FIELDS else (int, "integer")
+        if isinstance(v, bool) or not isinstance(v, kinds) or v <= 0:
+            raise ConfigError(f"{name} must be a positive {what}, got {v!r}")
+    if cfg.horizon is not None and (
+        isinstance(cfg.horizon, bool) or not isinstance(cfg.horizon, int) or cfg.horizon < 1
+    ):
         raise ConfigError(f"horizon must be a positive integer, got {cfg.horizon!r}")
     if cfg.schema_version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {cfg.schema_version!r}")
@@ -230,6 +233,20 @@ def _build_value(spec) -> envs.AdditiveValue | envs.MultiplicativeValue:
 
 
 def build_environment(cfg: RunConfig) -> envs.Environment:
+    """The configured environment.  Parameters that the environment
+    builders reject (a missing key, a kernel row that does not sum to 1,
+    a table of the wrong shape or type) raise ConfigError."""
+    try:
+        return _build_environment(cfg)
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"missing required key {exc.args[0]!r} in environment.params") from exc
+    except (TypeError, ValueError) as exc:  # DomainError is a ValueError
+        raise ConfigError(str(exc)) from exc
+
+
+def _build_environment(cfg: RunConfig) -> envs.Environment:
     name = cfg.environment["name"]
     params = dict(cfg.environment.get("params", {}))
     if name == "sponsored_search":

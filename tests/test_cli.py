@@ -20,6 +20,7 @@ from dynamech.config import (
 REPO = Path(__file__).resolve().parents[1]
 POSTED = REPO / "configs" / "posted_price.cfg"
 EXP_CONTROL = REPO / "configs" / "exponential_control.cfg"
+SPONSORED2 = REPO / "configs" / "sponsored_search_2.cfg"
 
 
 MINIMAL = """
@@ -193,3 +194,47 @@ def test_worker_count_does_not_change_bytes(tmp_path):
             (out / "summary.json").read_bytes(),
         )
     assert outputs["1"] == outputs["2"] == outputs["8"]
+
+
+def _finite_chain_config(params: dict, **extra) -> str:
+    cfg = {"environment": {"name": "finite_chain", "params": params}, "delta": 0.5}
+    cfg.update(extra)
+    return json.dumps(cfg)
+
+
+_VALUE = {"variant": "multiplicative", "b": [[1.0]], "c": [0.0]}
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"g": [[0.5]], "h": [[1.0]], "value": _VALUE}, "sums to"),
+        ({"g": [[1.0]], "h": [[1.0]]}, "missing required key 'value'"),
+    ],
+    ids=["row-sum", "missing-value"],
+)
+def test_cli_environment_errors_exit_2(tmp_path, capsys, params, message):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(_finite_chain_config(params))
+    assert main(["--config", str(bad), "--out", str(tmp_path), "simulate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("count", [True, 2.5])
+def test_cli_rejects_non_integer_count(tmp_path, capsys, count):
+    bad = tmp_path / "bad.cfg"
+    params = {"g": [[1.0]], "h": [[1.0]], "value": _VALUE}
+    bad.write_text(_finite_chain_config(params, audit_paths=count))
+    assert main(["--config", str(bad), "--out", str(tmp_path), "audit"]) == 2
+    assert "audit_paths must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("agent", ["5", "-1"])
+def test_cli_index_agent_out_of_range_exits_2(tmp_path, capsys, agent):
+    argv = ["--config", str(SPONSORED2), "--out", str(tmp_path), "index", "--agent", agent]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"--agent {agent}" in err and "Traceback" not in err
+    assert not (tmp_path / "index.csv").exists()

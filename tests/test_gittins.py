@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -128,9 +129,97 @@ def test_bisection_agrees_with_exact_largest_index_method(seed):
     )
     env = envs.finite_chain(delta, g=[[1.0]], h=p, value=val)
     tr = affine_coefficients(env, 0, 1.0)
-    for s in range(n):
-        idx = gittins.gittins_index(env, 0, tr, 0.5, s, 0, tol=1e-9)
-        assert idx == pytest.approx(exact[s], abs=2e-9)
+    for cutoff in (gittins.DENSE_SWEEP_MAX_STATES, 0):  # the sweep, then bisection
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gittins, "DENSE_SWEEP_MAX_STATES", cutoff)
+            for s in range(n):
+                idx = gittins.gittins_index(env, 0, tr, 0.5, s, 0, tol=1e-9)
+                assert idx == pytest.approx(exact[s], abs=2e-9)
+
+
+def _random_arm(seed: int, max_states: int = 40) -> gittins.CompiledArm:
+    """Random chain with sparse rows, a few self-loops and a delta in
+    [0.5, 0.98)."""
+    gen = substream(seed, "sweep")
+    n = int(gen.integers(1, max_states + 1))
+    p = gen.random((n, n)) * (gen.random((n, n)) < 0.3)
+    p[np.arange(n), gen.integers(0, n, n)] += 0.1
+    p /= p.sum(axis=1, keepdims=True)
+    rewards = gen.random(n) - 0.3
+    delta = 0.5 + 0.48 * float(gen.random())
+    return gittins.CompiledArm(
+        rewards=rewards, transition=sp.csr_matrix(p), delta=delta, n_e=n, n_rho=1
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_sweep_agrees_with_largest_index_recursion(seed):
+    arm = _random_arm(seed)
+    got = gittins.index_of_states(arm, np.arange(arm.n), tol=1e-9)
+    want = gittins.vwb_indices(arm.rewards, arm.transition.toarray(), arm.delta)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    again = gittins.index_of_states(arm, np.arange(arm.n), tol=1e-9)
+    assert np.array_equal(got, again)  # rebuilding gives identical bits
+
+
+def test_sweep_agrees_with_bisection_on_sponsored_arm(sponsored2, monkeypatch):
+    agent = sponsored2.agents[0]
+    arm = gittins.compile_reward_arm(agent, agent.value.b, sponsored2.delta)
+    assert arm.n == 441
+    states = np.arange(arm.n)
+    swept = gittins.index_of_states(arm, states, tol=1e-12)
+    monkeypatch.setattr(gittins, "DENSE_SWEEP_MAX_STATES", arm.n - 1)
+    bisected = gittins.index_of_states(arm, states, tol=1e-12)
+    assert np.max(np.abs(swept - bisected)) <= 2e-12
+
+
+@pytest.mark.parametrize("reward", [0.0, 0.1, 1.0 / 3.0, -0.7])
+def test_sweep_constant_reachable_rewards_are_bit_exact(reward):
+    # states 0-2 cycle among themselves at one reward; states 3-4 lead
+    # into the cycle from other rewards
+    p = np.array(
+        [
+            [0.2, 0.5, 0.3, 0.0, 0.0],
+            [0.3, 0.1, 0.6, 0.0, 0.0],
+            [0.7, 0.2, 0.1, 0.0, 0.0],
+            [0.2, 0.0, 0.3, 0.4, 0.1],
+            [0.0, 0.5, 0.0, 0.2, 0.3],
+        ]
+    )
+    rewards = np.array([reward, reward, reward, reward + 0.9, reward - 0.4])
+    arm = gittins.CompiledArm(
+        rewards=rewards, transition=sp.csr_matrix(p), delta=0.93, n_e=5, n_rho=1
+    )
+    got = gittins.index_of_states(arm, np.arange(5), tol=1e-9)
+    assert np.all(got[:3] == reward)
+    want = gittins.vwb_indices(rewards, p, 0.93)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_index_dispatch_by_arm_size(monkeypatch):
+    env = two_state_env(0.5)
+    tr = affine_coefficients(env, 0, 1.0)
+    arm = gittins.compile_arm(env, 0, tr, 0.5)
+    swept = gittins.index_of_states(arm, np.arange(arm.n), tol=1e-10)
+
+    def no_sweep(arm):
+        raise AssertionError("arm above the cutoff must bisect")
+
+    monkeypatch.setattr(gittins, "DENSE_SWEEP_MAX_STATES", 1)
+    monkeypatch.setattr(gittins, "_sweep_indices", no_sweep)
+    bisected = gittins.index_of_states(arm, np.arange(arm.n), tol=1e-10)
+    assert np.max(np.abs(bisected - swept)) <= 1e-10
+    assert bisected[1] == 1.0  # constant reachable reward: bracket collapse
+
+
+def test_bisection_raises_when_value_iteration_does_not_converge(monkeypatch):
+    env = two_state_env(0.5)
+    arm = gittins.compile_arm(env, 0, affine_coefficients(env, 0, 1.0), 0.5)
+    monkeypatch.setattr(gittins, "DENSE_SWEEP_MAX_STATES", 0)
+    monkeypatch.setattr(gittins, "VI_MAX_SWEEPS", 1)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        gittins.index_of_states(arm, np.arange(arm.n), tol=1e-9)
 
 
 def test_vwb_indices_sorted_and_top_state():

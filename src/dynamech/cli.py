@@ -60,13 +60,7 @@ def _emit_table(path: Path, header, rows, meta: dict, fmt: str) -> None:
 
 
 def _runtime(cfg: RunConfig, env) -> MechanismRuntime:
-    return MechanismRuntime(
-        env,
-        index_tol=cfg.index_tol,
-        dp_tol=cfg.dp_tol,
-        state_cap=cfg.dp_state_cap,
-        welfare_rollouts=cfg.welfare_rollouts,
-    )
+    return MechanismRuntime(env, index_tol=cfg.index_tol, dp_tol=cfg.dp_tol)
 
 
 def _meta(cfg: RunConfig, seed: int) -> dict:

@@ -14,6 +14,11 @@ lambda/(1-delta), found by bisection over lambda with value iteration
 inside.  An exhaustive stopping-set oracle and the O(n^4)
 largest-remaining-index recursion are kept alongside as independent
 cross-checks.
+
+The same sweep, on request, records each state's discounted time to
+leave the states retired so far; from those ``retirement_surplus``
+evaluates Whittle's retirement formula for the optimal value of several
+arms against the zero arm, with no product state space.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ __all__ = [
     "compile_reward_arm",
     "gittins_index",
     "index_of_states",
+    "hit_discounts",
+    "retirement_surplus",
     "BruteForceIndex",
     "brute_force_index",
     "vwb_indices",
@@ -163,8 +170,9 @@ def _reward_range(arm: CompiledArm) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _sweep_indices(arm: CompiledArm) -> np.ndarray:
-    """Exact index of every state by state elimination.
+def _sweep_indices(arm: CompiledArm, hits: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Exact index of every state by state elimination, and the order in
+    which the states were retired.
 
     The work matrix holds Q (discounted transitions among live states),
     then r (discounted reward) and d (discounted time) accrued from each
@@ -175,7 +183,10 @@ def _sweep_indices(arm: CompiledArm) -> np.ndarray:
     cleared.  Q's rows sum to at most delta, so the pivot is at least
     1 - delta.  Argmax ties go to the lowest state, and each index is
     clipped to its reachable reward range, so a state whose reachable
-    rewards are constant keeps its reward bit-exactly.
+    rewards are constant keeps its reward bit-exactly.  Given an n x n
+    array of ones ``hits``, row k - 1 receives E_x[delta^tau] =
+    1 - (1 - delta) d(x) for the states x retired in the first k steps,
+    tau being the time the chain leaves them.
     """
     n = arm.n
     w = np.zeros((n, n + 2), order="F")
@@ -185,17 +196,63 @@ def _sweep_indices(arm: CompiledArm) -> np.ndarray:
     w[:, n + 1] = 1.0
     out = np.empty(n)
     retired = np.zeros(n, dtype=bool)
-    for _ in range(n):
+    order = np.empty(n, dtype=int)
+    for k in range(n):
         ratio = w[:, n] / w[:, n + 1]
         ratio[retired] = -np.inf
         a = int(np.argmax(ratio))
         out[a] = ratio[a]
         retired[a] = True
+        order[k] = a
         col, row = w[:, a].copy(), w[a, :].copy()  # dger writes w while reading them
         dger(1.0 / (1.0 - row[a]), col, row, a=w, overwrite_a=True)
         w[:, a] = 0.0
+        if hits is not None:
+            done = order[: k + 1]
+            hits[k, done] = 1.0 - (1.0 - arm.delta) * w[done, n + 1]
     lo, hi = _reward_range(arm)
-    return np.clip(out, lo, hi)
+    return np.clip(out, lo, hi), order
+
+
+def hit_discounts(arm: CompiledArm) -> tuple[np.ndarray, np.ndarray]:
+    """(levels, table) from one index sweep.  ``levels[k]`` is the index
+    of the (k+1)-th retired state, non-increasing; row k of ``table``
+    is E_x[delta^tau] over the states x, tau being the time the chain
+    leaves the first k+1 retired states (0 outside them).  Against a
+    retirement level in [levels[k+1], levels[k]) the arm plays exactly
+    on those states, so row k is there the derivative of its retirement
+    value in a lump-sum retirement reward."""
+    if arm.n > DENSE_SWEEP_MAX_STATES:
+        raise DomainError(
+            f"hit discounts need the exact index sweep: {arm.n} states exceeds "
+            f"DENSE_SWEEP_MAX_STATES = {DENSE_SWEEP_MAX_STATES}"
+        )
+    table = np.ones((arm.n, arm.n))
+    indices, order = _sweep_indices(arm, table)
+    # clipping moves indices by rounding only; keep the levels monotone
+    return np.minimum.accumulate(indices[order]), table
+
+
+def retirement_surplus(factors: list[tuple[np.ndarray, np.ndarray]]) -> float:
+    """(1 - delta) * W for W the optimal discounted reward of some arms
+    played against the zero arm, by Whittle's retirement formula
+    (Whittle 1980): with lam = (1 - delta) * (lump-sum retirement
+    reward), (1 - delta) W = integral over lam > 0 of
+    1 - prod_j E[delta^tau_j(lam)], tau_j(lam) being arm j's stopping
+    time when played alone against lam.  Each factor is constant between
+    the arm's index levels, so the integral is a finite sum.  One
+    ``(levels, hits)`` per arm: its positive levels from
+    ``hit_discounts`` and the matching table rows at its current state.
+    """
+    cuts = np.unique(np.concatenate([np.zeros(1), *(lv for lv, _ in factors)]))
+    prod = np.ones(len(cuts) - 1)
+    for levels, hits in factors:
+        if not len(levels):
+            continue  # the arm never plays: factor 1
+        # levels >= the top of each interval: the arm's continuation set there
+        count = len(levels) - np.searchsorted(levels[::-1], cuts[1:], side="left")
+        prod *= np.where(count > 0, hits[np.maximum(count - 1, 0)], 1.0)
+    return float(np.sum((1.0 - prod) * np.diff(cuts)))
 
 
 class _RetirementSolver:
@@ -284,7 +341,7 @@ def index_of_states(arm: CompiledArm, states: np.ndarray, tol: float) -> np.ndar
         raise DomainError("tolerance must be positive")
     states = np.asarray(states, dtype=int)
     if arm.n <= DENSE_SWEEP_MAX_STATES:
-        return _sweep_indices(arm)[states]
+        return _sweep_indices(arm)[0][states]
     return _bisect_indices(arm, states, tol)
 
 

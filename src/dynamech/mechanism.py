@@ -34,9 +34,11 @@ from .gittins import (
     CompiledArm,
     allocate,
     compile_reward_arm,
+    hit_discounts,
     index_of_states,
     joint_optimal_value,
     optimal_stop_value,
+    retirement_surplus,
     tail_horizon,
 )
 from .rng import ExperienceStreams, substream
@@ -146,33 +148,26 @@ class CorrectingDeviation:
 class MechanismRuntime:
     """Compiled, cached machinery shared across episodes of one environment.
 
-    Index tables and single-arm retirement values are cached per
-    (agent, pegged report, current theta).  Multiplicative values with
-    C = 0 use the positive-homogeneity of the index in the rewards:
-    one base table of the experience process serves every
-    (report, theta) pair through the scale alpha(report) * A(theta).
+    Index tables, single-arm retirement values and hit discounts are
+    cached per (agent, pegged report, current theta).  Multiplicative
+    values with C = 0 use the positive-homogeneity of the index in the
+    rewards: one base table of the experience process serves every
+    (report, theta) pair through the scale alpha(report) * A(theta),
+    and a positive scale leaves every stopping set, hence the hit
+    discounts, unchanged.
     """
 
-    def __init__(
-        self,
-        env: Environment,
-        *,
-        index_tol: float = 1e-9,
-        dp_tol: float = 1e-10,
-        state_cap: int = 10_000,
-        welfare_rollouts: int = 2000,
-    ):
+    def __init__(self, env: Environment, *, index_tol: float = 1e-9, dp_tol: float = 1e-10):
         self.env = env
         self.index_tol = index_tol
         self.dp_tol = dp_tol
-        self.state_cap = state_cap
-        self.welfare_rollouts = welfare_rollouts
         self._transforms: dict[tuple[int, float], VirtualTransform | None] = {}
         self._tables: dict[tuple[int, float, float], np.ndarray] = {}
         self._stops: dict[tuple[int, float, float], np.ndarray] = {}
+        self._hits: dict[tuple[int, float, float], tuple[np.ndarray, np.ndarray]] = {}
         self._base_tables: dict[int, np.ndarray] = {}
         self._base_stops: dict[int, np.ndarray] = {}
-        self._joint_w: dict[tuple, tuple[np.ndarray, list[int]]] = {}
+        self._base_hits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._cum_g = []
         self._cum_h = []
         self._n_rho = []
@@ -191,13 +186,20 @@ class MechanismRuntime:
             else:
                 self._scale_bound.append(1.0)
 
-    # -- transforms -------------------------------------------------------
+    # -- transforms and transitions ----------------------------------------
 
     def transform(self, agent_id: int, report: float) -> VirtualTransform | None:
         key = (agent_id, report)
         if key not in self._transforms:
             self._transforms[key] = transform_or_dormant(self.env, agent_id, report)
         return self._transforms[key]
+
+    def step(self, agent_id: int, e: int, rho: int, u_pub: float, u_priv: float) -> tuple[int, int]:
+        """(e, rho) after an allocation: the public state moves first, the
+        private state conditioned on the pre-transition public state."""
+        r2 = int(np.searchsorted(self._cum_g[agent_id][rho], u_pub, side="right"))
+        e2 = int(np.searchsorted(self._cum_h[agent_id][rho][e], u_priv, side="right"))
+        return min(e2, self._n_e[agent_id] - 1), min(r2, self._n_rho[agent_id] - 1)
 
     # -- per-agent tables -------------------------------------------------
 
@@ -264,74 +266,78 @@ class MechanismRuntime:
         self._stops[key] = out
         return out
 
+    def hits_flat(
+        self, agent_id: int, transform: VirtualTransform, theta: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """This agent's positive index levels and the matching rows of its
+        hit-discount table (``gittins.hit_discounts``)."""
+        key = (agent_id, transform.pegged_report, theta)
+        out = self._hits.get(key)
+        if out is not None:
+            return out
+        scale = self._homogeneous_scale(agent_id, transform, theta)
+        if scale is not None:
+            base_key = id(self.env.agents[agent_id])
+            base = self._base_hits.get(base_key)
+            if base is None:
+                base = self._base_hits[base_key] = hit_discounts(self._base_arm(agent_id))
+            levels, table = scale * base[0], base[1]
+        else:
+            rewards = xi_table(transform, self.env, agent_id, theta)
+            arm = compile_reward_arm(self.env.agents[agent_id], rewards, self.env.delta)
+            levels, table = hit_discounts(arm)
+        positive = int(np.count_nonzero(levels > 0.0))  # a prefix: levels never rise
+        out = self._hits[key] = (levels[:positive], table[:positive])
+        return out
+
     # -- externality values ------------------------------------------------
 
-    def w_minus(
-        self,
-        others: list[tuple[int, VirtualTransform, float]],
-        states: list[int],
-    ) -> tuple[float, str]:
+    def w_minus(self, others: list[tuple[int, VirtualTransform, float]], states: list[int]) -> float:
         """Optimal transformed surplus of the given arms from their flat
-        states.  Exact DP when the joint space fits, else rollout."""
+        states, with the zero arm available.  One arm: its play-or-retire
+        value.  More: Whittle's retirement formula over the arms' hit
+        discounts (``gittins.retirement_surplus``), exact and O(sum of
+        the arms' sizes) per call; every arm must be within the exact
+        sweep's cutoff (``gittins.DENSE_SWEEP_MAX_STATES``)."""
         if not others:
-            return 0.0, "exact_dp"
+            return 0.0
         if len(others) == 1:
             agent_id, tr, theta = others[0]
-            return float(self.stop_flat(agent_id, tr, theta)[states[0]]), "exact_dp"
-        sizes = [self._n_e[a] * self._n_rho[a] for a, _, _ in others]
-        total = int(np.prod(sizes))
-        if total <= self.state_cap:
-            key = tuple((a, tr.pegged_report, th) for a, tr, th in others)
-            cached = self._joint_w.get(key)
-            if cached is None:
-                arms = [
-                    compile_reward_arm(
-                        self.env.agents[a],
-                        xi_table(tr, self.env, a, th),
-                        self.env.delta,
-                    )
-                    for a, tr, th in others
-                ]
-                v = joint_optimal_value(arms, self.env.delta, tol=self.dp_tol)
-                cached = (v, sizes)
-                self._joint_w[key] = cached
-            v, sizes = cached
-            flat = 0
-            for s, size in zip(states, sizes):
-                flat = flat * size + s
-            return float(v[flat]), "exact_dp"
-        return self._w_minus_rollout(others, states), "rollout"
+            return float(self.stop_flat(agent_id, tr, theta)[states[0]])
+        factors = []
+        for (agent_id, tr, theta), s in zip(others, states):
+            levels, hits = self.hits_flat(agent_id, tr, theta)
+            factors.append((levels, hits[:, s]))
+        return retirement_surplus(factors) / (1.0 - self.env.delta)
 
-    def _w_minus_rollout(self, others, states) -> float:
+    def _w_minus_rollout(
+        self, others, states, paths: int = 2000, seed: int = 0, horizon: int | None = None
+    ) -> tuple[float, float]:
+        """Monte Carlo cross-check of ``w_minus``: the mean and standard
+        error of the index policy's discounted transformed reward over
+        ``paths`` runs on ``substream(seed, "wminus", path)``, truncated
+        at ``horizon``.  Pricing never calls it."""
         env = self.env
-        horizon = tail_horizon(env.delta, len(others), env.v_max)
+        if horizon is None:
+            horizon = tail_horizon(env.delta, len(others), env.v_max)
         tables = [self.index_flat(a, tr, th) for a, tr, th in others]
-        rewards = []
-        for a, tr, th in others:
-            rewards.append(xi_table(tr, env, a, th).reshape(-1))
-        total = 0.0
-        n = self.welfare_rollouts
-        for path in range(n):
-            gen = substream(0, "wminus", path)
+        rewards = [xi_table(tr, env, a, th).reshape(-1) for a, tr, th in others]
+        totals = np.zeros(paths)
+        for path in range(paths):
+            gen = substream(seed, "wminus", path)
             st = list(states)
-            disc, acc = 1.0, 0.0
+            disc = 1.0
             for _ in range(horizon):
                 w = allocate([tables[j][st[j]] for j in range(len(others))])
                 if w > 0:
                     j = w - 1
-                    agent_id = others[j][0]
-                    acc += disc * rewards[j][st[j]]
-                    e, rho = divmod(st[j], self._n_rho[agent_id])
-                    u1 = float(gen.random())
-                    rho2 = int(np.searchsorted(self._cum_g[agent_id][rho], u1, side="right"))
-                    rho2 = min(rho2, self._n_rho[agent_id] - 1)
-                    u2 = float(gen.random())
-                    e2 = int(np.searchsorted(self._cum_h[agent_id][rho][e], u2, side="right"))
-                    e2 = min(e2, self._n_e[agent_id] - 1)
-                    st[j] = e2 * self._n_rho[agent_id] + rho2
+                    a = others[j][0]
+                    totals[path] += disc * rewards[j][st[j]]
+                    e, rho = divmod(st[j], self._n_rho[a])
+                    e, rho = self.step(a, e, rho, float(gen.random()), float(gen.random()))
+                    st[j] = e * self._n_rho[a] + rho
                 disc *= env.delta
-            total += acc
-        return total / n
+        return _mean_se(totals)
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +361,9 @@ def per_round_price(
     tr = transforms.get(winner)
     if tr is None or tr.alpha <= 0.0:
         raise RuntimeError("internal invariant violated: dormant agent won a round")
-    others = [
-        (j, transforms[j], float(theta_hats[j]))
-        for j in sorted(transforms)
-        if j != winner
-    ]
+    others = [(j, transforms[j], float(theta_hats[j])) for j in sorted(transforms) if j != winner]
     states = [int(e_hats[j]) * env.agents[j].public.n + int(rhos[j]) for j, _, _ in others]
-    w, _ = runtime.w_minus(others, states)
+    w = runtime.w_minus(others, states)
     beta = float(tr.beta[int(rhos[winner])])
     return ((1.0 - env.delta) * w - beta) / tr.alpha
 
@@ -396,7 +398,7 @@ class Transcript:
     entry_fees: tuple[float, ...]
     entry_fee_se: tuple[float, ...]
     fee_mode: str
-    w_mode: str
+    w_mode: str  # always "exact_dp": every W_{-i} is exact; kept for the artifact format
     tail_bound: float
     rounds: list[RoundRecord] = field(default_factory=list)
     revenue: float = 0.0
@@ -467,7 +469,7 @@ def _run_rounds(
     track_alloc_agent: int | None = None,
     track_virtual: bool = False,
     probe: _RentProbe | None = None,
-) -> tuple[_EpisodeResult, str]:
+) -> _EpisodeResult:
     """Core t >= 1 loop.  Returns per-agent discounted values/prices and
     whichever extras were requested.
 
@@ -477,7 +479,6 @@ def _run_rounds(
     """
     k = env.k
     res = _EpisodeResult(k)
-    w_mode_seen = "exact_dp"
     n_rho = runtime._n_rho
     true_e = [0] * k
     rho = [0] * k
@@ -518,13 +519,7 @@ def _run_rounds(
         if winner > 0:
             wi = winner - 1
             if track_prices:
-                others = [(j, transforms[j], theta_hats[j]) for j in active if j != wi]
-                states = [e_used[j] * n_rho[j] + rho[j] for j, _, _ in others]
-                w_val, mode = runtime.w_minus(others, states)
-                if mode == "rollout":
-                    w_mode_seen = "rollout"
-                tr = transforms[wi]
-                payment = ((1.0 - env.delta) * w_val - float(tr.beta[rho[wi]])) / tr.alpha
+                payment = per_round_price(env, transforms, theta_hats, e_used, rho, wi, runtime)
                 res.prices[wi] += disc * payment
             if value_cache[wi] is None:
                 value_cache[wi] = _value_flat(env, wi, theta[wi])
@@ -556,17 +551,10 @@ def _run_rounds(
             )
         if winner > 0:
             wi = winner - 1
-            u_pub, u_priv = streams.draw_pair(wi)
-            rho_pre = rho[wi]
-            r2 = int(np.searchsorted(runtime._cum_g[wi][rho_pre], u_pub, side="right"))
-            rho[wi] = min(r2, n_rho[wi] - 1)
-            e2 = int(
-                np.searchsorted(runtime._cum_h[wi][rho_pre][true_e[wi]], u_priv, side="right")
-            )
-            true_e[wi] = min(e2, runtime._n_e[wi] - 1)
+            true_e[wi], rho[wi] = runtime.step(wi, true_e[wi], rho[wi], *streams.draw_pair(wi))
         res.winners.append(winner)
         disc *= env.delta
-    return res, w_mode_seen
+    return res
 
 
 def _value_flat(env: Environment, agent_id: int, theta: float) -> np.ndarray:
@@ -590,12 +578,6 @@ def _deriv_flat(env: Environment, agent_id: int, theta: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Entry fees
 # ---------------------------------------------------------------------------
-
-
-def _gauss_legendre(lo: float, hi: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(m)
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    return mid + half * x, half * w
 
 
 @dataclass(frozen=True)
@@ -890,7 +872,7 @@ def fee_quadrature(
         truthful = [Truthful()] * env.k
         for j in range(paths):
             streams_of = partial(ExperienceStreams, seed, path_offset + j, stream_purpose)
-            res, _ = _run_rounds(
+            res = _run_rounds(
                 env, runtime, transforms, theta_hat, truthful, streams_of(), horizon,
                 track_prices=True,
             )
@@ -1012,7 +994,7 @@ def run_episode(
         fee_se = tuple(e.std_error for e in ests)
         fee_tag = "estimated"
     streams = ExperienceStreams(seed, 0, "episode")
-    res, w_mode = _run_rounds(
+    res = _run_rounds(
         env,
         runtime,
         transforms,
@@ -1033,7 +1015,7 @@ def run_episode(
         entry_fees=fees,
         entry_fee_se=fee_se,
         fee_mode=fee_tag,
-        w_mode=w_mode,
+        w_mode="exact_dp",
         tail_bound=env.delta**horizon * env.k * env.v_max / (1.0 - env.delta),
         rounds=res.rounds,
     )

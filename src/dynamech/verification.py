@@ -176,7 +176,7 @@ def _utility_paths(
     out = np.zeros(n_paths)
     for j in range(n_paths):
         streams = ExperienceStreams(seed, j, purpose)
-        res, _ = _run_rounds(
+        res = _run_rounds(
             env, runtime, transforms, theta, strategies, streams, horizon, track_prices=True
         )
         out[j] = res.values[agent_id] - res.prices[agent_id]
@@ -322,7 +322,7 @@ def audit_revenue_bound(
         ]
         transforms = _active_transforms(env, runtime, theta)
         streams = ExperienceStreams(seed, s, purpose)
-        main, _ = _run_rounds(
+        main = _run_rounds(
             env,
             runtime,
             transforms,
@@ -641,7 +641,7 @@ def audit_allocation_time_coupling(
     checked = 0
     detail = ""
     for s in seeds:
-        res_hi, _ = _run_rounds(
+        res_hi = _run_rounds(
             env,
             runtime,
             transforms_hi,
@@ -652,7 +652,7 @@ def audit_allocation_time_coupling(
             track_prices=False,
             track_alloc_agent=agent_id,
         )
-        res_lo, _ = _run_rounds(
+        res_lo = _run_rounds(
             env,
             runtime,
             transforms_lo,

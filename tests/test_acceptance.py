@@ -21,9 +21,9 @@ from dynamech import mechanism as mech
 from dynamech import verification as ver
 from dynamech.environments import ArmState
 from dynamech.gittins import tail_horizon
-from dynamech.mechanism import ExperienceStreams, Truthful, _active_transforms, _gauss_legendre, _run_rounds
+from dynamech.mechanism import ExperienceStreams, Truthful, _active_transforms, _run_rounds
 from dynamech.rng import substream
-from dynamech.virtual import VirtualTransform, affine_coefficients, dormancy_threshold
+from dynamech.virtual import VirtualTransform, affine_coefficients
 
 from conftest import constant_arm_env, posted_price_env, two_state_env
 
@@ -119,28 +119,13 @@ def test_criterion_04_posted_price_closed_forms(posted_price, posted_price_runti
     # offset term cancelled by the realized payments (coupled streams)
     n_draws = 10_000
     revs = np.zeros(n_draws)
-    truthful = [Truthful()]
-    lo = dormancy_threshold(env, 0)
     for s in range(n_draws):
         theta = [env.agents[0].distribution.sample(substream(9, "rev4", s, 0))]
-        transforms = _active_transforms(env, rt, theta)
-        streams = ExperienceStreams(9, s, "rev4")
-        main, _ = _run_rounds(env, rt, transforms, theta, truthful, streams, horizon, track_prices=False)
-        if 0 not in transforms or theta[0] <= lo:
-            continue
-        z_m, w_m = _gauss_legendre(lo, theta[0], 16)
-        integral = 0.0
-        for z, w in zip(z_m, w_m):
-            tz = _active_transforms(env, rt, [float(z)])
-            if 0 not in tz:
-                continue
-            res, _ = _run_rounds(
-                env, rt, tz, [float(z)], truthful,
-                ExperienceStreams(9, s, "rev4"), horizon,
-                track_prices=False, deriv_agent=0,
-            )
-            integral += w * res.deriv
-        revs[s] = main.values[0] - integral
+        data = mech.fee_quadrature(
+            env, theta, 0, paths=1, seed=9, horizon=horizon, runtime=rt,
+            stream_purpose="rev4", path_offset=s,
+        )
+        revs[s] = data.price_paths()[0]
     rev_mean = float(np.mean(revs))
     rev_se = float(np.std(revs, ddof=1) / np.sqrt(n_draws))
     ok_rev = abs(rev_mean - 0.5) <= 3 * rev_se
@@ -243,11 +228,11 @@ def test_criterion_09_allocation_time_coupling(sponsored2, sponsored2_runtime):
     )
     # truthful-vs-truthful: identical streams and reports => identical play
     transforms = _active_transforms(sponsored2, sponsored2_runtime, [0.9, 0.65])
-    res_a, _ = _run_rounds(
+    res_a = _run_rounds(
         sponsored2, sponsored2_runtime, transforms, [0.9, 0.65], [Truthful()] * 2,
         ExperienceStreams(17, 0, "coupling"), 52, track_alloc_agent=0,
     )
-    res_b, _ = _run_rounds(
+    res_b = _run_rounds(
         sponsored2, sponsored2_runtime, transforms, [0.9, 0.65], [Truthful()] * 2,
         ExperienceStreams(17, 0, "coupling"), 52, track_alloc_agent=0,
     )

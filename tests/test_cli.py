@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -238,3 +239,37 @@ def test_cli_index_agent_out_of_range_exits_2(tmp_path, capsys, agent):
     err = capsys.readouterr().err
     assert f"--agent {agent}" in err and "Traceback" not in err
     assert not (tmp_path / "index.csv").exists()
+
+
+SPONSORED4 = REPO / "configs" / "sponsored_search_4.cfg"
+
+
+def test_four_agent_simulate_prices_every_round_exactly(tmp_path):
+    # the config's default seed draws four active agents, so every price
+    # is W_{-i} over three 36-state arms
+    runs = []
+    for name in ("a", "b"):
+        assert main(["--config", str(SPONSORED4), "--out", str(tmp_path / name), "simulate"]) == 0
+        runs.append({f: (tmp_path / name / f).read_bytes() for f in ("summary.json", "transcript.csv")})
+    assert runs[0] == runs[1]
+    summary = json.loads(runs[0]["summary.json"])
+    assert summary["dormant"] == [False] * 4
+    assert summary["w_mode"] == "exact_dp"
+    fees = summary["entry_fees"] + summary["entry_fee_se"] + [summary["revenue"]]
+    assert all(math.isfinite(x) for x in fees)
+
+
+@pytest.mark.parametrize(
+    "config, command, status, files",
+    [
+        (POSTED, "simulate", 0, ("summary.json", "transcript.csv")),
+        (POSTED, "audit", 0, ("audit.json",)),
+        (EXP_CONTROL, "validate-env", 1, ("validate_env.json",)),
+    ],
+)
+def test_committed_artifacts_match_a_fresh_run(tmp_path, config, command, status, files):
+    # the files under out/ are what the CLI writes at each config's defaults
+    committed = REPO / parse_config(config).output_dir
+    assert main(["--config", str(config), "--out", str(tmp_path), command]) == status
+    for name in files:
+        assert (tmp_path / name).read_bytes() == (committed / name).read_bytes(), name

@@ -374,3 +374,90 @@ def test_tail_horizon_formula():
     # delta^T * k * vmax / (1 - delta) < eps at the returned T, not before
     t = gittins.tail_horizon(0.8, 2, 1.0, 1e-4)
     assert 0.8**t * 2 / 0.2 < 1e-4 <= 0.8 ** (t - 1) * 2 / 0.2
+
+
+# ---------------------------------------------------------------------------
+# Hit discounts and Whittle's retirement formula
+# ---------------------------------------------------------------------------
+
+
+def _hits_gap_to_per_level_solves(arm: gittins.CompiledArm) -> float:
+    """Worst gap between the sweep's hit discounts and one linear solve
+    per level.  Each level's continuation set is read off the table (the
+    states whose entry is below 1) and must grow by one state of highest
+    remaining index per level."""
+    levels, table = gittins.hit_discounts(arm)
+    idx = gittins.index_of_states(arm, np.arange(arm.n), tol=1e-9)
+    p, delta = arm.transition.toarray(), arm.delta
+    assert table.shape == (arm.n, arm.n)
+    assert np.all(np.diff(levels) <= 0.0)
+    worst = 0.0
+    prev = np.zeros(arm.n, dtype=bool)
+    for k in range(arm.n):
+        cont = table[k] < 1.0
+        new = np.nonzero(cont & ~prev)[0]
+        assert cont.sum() == k + 1 and np.all(cont[prev]) and len(new) == 1
+        assert abs(levels[k] - idx[new[0]]) <= 1e-12
+        assert idx[new[0]] >= np.max(idx[~cont], initial=-np.inf) - 1e-12
+        c, out = np.nonzero(cont)[0], np.nonzero(~cont)[0]
+        want = np.ones(arm.n)
+        want[c] = np.linalg.solve(
+            np.eye(len(c)) - delta * p[np.ix_(c, c)], delta * p[np.ix_(c, out)].sum(axis=1)
+        )
+        worst = max(worst, float(np.max(np.abs(table[k] - want))))
+        prev = cont
+    return worst
+
+
+def test_hit_discounts_match_per_level_solves_on_sponsored_arm(sponsored_small):
+    agent = sponsored_small.agents[0]
+    arm = gittins.compile_reward_arm(agent, agent.value.b, sponsored_small.delta)
+    assert arm.n == 36
+    assert _hits_gap_to_per_level_solves(arm) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_hit_discounts_match_per_level_solves_on_random_chains(seed):
+    assert _hits_gap_to_per_level_solves(_random_arm(seed, max_states=20)) <= 1e-12
+
+
+def _whittle_w(hits: list[tuple[np.ndarray, np.ndarray]], states, delta: float) -> float:
+    factors = []
+    for (levels, table), s in zip(hits, states):
+        positive = int(np.count_nonzero(levels > 0.0))
+        factors.append((levels[:positive], table[:positive, s]))
+    return gittins.retirement_surplus(factors) / (1.0 - delta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 100_000),
+    k=st.sampled_from([2, 3]),
+    tie_within=st.booleans(),
+    tie_across=st.booleans(),
+)
+def test_whittle_value_matches_joint_optimum(seed, k, tie_within, tie_across):
+    gen = substream(seed, "whittle")
+    delta = 0.5 + 0.45 * float(gen.random())
+    arms = []
+    for j in range(k):
+        if tie_across and j == k - 1:
+            arms.append(arms[0])  # every level of the first arm, twice
+            continue
+        n = int(gen.integers(1, 9))
+        p = gen.random((n, n)) * (gen.random((n, n)) < 0.5)
+        p[np.arange(n), gen.integers(0, n, n)] += 0.1
+        p /= p.sum(axis=1, keepdims=True)
+        rewards = gen.uniform(-1.0, 1.0, n)
+        if tie_within and n >= 2:
+            p[1], rewards[1] = p[0], rewards[0]  # states 0 and 1 share one index
+        arms.append(
+            gittins.CompiledArm(
+                rewards=rewards, transition=sp.csr_matrix(p), delta=delta, n_e=n, n_rho=1
+            )
+        )
+    opt = gittins.joint_optimal_value(arms, delta, tol=1e-12).reshape([a.n for a in arms])
+    hits = [gittins.hit_discounts(a) for a in arms]
+    worst = max(abs(_whittle_w(hits, s, delta) - opt[s]) for s in np.ndindex(opt.shape))
+    assert worst <= 1e-9

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynamech import environments as envs
+from dynamech import gittins
 from dynamech import mechanism as mech
-from dynamech.gittins import tail_horizon
-from dynamech.virtual import affine_coefficients, dormancy_threshold
+from dynamech.environments import DomainError
+from dynamech.gittins import compile_reward_arm, joint_optimal_value, retirement_surplus, tail_horizon
+from dynamech.virtual import affine_coefficients, dormancy_threshold, xi_table
 
 from conftest import constant_arm_env, posted_price_env
 
@@ -119,7 +121,7 @@ def test_fee_walk_matches_dense_midpoint_sum(sponsored_small, sponsored_small_ru
         for z in lo + width * (np.arange(400) + 0.5):
             th = list(theta)
             th[i] = float(z)
-            res, _ = mech._run_rounds(
+            res = mech._run_rounds(
                 env, rt, mech._active_transforms(env, rt, th), th, [mech.Truthful()] * 2,
                 mech.ExperienceStreams(seed, j, "fee"), horizon, track_prices=False, deriv_agent=i,
             )
@@ -160,6 +162,69 @@ def test_fee_walk_fails_loudly_past_its_piece_bound(sponsored_small, sponsored_s
     walk.max_pieces = 1
     with pytest.raises(RuntimeError, match="passed 1 pieces"):
         walk.integrate(lambda: mech.ExperienceStreams(5, 0, "fee"))
+
+
+# ---------------------------------------------------------------------------
+# W_{-i} by Whittle's retirement formula
+# ---------------------------------------------------------------------------
+
+
+def _ar1_env(k: int) -> envs.Environment:
+    return envs.ar1(k=k, coeff=0.5, shock=np.array([[0.2]]), delta=0.8, grid_step=0.1, alloc_cap=6)
+
+
+@pytest.mark.parametrize("which", ["sponsored", "ar1"])
+def test_one_arm_whittle_formula_equals_stop_value(which, sponsored_small):
+    # the lone-arm price keeps the play-or-retire value; it is the
+    # one-arm case of the formula that prices two or more arms
+    env = sponsored_small if which == "sponsored" else _ar1_env(1)
+    rt = mech.MechanismRuntime(env)
+    tr, theta = rt.transform(0, 0.9), 0.75
+    levels, hits = rt.hits_flat(0, tr, theta)
+    assert len(levels) > 0
+    stop = rt.stop_flat(0, tr, theta)
+    whittle = [
+        retirement_surplus([(levels, hits[:, s])]) / (1.0 - env.delta) for s in range(len(stop))
+    ]
+    assert np.max(np.abs(np.array(whittle) - stop)) <= 1e-9
+
+
+@pytest.mark.parametrize("which", ["sponsored", "ar1"])
+def test_w_minus_matches_joint_dp_over_two_arms(which):
+    # scale-homogeneous arms share one base hit table; additive arms get
+    # their own per (report, theta)
+    env = envs.sponsored_search(k=3, cap=2, delta=0.8) if which == "sponsored" else _ar1_env(3)
+    rt = mech.MechanismRuntime(env)
+    others = [(1, rt.transform(1, 0.95), 0.8), (2, rt.transform(2, 0.85), 0.9)]
+    arms = [
+        compile_reward_arm(env.agents[a], xi_table(tr, env, a, th), env.delta) for a, tr, th in others
+    ]
+    opt = joint_optimal_value(arms, env.delta, tol=1e-12).reshape(arms[0].n, arms[1].n)
+    assert opt.max() > 0.1
+    got = np.array([[rt.w_minus(others, [s0, s1]) for s1 in range(arms[1].n)] for s0 in range(arms[0].n)])
+    assert np.max(np.abs(got - opt)) <= 1e-9
+
+
+def test_w_minus_agrees_with_rollout_over_three_arms():
+    env = envs.sponsored_search(k=4, cap=2, delta=0.8)
+    rt = mech.MechanismRuntime(env)
+    others = [(j, rt.transform(j, th), th) for j, th in ((1, 0.9), (2, 0.8), (3, 0.7))]
+    states = [7, 0, 14]
+    exact = rt.w_minus(others, states)
+    horizon = tail_horizon(env.delta, 3, env.v_max, 1e-6)
+    mean, se = rt._w_minus_rollout(others, states, paths=1000, seed=5, horizon=horizon)
+    assert 0.0 < se < 0.05
+    assert abs(exact - mean) <= 4.0 * se + 1e-6
+
+
+def test_multi_arm_price_refuses_arm_above_sweep_cutoff(monkeypatch):
+    env = envs.sponsored_search(k=3, cap=2, delta=0.8)
+    rt = mech.MechanismRuntime(env)
+    others = [(1, rt.transform(1, 0.9), 0.9), (2, rt.transform(2, 0.8), 0.8)]
+    monkeypatch.setattr(gittins, "DENSE_SWEEP_MAX_STATES", 35)
+    with pytest.raises(DomainError, match="DENSE_SWEEP_MAX_STATES = 35"):
+        rt.w_minus(others, [0, 0])
+    assert rt.w_minus(others[:1], [0]) > 0.0  # a lone arm keeps its stop value
 
 
 def test_run_episode_posted_price_truthful(posted_price, posted_price_runtime):

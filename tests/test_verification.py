@@ -228,11 +228,11 @@ def test_coupling_equal_reports_identical_times(sponsored_small, sponsored_small
     from dynamech.rng import ExperienceStreams
 
     transforms = _active_transforms(env, rt, [0.9, 0.65])
-    a, _ = _run_rounds(
+    a = _run_rounds(
         env, rt, transforms, [0.9, 0.65], [Truthful()] * 2,
         ExperienceStreams(3, 0, "coupling"), 30, track_prices=False, track_alloc_agent=0,
     )
-    b, _ = _run_rounds(
+    b = _run_rounds(
         env, rt, transforms, [0.9, 0.65], [Truthful()] * 2,
         ExperienceStreams(3, 0, "coupling"), 30, track_prices=False, track_alloc_agent=0,
     )

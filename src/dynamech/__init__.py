@@ -30,11 +30,9 @@ from .environments import (
 )
 from .gittins import (
     BruteForceIndex,
-    IndexTable,
     WelfareEstimate,
     allocate,
     brute_force_index,
-    build_index_table,
     gittins_index,
     vwb_indices,
     weighted_welfare,

@@ -4,7 +4,7 @@ deterministic output emission.
 Subcommands: validate-env, transform, index, simulate, audit, bound.
 Exit status: 0 on success, 1 on audit/validation failure, 2 on config
 or argument errors.  Identical (config, seed) pairs produce
-byte-identical output files regardless of DYNAMECH_THREADS.
+byte-identical output files.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from . import verification as ver
 from .config import ConfigError, RunConfig, build_environment, config_hash, parse_config
 from .environments import validate_assumptions
 from .mechanism import MechanismRuntime, Truthful, run_episode
-from .parallel import parallel_map
 from .virtual import dormancy_threshold
 
 __all__ = ["main", "entry"]
@@ -89,24 +88,16 @@ def _cmd_validate_env(cfg: RunConfig, env, out: Path, seed: int, fmt: str) -> in
 def _cmd_transform(cfg: RunConfig, env, out: Path, seed: int, fmt: str) -> int:
     runtime = _runtime(cfg, env)
     rows = []
-
-    def agent_rows(i):
-        agent = env.agents[i]
-        tb = agent.distribution.theta_bar
-        local = []
-        for r in np.linspace(0.0, tb, cfg.theta_grid_points):
+    for i, agent in enumerate(env.agents):
+        for r in np.linspace(0.0, agent.distribution.theta_bar, cfg.theta_grid_points):
             tr = runtime.transform(i, float(r))
             for rho in range(agent.public.n):
                 if tr is None:
-                    local.append([i, float(r), agent.public.labels[rho], "", "", 1])
+                    rows.append([i, float(r), agent.public.labels[rho], "", "", 1])
                 else:
-                    local.append(
+                    rows.append(
                         [i, float(r), agent.public.labels[rho], tr.alpha, float(tr.beta[rho]), 0]
                     )
-        return local
-
-    for chunk in parallel_map(agent_rows, range(env.k)):
-        rows.extend(chunk)
     _emit_table(
         out / "transform",
         ["agent", "report", "rho", "alpha", "beta", "dormant"],
@@ -268,7 +259,8 @@ def _cmd_audit(cfg: RunConfig, env, out: Path, seed: int, fmt: str, args) -> int
     runtime = _runtime(cfg, env)
     suites = list(_SUITES) if args.suite == "all" else [args.suite]
     results = []
-    for chunk in parallel_map(lambda s: _run_suite(s, cfg, env, runtime, seed), suites):
+    for suite in suites:
+        chunk = _run_suite(suite, cfg, env, runtime, seed)
         if isinstance(chunk, list):
             results.extend(chunk)
         else:

@@ -45,13 +45,10 @@ class RunConfig:
     tail_eps: float = 1e-4
     quad_nodes: int = 16
     fee_rollouts: int = 2000
-    welfare_rollouts: int = 2000
     audit_paths: int = 200
     audit_fee_paths: int = 128
-    audit_fee_nodes: int = 8
     audit_episodes: int = 2000
     coupling_seeds: int = 200
-    dp_state_cap: int = 10_000
     theta_grid_points: int = 9
     assumption_grid: int = 64
     master_seed: int = 0
@@ -67,13 +64,10 @@ _POSITIVE_FIELDS = (
     "tail_eps",
     "quad_nodes",
     "fee_rollouts",
-    "welfare_rollouts",
     "audit_paths",
     "audit_fee_paths",
-    "audit_fee_nodes",
     "audit_episodes",
     "coupling_seeds",
-    "dp_state_cap",
     "theta_grid_points",
     "assumption_grid",
 )

@@ -16,7 +16,8 @@ quantized to a grid).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,6 +39,7 @@ __all__ = [
     "make_environment",
     "value",
     "value_theta_derivative",
+    "sample_transition",
     "step_experience",
     "check_derivative",
     "AssumptionCheck",
@@ -139,6 +141,19 @@ def _check_rows(matrix: np.ndarray, what: str) -> None:
         raise DomainError(f"{what} has negative entries")
 
 
+def _sampling_rows(matrix: np.ndarray) -> np.ndarray:
+    """Cumulative rows for inverse-CDF sampling, set to +inf from each
+    row's last state with positive mass on.  A row's rounded total can
+    fall an ulp short of 1 (sponsored search at cap 5 has such rows), so
+    a draw at or past it lands on that last state instead of on a
+    zero-mass state or past the end."""
+    cum = np.cumsum(matrix, axis=-1)
+    n = matrix.shape[-1]
+    last = n - 1 - np.argmax(matrix[..., ::-1] > 0.0, axis=-1)
+    cum[np.arange(n) >= last[..., None]] = np.inf
+    return cum
+
+
 @dataclass(frozen=True)
 class PublicKernel:
     """Transition G(rho' | rho) over a finite public-state set."""
@@ -158,6 +173,11 @@ class PublicKernel:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def cumulative(self) -> np.ndarray:
+        """Sampling rows of G, built on first use (``sample_transition``)."""
+        return _sampling_rows(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -183,6 +203,11 @@ class PrivateKernel:
     @property
     def n(self) -> int:
         return self.matrix.shape[1]
+
+    @cached_property
+    def cumulative(self) -> np.ndarray:
+        """Sampling rows of H, built on first use (``sample_transition``)."""
+        return _sampling_rows(self.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +349,23 @@ def value_theta_derivative(env: Environment, agent_id: int, state: ArmState) -> 
     return val.da(state.theta, state.rho)
 
 
-def _sample_index(cum_row: np.ndarray, u: float) -> int:
-    return int(np.searchsorted(cum_row, u, side="right"))
+def sample_transition(
+    agent: AgentModel, e: int, rho: int, u_pub: float, u_priv: float
+) -> tuple[int, int]:
+    """(e', rho') after one allocation at (e, rho), by inverse CDF: the
+    public state moves on ``u_pub``, then the private state on
+    ``u_priv``, conditioned on the pre-transition public state.  Every
+    simulated allocation moves through here, so that the j-th
+    allocation's draws mean the same move in every run that shares
+    them."""
+    rho_next = int(agent.public.cumulative[rho].searchsorted(u_pub, side="right"))
+    e_next = int(agent.private.cumulative[rho, e].searchsorted(u_priv, side="right"))
+    return e_next, rho_next
 
 
 def step_experience(env: Environment, agent_id: int, state: ArmState, rng) -> ArmState:
-    """One allocation step: public state moves first, then the private
-    state conditioned on the pre-transition public state.  theta is
-    unchanged.  ``rng`` is either a numpy Generator or an
-    ExperienceStreams handle.
+    """One allocation step (``sample_transition``); theta is unchanged.
+    ``rng`` is either a numpy Generator or an ExperienceStreams handle.
     """
     agent = env.agents[agent_id]
     _check_state(agent, state)
@@ -341,8 +374,7 @@ def step_experience(env: Environment, agent_id: int, state: ArmState, rng) -> Ar
     else:
         u = rng.random(2)
         u_pub, u_priv = float(u[0]), float(u[1])
-    rho_next = _sample_index(np.cumsum(agent.public.matrix[state.rho]), u_pub)
-    e_next = _sample_index(np.cumsum(agent.private.matrix[state.rho, state.e]), u_priv)
+    e_next, rho_next = sample_transition(agent, state.e, state.rho, u_pub, u_priv)
     return ArmState(theta=state.theta, e=e_next, rho=rho_next)
 
 

@@ -31,7 +31,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.blas import dger
 
-from .environments import AgentModel, ArmState, DomainError, Environment
+from .environments import AgentModel, ArmState, DomainError, Environment, sample_transition
 from .rng import substream
 from .virtual import VirtualTransform, transform_or_dormant, xi_table
 
@@ -46,9 +46,10 @@ __all__ = [
     "BruteForceIndex",
     "brute_force_index",
     "vwb_indices",
-    "IndexTable",
-    "build_index_table",
     "allocate",
+    "joint_state_count",
+    "index_policy_winners",
+    "index_policy_rollout",
     "WelfareEstimate",
     "weighted_welfare",
     "optimal_stop_value",
@@ -272,25 +273,10 @@ class _RetirementSolver:
         cached = self._cache.get(lam)
         if cached is not None:
             return cached
-        arm = self.arm
-        retire = lam / (1.0 - arm.delta)
+        start = None
         if self._cache:
-            nearest = min(self._cache, key=lambda x: abs(x - lam))
-            v = self._cache[nearest].copy()
-        else:
-            v = np.full(arm.n, retire)
-        stop = self.accuracy * (1.0 - arm.delta) / max(arm.delta, 1e-12)
-        for _ in range(VI_MAX_SWEEPS):
-            w = arm.rewards + arm.delta * (arm.transition @ v)
-            np.maximum(w, retire, out=w)
-            resid = float(np.max(np.abs(w - v)))
-            v = w
-            if resid <= stop:
-                break
-        else:
-            raise RuntimeError(
-                f"value iteration at lambda={lam!r} did not converge in {VI_MAX_SWEEPS} sweeps"
-            )
+            start = self._cache[min(self._cache, key=lambda x: abs(x - lam))]
+        v = optimal_stop_value(self.arm, self.accuracy, lam / (1.0 - self.arm.delta), start)
         if len(self._cache) > 512:
             self._cache.clear()
         self._cache[lam] = v
@@ -460,44 +446,8 @@ def vwb_indices(rewards: np.ndarray, transition: np.ndarray, delta: float) -> np
 
 
 # ---------------------------------------------------------------------------
-# Index tables and allocation
+# Allocation
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IndexTable:
-    """Memoized indices over every (e, rho) cell for one fixed theta.
-
-    Entries are a deterministic function of (agent, transform, theta,
-    tol): rebuilding with identical inputs reproduces identical bits.
-    """
-
-    agent_id: int
-    pegged_report: float
-    theta: float
-    tol: float
-    values: np.ndarray  # (n_e, n_rho)
-
-    def lookup(self, e: int, rho: int) -> float:
-        return float(self.values[e, rho])
-
-
-def build_index_table(
-    env: Environment,
-    agent_id: int,
-    transform: VirtualTransform,
-    theta: float,
-    tol: float = 1e-9,
-) -> IndexTable:
-    arm = compile_arm(env, agent_id, transform, theta)
-    vals = index_of_states(arm, np.arange(arm.n), tol)
-    return IndexTable(
-        agent_id=agent_id,
-        pegged_report=transform.pegged_report,
-        theta=theta,
-        tol=tol,
-        values=vals.reshape(arm.n_e, arm.n_rho),
-    )
 
 
 def allocate(index_values, zero_arm_index: float = 0.0) -> int:
@@ -528,50 +478,86 @@ class WelfareEstimate:
     method: str
 
 
-def optimal_stop_value(arm: CompiledArm, tol: float = 1e-10) -> np.ndarray:
-    """V(s) = max(0, xi(s) + delta E[V(s')]): play-or-retire value of a
-    lone arm against the zero arm.  Exact to ``tol`` in sup norm."""
-    v = np.zeros(arm.n)
+def optimal_stop_value(
+    arm: CompiledArm,
+    tol: float = 1e-10,
+    retire: float = 0.0,
+    start: np.ndarray | None = None,
+) -> np.ndarray:
+    """V(s) = max(retire, xi(s) + delta E[V(s')]): play-or-retire value
+    of a lone arm against a lump-sum retirement reward (0 is the zero
+    arm), by value iteration from ``start`` (default: ``retire``
+    everywhere).  Exact to ``tol`` in sup norm; raises RuntimeError
+    after ``VI_MAX_SWEEPS`` sweeps."""
+    v = np.full(arm.n, retire) if start is None else start
     stop = tol * (1.0 - arm.delta) / max(arm.delta, 1e-12)
     for _ in range(VI_MAX_SWEEPS):
         w = arm.rewards + arm.delta * (arm.transition @ v)
-        np.maximum(w, 0.0, out=w)
+        np.maximum(w, retire, out=w)
         resid = float(np.max(np.abs(w - v)))
         v = w
         if resid <= stop:
             return v
-    raise RuntimeError("value iteration did not converge")
+    raise RuntimeError(
+        f"value iteration at retirement value {retire!r} did not converge in {VI_MAX_SWEEPS} sweeps"
+    )
 
 
-class _JointIndexPolicy:
-    """Index policy over the product state space of the included arms."""
-
-    def __init__(self, arms: list[CompiledArm], tables: list[np.ndarray]):
-        self.arms = arms
-        self.flat_tables = [t.reshape(-1) for t in tables]
-        self.sizes = [a.n for a in arms]
-
-    def winner(self, states: tuple[int, ...]) -> int:
-        """0 = zero arm, j>=1 = included arm j-1."""
-        vals = [self.flat_tables[j][states[j]] for j in range(len(self.arms))]
-        return allocate(vals)
+def joint_state_count(sizes, state_cap: int) -> int:
+    """Joint states of arms of these sizes; the product-space oracles
+    refuse (DomainError) more than ``state_cap``."""
+    total = math.prod(sizes)
+    if total > state_cap:
+        raise DomainError(f"exact DP refused: {total} joint states > cap {state_cap}")
+    return total
 
 
-def _joint_states(sizes: list[int]):
-    total = int(np.prod(sizes)) if sizes else 1
-    for flat in range(total):
-        rem, comp = flat, []
-        for size in reversed(sizes):
-            comp.append(rem % size)
-            rem //= size
-        yield flat, tuple(reversed(comp))
+def index_policy_winners(tables: list[np.ndarray]) -> np.ndarray:
+    """``allocate`` at every joint state of the arms with these flat
+    index tables: 0 for the zero arm, j for arm j-1.  Joint states are
+    flattened in C order (``np.ravel_multi_index`` over the arms'
+    sizes)."""
+    grid = np.stack(np.meshgrid(*tables, indexing="ij")).reshape(len(tables), -1)
+    winners = np.argmax(grid, axis=0) + 1  # the first maximum: ties to the lowest arm
+    winners[grid.max(axis=0) <= 0.0] = 0  # the zero arm wins ties at its index 0
+    return winners
 
 
-def _joint_flat(states, sizes) -> int:
-    flat = 0
-    for s, size in zip(states, sizes):
-        flat = flat * size + s
-    return flat
+def index_policy_rollout(
+    agents: list[AgentModel],
+    tables: list[np.ndarray],
+    rewards: list[np.ndarray],
+    start: list[int],
+    delta: float,
+    horizon: int,
+    paths: int,
+    seed: int,
+    purpose: str,
+) -> np.ndarray:
+    """Discounted reward of the index policy over some arms and the zero
+    arm, truncated at ``horizon``, on each of ``paths`` runs from the
+    flat states ``start``.  Arm j moves as ``agents[j]``'s experience
+    process, with flat index table ``tables[j]`` and flat rewards
+    ``rewards[j]``.  Run p draws from ``substream(seed, purpose, p)``,
+    two uniforms per allocation for ``sample_transition``."""
+    n_rho = [agent.public.n for agent in agents]
+    totals = np.zeros(paths)
+    for path in range(paths):
+        gen = substream(seed, purpose, path)
+        states = list(start)
+        disc = 1.0
+        for _ in range(horizon):
+            w = allocate([table[s] for table, s in zip(tables, states)])
+            if w > 0:
+                j = w - 1
+                totals[path] += disc * rewards[j][states[j]]
+                e, rho = divmod(states[j], n_rho[j])
+                e, rho = sample_transition(
+                    agents[j], e, rho, float(gen.random()), float(gen.random())
+                )
+                states[j] = e * n_rho[j] + rho
+            disc *= delta
+    return totals
 
 
 def joint_policy_matrix(
@@ -579,27 +565,28 @@ def joint_policy_matrix(
 ) -> tuple[sp.csr_matrix, np.ndarray]:
     """Transition matrix and per-state reward of a fixed joint policy.
 
-    ``winners[flat]`` is 0 for the zero arm or j for included arm j-1.
+    ``winners[flat]`` is 0 for the zero arm or j for included arm j-1,
+    over the joint states in C order.
     """
     sizes = [a.n for a in arms]
-    total = int(np.prod(sizes)) if sizes else 1
+    strides = [math.prod(sizes[j + 1 :]) for j in range(len(sizes))]
+    total = math.prod(sizes)
     rows, cols, vals = [], [], []
     rewards = np.zeros(total)
-    for flat, comp in _joint_states(sizes):
+    for flat, comp in enumerate(np.ndindex(*sizes)):
         w = int(winners[flat])
         if w == 0:
             rows.append(flat)
             cols.append(flat)
             vals.append(1.0)
             continue
-        arm = arms[w - 1]
-        rewards[flat] = arm.rewards[comp[w - 1]]
-        row = arm.transition.getrow(comp[w - 1])
-        for s2, pr in zip(row.indices, row.data):
-            nxt = list(comp)
-            nxt[w - 1] = int(s2)
+        j = w - 1
+        arm, s = arms[j], comp[j]
+        rewards[flat] = arm.rewards[s]
+        lo, hi = arm.transition.indptr[s], arm.transition.indptr[s + 1]
+        for s2, pr in zip(arm.transition.indices[lo:hi], arm.transition.data[lo:hi]):
             rows.append(flat)
-            cols.append(_joint_flat(nxt, sizes))
+            cols.append(flat + (int(s2) - s) * strides[j])
             vals.append(float(pr))
     t = sp.csr_matrix((vals, (rows, cols)), shape=(total, total))
     return t, rewards
@@ -648,18 +635,22 @@ def weighted_welfare(
     horizon: int | None = None,
     seed: int = 0,
     index_tol: float = 1e-9,
-    dp_tol: float = 1e-10,
     state_cap: int = 10_000,
     tail_eps: float = 1e-4,
 ) -> WelfareEstimate:
     """Expected discounted transformed reward of the index policy over
     the included arms plus the zero arm, started from the given joint
-    state.
+    state: exactly by one sparse solve over the joint space
+    (``exact_dp``, at most ``state_cap`` joint states), or as the mean
+    of ``n_paths`` runs of ``index_policy_rollout`` on ``"welfare"``
+    streams (``rollout``, whose ``std_error`` adds the truncation tail).
 
     Dormant agents are excluded from the arm set (their rewards are
     non-positive pointwise, so this leaves the optimum unchanged while
     matching the mechanism's hard exclusion).
     """
+    if mode not in ("exact_dp", "rollout"):
+        raise DomainError(f"unknown welfare mode {mode!r}")
     included: list[int] = []
     transforms: dict[int, VirtualTransform] = {}
     for i in range(env.k):
@@ -670,68 +661,31 @@ def weighted_welfare(
             included.append(i)
             transforms[i] = t
     arms = [compile_arm(env, i, transforms[i], float(theta[i])) for i in included]
-    start = tuple(
-        arms[j].state_index(int(e[i]), int(rho[i])) for j, i in enumerate(included)
-    )
+    sizes = [a.n for a in arms]
+    start = [arms[j].state_index(int(e[i]), int(rho[i])) for j, i in enumerate(included)]
     if mode == "exact_dp":
-        total = int(np.prod([a.n for a in arms])) if arms else 1
-        if total > state_cap:
-            raise DomainError(f"exact_dp refused: {total} joint states > cap {state_cap}")
-        if not arms:
-            return WelfareEstimate(mean=0.0, std_error=0.0, method="exact_dp")
-        tables = [
-            build_index_table(env, i, transforms[i], float(theta[i]), tol=index_tol).values
-            for i in included
-        ]
-        policy = _JointIndexPolicy(arms, tables)
-        winners = np.zeros(total, dtype=int)
-        for flat, comp in _joint_states([a.n for a in arms]):
-            winners[flat] = policy.winner(comp)
-        v = joint_policy_value(arms, winners, env.delta)
-        return WelfareEstimate(
-            mean=float(v[_joint_flat(start, [a.n for a in arms])]),
-            std_error=0.0,
-            method="exact_dp",
-        )
-    if mode != "rollout":
-        raise DomainError(f"unknown welfare mode {mode!r}")
-    if horizon is None:
-        horizon = tail_horizon(env.delta, max(len(arms), 1), env.v_max, tail_eps)
+        joint_state_count(sizes, state_cap)
     if not arms:
-        return WelfareEstimate(mean=0.0, std_error=0.0, method="rollout")
-    tables = [
-        build_index_table(env, i, transforms[i], float(theta[i]), tol=index_tol).values.reshape(-1)
-        for i in included
-    ]
-    cums = [_cumulative_rows(a.transition) for a in arms]
-    totals = np.empty(n_paths)
-    for path in range(n_paths):
-        gen = substream(seed, "welfare", path)
-        states = list(start)
-        disc, acc = 1.0, 0.0
-        for _ in range(horizon):
-            w = allocate([tables[j][states[j]] for j in range(len(arms))])
-            if w > 0:
-                j = w - 1
-                acc += disc * arms[j].rewards[states[j]]
-                starts, cols, cumvals = cums[j]
-                s = states[j]
-                seg = slice(starts[s], starts[s + 1])
-                u = float(gen.random())
-                k = int(np.searchsorted(cumvals[seg], u, side="right"))
-                states[j] = int(cols[seg][min(k, starts[s + 1] - starts[s] - 1)])
-            disc *= env.delta
-        totals[path] = acc
+        return WelfareEstimate(mean=0.0, std_error=0.0, method=mode)
+    tables = [index_of_states(a, np.arange(a.n), index_tol) for a in arms]
+    if mode == "exact_dp":
+        v = joint_policy_value(arms, index_policy_winners(tables), env.delta)
+        return WelfareEstimate(
+            mean=float(v[np.ravel_multi_index(start, sizes)]), std_error=0.0, method="exact_dp"
+        )
+    if horizon is None:
+        horizon = tail_horizon(env.delta, len(arms), env.v_max, tail_eps)
+    totals = index_policy_rollout(
+        [env.agents[i] for i in included],
+        tables,
+        [a.rewards for a in arms],
+        start,
+        env.delta,
+        horizon,
+        n_paths,
+        seed,
+        "welfare",
+    )
     tail = env.delta**horizon * len(arms) * env.v_max / (1.0 - env.delta)
     se = float(np.std(totals, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
     return WelfareEstimate(mean=float(np.mean(totals)), std_error=se + tail, method="rollout")
-
-
-def _cumulative_rows(transition: sp.csr_matrix):
-    """CSR rows as (indptr, indices, per-row cumulative probabilities)."""
-    cum = transition.data.copy()
-    indptr = transition.indptr
-    for s in range(transition.shape[0]):
-        seg = slice(indptr[s], indptr[s + 1])
-        cum[seg] = np.cumsum(cum[seg])
-    return indptr, transition.indices, cum

@@ -28,6 +28,7 @@ from .environments import (
     DomainError,
     Environment,
     MultiplicativeValue,
+    sample_transition,
     value,
 )
 from .gittins import (
@@ -36,7 +37,9 @@ from .gittins import (
     compile_reward_arm,
     hit_discounts,
     index_of_states,
+    index_policy_rollout,
     joint_optimal_value,
+    joint_state_count,
     optimal_stop_value,
     retirement_surplus,
     tail_horizon,
@@ -168,38 +171,22 @@ class MechanismRuntime:
         self._base_tables: dict[int, np.ndarray] = {}
         self._base_stops: dict[int, np.ndarray] = {}
         self._base_hits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._cum_g = []
-        self._cum_h = []
-        self._n_rho = []
-        self._n_e = []
+        self._n_rho = [agent.public.n for agent in env.agents]
         self._scale_bound = []
         for agent in env.agents:
-            self._cum_g.append([np.cumsum(row) for row in agent.public.matrix])
-            self._cum_h.append(
-                [[np.cumsum(agent.private.matrix[r, e]) for e in range(agent.private.n)] for r in range(agent.public.n)]
-            )
-            self._n_rho.append(agent.public.n)
-            self._n_e.append(agent.private.n)
             if isinstance(agent.value, MultiplicativeValue):
                 ts = np.linspace(0.0, agent.distribution.theta_bar, 65)
                 self._scale_bound.append(max(1.0, max(abs(agent.value.a(float(t))) for t in ts)))
             else:
                 self._scale_bound.append(1.0)
 
-    # -- transforms and transitions ----------------------------------------
+    # -- transforms ---------------------------------------------------------
 
     def transform(self, agent_id: int, report: float) -> VirtualTransform | None:
         key = (agent_id, report)
         if key not in self._transforms:
             self._transforms[key] = transform_or_dormant(self.env, agent_id, report)
         return self._transforms[key]
-
-    def step(self, agent_id: int, e: int, rho: int, u_pub: float, u_priv: float) -> tuple[int, int]:
-        """(e, rho) after an allocation: the public state moves first, the
-        private state conditioned on the pre-transition public state."""
-        r2 = int(np.searchsorted(self._cum_g[agent_id][rho], u_pub, side="right"))
-        e2 = int(np.searchsorted(self._cum_h[agent_id][rho][e], u_priv, side="right"))
-        return min(e2, self._n_e[agent_id] - 1), min(r2, self._n_rho[agent_id] - 1)
 
     # -- per-agent tables -------------------------------------------------
 
@@ -320,23 +307,17 @@ class MechanismRuntime:
         env = self.env
         if horizon is None:
             horizon = tail_horizon(env.delta, len(others), env.v_max)
-        tables = [self.index_flat(a, tr, th) for a, tr, th in others]
-        rewards = [xi_table(tr, env, a, th).reshape(-1) for a, tr, th in others]
-        totals = np.zeros(paths)
-        for path in range(paths):
-            gen = substream(seed, "wminus", path)
-            st = list(states)
-            disc = 1.0
-            for _ in range(horizon):
-                w = allocate([tables[j][st[j]] for j in range(len(others))])
-                if w > 0:
-                    j = w - 1
-                    a = others[j][0]
-                    totals[path] += disc * rewards[j][st[j]]
-                    e, rho = divmod(st[j], self._n_rho[a])
-                    e, rho = self.step(a, e, rho, float(gen.random()), float(gen.random()))
-                    st[j] = e * self._n_rho[a] + rho
-                disc *= env.delta
+        totals = index_policy_rollout(
+            [env.agents[a] for a, _, _ in others],
+            [self.index_flat(a, tr, th) for a, tr, th in others],
+            [xi_table(tr, env, a, th).reshape(-1) for a, tr, th in others],
+            states,
+            env.delta,
+            horizon,
+            paths,
+            seed,
+            "wminus",
+        )
         return _mean_se(totals)
 
 
@@ -432,15 +413,13 @@ class Estimate:
 
 
 class _EpisodeResult:
-    __slots__ = ("values", "prices", "winners", "deriv", "rounds", "alloc_times", "virtual")
+    __slots__ = ("values", "prices", "winners", "rounds", "virtual")
 
     def __init__(self, k: int):
         self.values = [0.0] * k
         self.prices = [0.0] * k
         self.winners: list[int] = []
-        self.deriv = 0.0
         self.rounds: list[RoundRecord] = []
-        self.alloc_times: list[int] = []
         self.virtual = 0.0
 
 
@@ -464,9 +443,7 @@ def _run_rounds(
     *,
     monitored: bool = False,
     track_prices: bool = True,
-    deriv_agent: int | None = None,
     record_rounds: bool = False,
-    track_alloc_agent: int | None = None,
     track_virtual: bool = False,
     probe: _RentProbe | None = None,
 ) -> _EpisodeResult:
@@ -479,6 +456,7 @@ def _run_rounds(
     """
     k = env.k
     res = _EpisodeResult(k)
+    agents = env.agents
     n_rho = runtime._n_rho
     true_e = [0] * k
     rho = [0] * k
@@ -486,7 +464,6 @@ def _run_rounds(
     cur_theta_hat: list[float | None] = [None] * k
     cur_table: list[np.ndarray | None] = [None] * k
     value_cache: list[np.ndarray | None] = [None] * k
-    deriv_cache: np.ndarray | None = None
     virtual_cache: list[np.ndarray | None] = [None] * k
     # truthful reports are the hot path: skip Report construction for them
     truthful_mask = [isinstance(strategies[i], Truthful) for i in range(k)]
@@ -524,10 +501,6 @@ def _run_rounds(
             if value_cache[wi] is None:
                 value_cache[wi] = _value_flat(env, wi, theta[wi])
             res.values[wi] += disc * value_cache[wi][true_e[wi] * n_rho[wi] + rho[wi]]
-            if deriv_agent == wi:
-                if deriv_cache is None:
-                    deriv_cache = _deriv_flat(env, wi, theta[wi])
-                res.deriv += disc * deriv_cache[true_e[wi] * n_rho[wi] + rho[wi]]
             if track_virtual:
                 if virtual_cache[wi] is None:
                     ih = inverse_hazard(env.agents[wi].distribution, theta[wi])
@@ -535,8 +508,6 @@ def _run_rounds(
                         env, wi, theta[wi]
                     )
                 res.virtual += disc * virtual_cache[wi][true_e[wi] * n_rho[wi] + rho[wi]]
-            if track_alloc_agent == wi:
-                res.alloc_times.append(t)
         if record_rounds:
             res.rounds.append(
                 RoundRecord(
@@ -551,7 +522,9 @@ def _run_rounds(
             )
         if winner > 0:
             wi = winner - 1
-            true_e[wi], rho[wi] = runtime.step(wi, true_e[wi], rho[wi], *streams.draw_pair(wi))
+            true_e[wi], rho[wi] = sample_transition(
+                agents[wi], true_e[wi], rho[wi], *streams.draw_pair(wi)
+            )
         res.winners.append(winner)
         disc *= env.delta
     return res
@@ -1058,8 +1031,7 @@ def marginal_contribution(
         rewards = xi_table(transforms[j], env, j, float(round_rec.theta_hat[j]))
         arms.append(compile_reward_arm(env.agents[j], rewards, env.delta))
     sizes = [a.n for a in arms]
-    if int(np.prod(sizes)) > state_cap:
-        raise DomainError("marginal contribution refused: joint space exceeds exact-DP cap")
+    joint_state_count(sizes, state_cap)
     w_all = joint_optimal_value(arms, env.delta, tol=runtime.dp_tol)
     pos_i = active.index(i)
     arms_minus = [a for j, a in enumerate(arms) if j != pos_i]
@@ -1072,15 +1044,9 @@ def marginal_contribution(
     ]
 
     def gap(c: list[int]) -> float:
-        f_all = 0
-        for s, size in zip(c, sizes):
-            f_all = f_all * size + s
         c_minus = [s for j, s in enumerate(c) if j != pos_i]
-        f_minus = 0
-        for s, size in zip(c_minus, sizes_minus):
-            f_minus = f_minus * size + s
-        base = float(w_minus[f_minus]) if sizes_minus else 0.0
-        return float(w_all[f_all]) - base
+        base = float(w_minus[np.ravel_multi_index(c_minus, sizes_minus)]) if sizes_minus else 0.0
+        return float(w_all[np.ravel_multi_index(c, sizes)]) - base
 
     here = gap(comp)
     winner = round_rec.winner

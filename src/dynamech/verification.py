@@ -20,10 +20,11 @@ import numpy as np
 
 from .environments import DomainError, Environment
 from .gittins import (
-    allocate,
     compile_reward_arm,
+    index_policy_winners,
     joint_optimal_value,
     joint_policy_value,
+    joint_state_count,
     tail_horizon,
 )
 from .mechanism import (
@@ -525,7 +526,6 @@ def audit_monotone_allocation(
     theta_points: int = 5,
     tol: float = 1e-9,
     *,
-    index_tol: float = 1e-9,
     opponent_states: int = 5,
     runtime: MechanismRuntime | None = None,
 ) -> AuditResult:
@@ -606,6 +606,11 @@ def audit_monotone_allocation(
 # ---------------------------------------------------------------------------
 
 
+def _alloc_times(res, agent_id: int) -> list[int]:
+    """Rounds (from 1) at which ``agent_id`` won in a ``_run_rounds`` result."""
+    return [t for t, w in enumerate(res.winners, 1) if w == agent_id + 1]
+
+
 def audit_allocation_time_coupling(
     env: Environment,
     theta,
@@ -650,7 +655,6 @@ def audit_allocation_time_coupling(
             ExperienceStreams(s, 0, "coupling"),
             horizon,
             track_prices=False,
-            track_alloc_agent=agent_id,
         )
         res_lo = _run_rounds(
             env,
@@ -661,9 +665,8 @@ def audit_allocation_time_coupling(
             ExperienceStreams(s, 0, "coupling"),
             horizon,
             track_prices=False,
-            track_alloc_agent=agent_id,
         )
-        hi_times, lo_times = res_hi.alloc_times, res_lo.alloc_times
+        hi_times, lo_times = _alloc_times(res_hi, agent_id), _alloc_times(res_lo, agent_id)
         checked += 1
         ok = len(hi_times) >= len(lo_times) and all(
             hi_times[k] <= lo_times[k] for k in range(len(lo_times))
@@ -704,7 +707,6 @@ def exact_dp_policy_value(
     *,
     state_cap: int = 10_000,
     dp_tol: float = 1e-10,
-    index_tol: float = 1e-9,
     runtime: MechanismRuntime | None = None,
 ) -> PolicyValue:
     """Exact discounted transformed value of ``policy`` on the joint
@@ -724,39 +726,20 @@ def exact_dp_policy_value(
         for i in active
     ]
     sizes = [a.n for a in arms]
-    total = int(np.prod(sizes)) if sizes else 1
-    if total > state_cap:
-        raise DomainError(f"exact DP refused: {total} joint states > cap {state_cap}")
+    total = joint_state_count(sizes, state_cap)
+    if not arms:
+        return PolicyValue(policy_value=0.0, optimal_value=0.0)
     if policy == "index":
-        tables = [
-            runtime.index_flat(i, transforms[i], float(theta[i])) for i in active
-        ]
-
-        def policy_fn(comp):
-            return allocate([tables[j][comp[j]] for j in range(len(arms))])
-
+        winners = index_policy_winners(
+            [runtime.index_flat(i, transforms[i], float(theta[i])) for i in active]
+        )
     elif policy == "zero":
-
-        def policy_fn(comp):
-            return 0
-
+        winners = np.zeros(total, dtype=int)
     else:
-        policy_fn = policy
-
-    winners = np.zeros(total, dtype=int)
-    comp = [0] * len(sizes)
-    for flat in range(total):
-        rem = flat
-        for j in range(len(sizes) - 1, -1, -1):
-            comp[j] = rem % sizes[j]
-            rem //= sizes[j]
-        winners[flat] = policy_fn(tuple(comp))
+        winners = np.array([policy(comp) for comp in np.ndindex(*sizes)], dtype=int)
     opt = joint_optimal_value(arms, env.delta, tol=dp_tol)
-    if arms:
-        val = joint_policy_value(arms, winners, env.delta)
-        start = 0
-        for j, i in enumerate(active):
-            s = int(e[i]) * env.agents[i].public.n + int(rho[i])
-            start = start * sizes[j] + s
-        return PolicyValue(policy_value=float(val[start]), optimal_value=float(opt[start]))
-    return PolicyValue(policy_value=0.0, optimal_value=0.0)
+    val = joint_policy_value(arms, winners, env.delta)
+    start = np.ravel_multi_index(
+        [int(e[i]) * env.agents[i].public.n + int(rho[i]) for i in active], sizes
+    )
+    return PolicyValue(policy_value=float(val[start]), optimal_value=float(opt[start]))

@@ -230,15 +230,15 @@ def test_criterion_09_allocation_time_coupling(sponsored2, sponsored2_runtime):
     transforms = _active_transforms(sponsored2, sponsored2_runtime, [0.9, 0.65])
     res_a = _run_rounds(
         sponsored2, sponsored2_runtime, transforms, [0.9, 0.65], [Truthful()] * 2,
-        ExperienceStreams(17, 0, "coupling"), 52, track_alloc_agent=0,
+        ExperienceStreams(17, 0, "coupling"), 52,
     )
     res_b = _run_rounds(
         sponsored2, sponsored2_runtime, transforms, [0.9, 0.65], [Truthful()] * 2,
-        ExperienceStreams(17, 0, "coupling"), 52, track_alloc_agent=0,
+        ExperienceStreams(17, 0, "coupling"), 52,
     )
     paired_zero = (
         res_a.winners == res_b.winners
-        and res_a.alloc_times == res_b.alloc_times
+        and ver._alloc_times(res_a, 0) == ver._alloc_times(res_b, 0)
         and (res_a.values[0] - res_a.prices[0]) - (res_b.values[0] - res_b.prices[0]) == 0.0
     )
     _report(

@@ -82,6 +82,34 @@ def test_step_experience_deterministic_and_identity_kernels():
     assert (out.e, out.rho, out.theta) == (1, 0, 0.5)
 
 
+class _StubDraws:
+    def __init__(self, u_pub, u_priv):
+        self.pair = (u_pub, u_priv)
+
+    def draw_pair(self, agent_id):
+        return self.pair
+
+
+def test_draw_past_a_rows_rounded_total_lands_on_a_state_with_mass():
+    # this private row's cumulative sum ends an ulp short of 1, at
+    # 1 - 2**-53, and its last entry is 0; the largest uniform a
+    # generator returns is exactly that total
+    from dynamech import mechanism
+
+    env = envs.sponsored_search(k=1, cap=5, delta=0.8)
+    agent = env.agents[0]
+    row = agent.private.matrix[17, 3]
+    assert np.cumsum(row)[-1] == 1.0 - 2.0**-53 and row[-1] == 0.0
+    u_priv = 1.0 - 2.0**-53
+    stepped = envs.step_experience(env, 0, ArmState(0.5, 3, 17), _StubDraws(0.5, u_priv))
+    assert 0 <= stepped.rho < agent.public.n and agent.public.matrix[17, stepped.rho] > 0.0
+    assert 0 <= stepped.e < agent.private.n and row[stepped.e] > 0.0
+    envs.step_experience(env, 0, stepped, _StubDraws(0.5, 0.5))  # the state is usable
+    # the episode engine moves agents through the same sampler
+    assert mechanism.sample_transition is envs.sample_transition
+    assert envs.sample_transition(agent, 3, 17, 0.5, u_priv) == (stepped.e, stepped.rho)
+
+
 def test_beta_bernoulli_click_update_frequency():
     # from a flat click prior, one display updates the click belief to
     # b2.1 (click) or b1.2 (miss), each with probability 1/2

@@ -233,20 +233,24 @@ def test_vwb_indices_sorted_and_top_state():
 def test_index_table_single_state_and_determinism():
     env = constant_arm_env(0.5)
     tr = VirtualTransform(alpha=1.0, beta=np.array([0.25]), pegged_report=1.0)
-    t1 = gittins.build_index_table(env, 0, tr, 0.0, tol=1e-9)
-    assert t1.values.shape == (1, 1)
-    assert t1.lookup(0, 0) == 0.25
-    t2 = gittins.build_index_table(env, 0, tr, 0.0, tol=1e-9)
-    assert np.array_equal(t1.values, t2.values)
+    arm = gittins.compile_arm(env, 0, tr, 0.0)
+    t1 = gittins.index_of_states(arm, np.arange(arm.n), tol=1e-9)
+    assert t1.shape == (1,)
+    assert t1[0] == 0.25
+    arm = gittins.compile_arm(env, 0, tr, 0.0)
+    t2 = gittins.index_of_states(arm, np.arange(arm.n), tol=1e-9)
+    assert np.array_equal(t1, t2)
 
 
 def test_index_table_beta_bernoulli_full_and_finite(sponsored_small):
     tr = affine_coefficients(sponsored_small, 0, 1.0)
-    table = gittins.build_index_table(sponsored_small, 0, tr, 1.0, tol=1e-6)
-    assert table.values.shape == (6, 6)
-    assert np.all(np.isfinite(table.values))
-    again = gittins.build_index_table(sponsored_small, 0, tr, 1.0, tol=1e-6)
-    assert np.array_equal(table.values, again.values)
+    arm = gittins.compile_arm(sponsored_small, 0, tr, 1.0)
+    table = gittins.index_of_states(arm, np.arange(arm.n), tol=1e-6)
+    assert table.shape == (36,)
+    assert np.all(np.isfinite(table))
+    arm = gittins.compile_arm(sponsored_small, 0, tr, 1.0)
+    again = gittins.index_of_states(arm, np.arange(arm.n), tol=1e-6)
+    assert np.array_equal(table, again)
 
 
 def test_allocate_rules():
@@ -267,6 +271,31 @@ def test_allocate_is_argmax_with_lowest_id_ties(vals):
         assert vals[w - 1] == max(vals)
         assert all(v < vals[w - 1] for v in vals[: w - 1])
         assert vals[w - 1] > 0.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_index_policy_winners_match_allocate(data):
+    # every entry comes from one small pool of levels (zeros of both
+    # signs included), so exact ties within an arm, across arms and with
+    # the zero arm are common
+    pool = data.draw(
+        st.lists(
+            st.sampled_from([-0.5, -0.0, 0.0, 0.25, 0.7]) | st.floats(-1, 1, allow_nan=False),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    k = data.draw(st.integers(1, 3))
+    tables = [
+        np.array(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5)))
+        for _ in range(k)
+    ]
+    winners = gittins.index_policy_winners(tables)
+    states = list(np.ndindex(*[len(t) for t in tables]))
+    assert winners.shape == (len(states),)
+    for flat, comp in enumerate(states):
+        assert winners[flat] == gittins.allocate([t[s] for t, s in zip(tables, comp)])
 
 
 def test_weighted_welfare_constant_arms():
@@ -362,8 +391,8 @@ def test_index_monotone_in_report(sponsored_small):
     rs = np.linspace(0.55, 1.0, 6)
     prev = None
     for r in rs:
-        tr = affine_coefficients(env, 0, float(r))
-        table = gittins.build_index_table(env, 0, tr, 0.8, tol=1e-9).values
+        arm = gittins.compile_arm(env, 0, affine_coefficients(env, 0, float(r)), 0.8)
+        table = gittins.index_of_states(arm, np.arange(arm.n), tol=1e-9)
         if prev is not None:
             assert np.all(table - prev >= -1e-9)
         prev = table

@@ -116,6 +116,7 @@ def test_fee_walk_matches_dense_midpoint_sum(sponsored_small, sponsored_small_ru
     assert data.quad_error() <= 1e-9
     lo = dormancy_threshold(env, i)
     width = (theta[i] - lo) / 400
+    n_rho = env.agents[i].public.n
     for j in range(2):
         derivs = []
         for z in lo + width * (np.arange(400) + 0.5):
@@ -123,9 +124,17 @@ def test_fee_walk_matches_dense_midpoint_sum(sponsored_small, sponsored_small_ru
             th[i] = float(z)
             res = mech._run_rounds(
                 env, rt, mech._active_transforms(env, rt, th), th, [mech.Truthful()] * 2,
-                mech.ExperienceStreams(seed, j, "fee"), horizon, track_prices=False, deriv_agent=i,
+                mech.ExperienceStreams(seed, j, "fee"), horizon, track_prices=False,
+                record_rounds=True,
             )
-            derivs.append(res.deriv)
+            deriv = mech._deriv_flat(env, i, th[i])
+            derivs.append(
+                sum(
+                    env.delta ** (r.t - 1) * deriv[r.true_e[i] * n_rho + r.rho[i]]
+                    for r in res.rounds
+                    if r.winner == i + 1
+                )
+            )
         derivs = np.array(derivs)
         bound = width * float(np.sum(np.abs(np.diff(derivs))))
         assert 0.0 < bound < 0.01

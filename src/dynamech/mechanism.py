@@ -17,8 +17,8 @@ alpha is always safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -148,6 +148,41 @@ class CorrectingDeviation:
 # ---------------------------------------------------------------------------
 
 
+_TRAJECTORY_PATHS = 1024  # stream addresses whose trajectories a runtime keeps
+
+
+class _Trajectories:
+    """Every agent's experience trajectory on one stream address.
+
+    ``states[i][n]`` is agent i's flat state (e * n_rho + rho) after its
+    n-th allocation, from ``states[i][0] = 0``.  By the coupling rule the
+    j-th allocation to agent i uses the j-th draw pair of its stream in
+    every run on the address, so reports, types and the fee walk's z
+    change only when an agent is allocated, never where its experience
+    goes.  A list grows by one move (``extend``) the first time a run
+    allocates past its end, through ``ExperienceStreams.draw_pair`` and
+    ``sample_transition``; an agent that is never allocated draws
+    nothing.
+    """
+
+    __slots__ = ("_agents", "_streams", "states")
+
+    def __init__(self, env: Environment, streams: ExperienceStreams):
+        self._agents = env.agents
+        self._streams = streams.replay()
+        self.states: list[list[int]] = [[0] for _ in env.agents]
+
+    def extend(self, i: int) -> None:
+        """Draw agent i's next move."""
+        traj = self.states[i]
+        agent = self._agents[i]
+        n_rho = agent.public.n
+        e, rho = sample_transition(
+            agent, traj[-1] // n_rho, traj[-1] % n_rho, *self._streams.draw_pair(i)
+        )
+        traj.append(e * n_rho + rho)
+
+
 class MechanismRuntime:
     """Compiled, cached machinery shared across episodes of one environment.
 
@@ -158,6 +193,12 @@ class MechanismRuntime:
     (report, theta) pair through the scale alpha(report) * A(theta),
     and a positive scale leaves every stopping set, hence the hit
     discounts, unchanged.
+
+    Experience trajectories are cached per stream address
+    ``(master_seed, purpose, path_id)``, the ``_TRAJECTORY_PATHS`` most
+    recently used ones, so every run on an address (the audits' cells,
+    the fee walk's pieces, the fees of different reports) samples each
+    move once.
     """
 
     def __init__(self, env: Environment, *, index_tol: float = 1e-9, dp_tol: float = 1e-10):
@@ -171,6 +212,7 @@ class MechanismRuntime:
         self._base_tables: dict[int, np.ndarray] = {}
         self._base_stops: dict[int, np.ndarray] = {}
         self._base_hits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._paths: dict[tuple[int, str, int], _Trajectories] = {}
         self._n_rho = [agent.public.n for agent in env.agents]
         self._scale_bound = []
         for agent in env.agents:
@@ -187,6 +229,17 @@ class MechanismRuntime:
         if key not in self._transforms:
             self._transforms[key] = transform_or_dormant(self.env, agent_id, report)
         return self._transforms[key]
+
+    def trajectories(self, streams: ExperienceStreams) -> _Trajectories:
+        """The trajectories at ``streams``' address, from their start."""
+        key = (streams.master_seed, streams.purpose, streams.path_id)
+        paths = self._paths.pop(key, None)
+        if paths is None:
+            paths = _Trajectories(self.env, streams)
+            if len(self._paths) >= _TRAJECTORY_PATHS:
+                del self._paths[next(iter(self._paths))]  # least recently used
+        self._paths[key] = paths
+        return paths
 
     # -- per-agent tables -------------------------------------------------
 
@@ -445,87 +498,121 @@ def _run_rounds(
     track_prices: bool = True,
     record_rounds: bool = False,
     track_virtual: bool = False,
-    probe: _RentProbe | None = None,
 ) -> _EpisodeResult:
     """Core t >= 1 loop.  Returns per-agent discounted values/prices and
     whichever extras were requested.
 
-    With a ``probe``, ``transforms`` holds the other agents only: each
-    round they are allocated as usual, then the probed agent takes the
-    round if ``probe.wins`` says it beats the best of them.
+    The rounds are a merge over the experience trajectories at
+    ``streams``' address (``runtime.trajectories``), played from their
+    start.  Each agent has a position on its trajectory, and only the
+    winner's advances.  A truthful agent presents its table at its
+    state; a strategic agent's index goes through its report of the
+    round, on the same trajectory.  Prices are memoized within the path
+    by the winner, its public state and the others' reports.  With every
+    agent truthful, a round the zero arm wins changes nothing, so every
+    later round repeats it.
     """
     k = env.k
     res = _EpisodeResult(k)
-    agents = env.agents
+    paths = runtime.trajectories(streams)
+    traj = paths.states
     n_rho = runtime._n_rho
-    true_e = [0] * k
-    rho = [0] * k
     active = sorted(transforms)
+    slot = {i: p for p, i in enumerate(active)}
+    # truthful reports are the hot path: skip Report construction for them
+    truthful = [isinstance(strategies[i], Truthful) for i in range(k)]
+    strategic = [i for i in range(k) if not truthful[i]]
+    theta_bars = [env.agents[i].distribution.theta_bar for i in range(k)]
+    state = [0] * k  # true flat states, e * n_rho + rho
+    pos = [0] * k  # allocations so far: state[i] == traj[i][pos[i]]
+    # reported flat states: a strategic agent's e_hat with its true rho
+    reported = state if monitored or not strategic else list(state)
+    theta_hats = list(theta)
+    e_hats = [0] * k
     cur_theta_hat: list[float | None] = [None] * k
-    cur_table: list[np.ndarray | None] = [None] * k
+    tables: list[np.ndarray | None] = [None] * k
+    vals = [0.0] * len(active)
+    for p, i in enumerate(active):
+        if truthful[i]:
+            tables[i] = runtime.index_flat(i, transforms[i], theta[i])
+            vals[p] = tables[i][0]
+    strategic_slots = [(i, slot.get(i)) for i in strategic]
     value_cache: list[np.ndarray | None] = [None] * k
     virtual_cache: list[np.ndarray | None] = [None] * k
-    # truthful reports are the hot path: skip Report construction for them
-    truthful_mask = [isinstance(strategies[i], Truthful) for i in range(k)]
-    theta_bars = [env.agents[i].distribution.theta_bar for i in range(k)]
+    prices: dict[tuple, float] = {}
     disc = 1.0
     for t in range(1, horizon + 1):
-        theta_hats = list(theta)
-        e_hats = list(true_e)
-        for i in range(k):
-            if not truthful_mask[i]:
-                rep = strategies[i].report(t, theta[i], true_e[i], theta_bars[i])
-                theta_hats[i] = rep.theta_hat
-                e_hats[i] = int(rep.e_hat)
-        e_used = true_e if monitored else e_hats
-        vals = []
-        for i in active:
-            th = theta_hats[i]
-            if th != cur_theta_hat[i]:
-                cur_theta_hat[i] = th
-                cur_table[i] = runtime.index_flat(i, transforms[i], th)
-            vals.append(cur_table[i][e_used[i] * n_rho[i] + rho[i]])
+        for i, p in strategic_slots:
+            n = n_rho[i]
+            rep = strategies[i].report(t, theta[i], state[i] // n, theta_bars[i])
+            th = theta_hats[i] = rep.theta_hat
+            e_hats[i] = int(rep.e_hat)
+            if reported is not state:
+                reported[i] = e_hats[i] * n + state[i] % n
+            if p is not None:
+                if th != cur_theta_hat[i]:
+                    cur_theta_hat[i] = th
+                    tables[i] = runtime.index_flat(i, transforms[i], th)
+                vals[p] = tables[i][reported[i]]
         w_local = allocate(vals)
         winner = active[w_local - 1] + 1 if w_local > 0 else 0
-        if probe is not None:
-            p = probe.agent
-            level = vals[w_local - 1] if w_local > 0 else 0.0
-            if probe.wins(level, true_e[p] * n_rho[p] + rho[p], t, disc):
-                winner = p + 1
         payment = 0.0
         if winner > 0:
             wi = winner - 1
+            s = state[wi]
             if track_prices:
-                payment = per_round_price(env, transforms, theta_hats, e_used, rho, wi, runtime)
+                key = (wi, s % n_rho[wi], *[(theta_hats[j], reported[j]) for j in active if j != wi])
+                payment = prices.get(key)
+                if payment is None:
+                    payment = prices[key] = per_round_price(
+                        env,
+                        transforms,
+                        theta_hats,
+                        [x // n for x, n in zip(reported, n_rho)],
+                        [x % n for x, n in zip(state, n_rho)],
+                        wi,
+                        runtime,
+                    )
                 res.prices[wi] += disc * payment
             if value_cache[wi] is None:
                 value_cache[wi] = _value_flat(env, wi, theta[wi])
-            res.values[wi] += disc * value_cache[wi][true_e[wi] * n_rho[wi] + rho[wi]]
+            res.values[wi] += disc * value_cache[wi][s]
             if track_virtual:
                 if virtual_cache[wi] is None:
                     ih = inverse_hazard(env.agents[wi].distribution, theta[wi])
                     virtual_cache[wi] = _value_flat(env, wi, theta[wi]) - ih * _deriv_flat(
                         env, wi, theta[wi]
                     )
-                res.virtual += disc * virtual_cache[wi][true_e[wi] * n_rho[wi] + rho[wi]]
+                res.virtual += disc * virtual_cache[wi][s]
         if record_rounds:
+            true_e = tuple([x // n for x, n in zip(state, n_rho)])
+            if strategic:
+                e_hat = tuple([e if truthful[i] else e_hats[i] for i, e in enumerate(true_e)])
             res.rounds.append(
                 RoundRecord(
                     t=t,
                     theta_hat=tuple(theta_hats),
-                    e_hat=tuple(e_hats),
-                    true_e=tuple(true_e),
-                    rho=tuple(rho),
+                    e_hat=e_hat if strategic else true_e,
+                    true_e=true_e,
+                    rho=tuple([x % n for x, n in zip(state, n_rho)]),
                     winner=winner,
                     payment=payment,
                 )
             )
-        if winner > 0:
-            wi = winner - 1
-            true_e[wi], rho[wi] = sample_transition(
-                agents[wi], true_e[wi], rho[wi], *streams.draw_pair(wi)
-            )
         res.winners.append(winner)
+        if winner > 0:
+            p = pos[wi] = pos[wi] + 1
+            if p == len(traj[wi]):
+                paths.extend(wi)
+            s = state[wi] = traj[wi][p]
+            if truthful[wi]:
+                reported[wi] = s
+                vals[slot[wi]] = tables[wi][s]
+        elif not strategic:
+            res.winners.extend([0] * (horizon - t))
+            if record_rounds:
+                res.rounds.extend(replace(res.rounds[-1], t=u) for u in range(t + 1, horizon + 1))
+            break
         disc *= env.delta
     return res
 
@@ -562,11 +649,13 @@ class FeeQuadData:
     integral[j]: the information rent on path j, the integral over z in
     [lower, report] of agent i's discounted allocated theta-sensitivity
     with its pegged report and type both set to z; identical experience
-    streams at every z and in the value run (the j-th allocation
+    trajectories at every z and in the value run (the j-th allocation
     consumes the j-th draw everywhere).  Computed by ``_RentWalk``.
     error[j]: bound on integral[j]'s error from locating breakpoints.
-    replays[j]: walk replays on path j, one per constant piece of the
-    integrand on scale-homogeneous arms; the value run adds one more.
+    pieces[j]: the walk's merges on path j, one per constant piece of
+    the integrand on scale-homogeneous arms (plus the bisection probes
+    on other arms), each O(horizon) over the path's trajectories; the
+    path's one value run (``_run_rounds``) comes on top.
     """
 
     lower: float
@@ -574,7 +663,7 @@ class FeeQuadData:
     payments: np.ndarray
     integral: np.ndarray
     error: np.ndarray
-    replays: np.ndarray
+    pieces: np.ndarray
 
     def price_paths(self) -> np.ndarray:
         return self.values - self.integral
@@ -587,83 +676,106 @@ class FeeQuadData:
         return float(np.mean(self.error)) if len(self.error) else 0.0
 
 
-class _RentProbe:
-    """The probed agent's side of one ``_RentWalk`` replay.
-
-    ``wins`` decides the probed agent's rounds against ``level``, the
-    best index among the others (0 if none beats the zero arm), and
-    records for the rounds it takes the discounted rent weight per
-    public state and the win times.  With a ``scale`` (scale-homogeneous
-    arms) ``table`` is the base table and a round is won iff
-    ``level / b < scale``: that quotient is also the round's critical
-    scale, so wins and breakpoints come from one comparison and cannot
-    disagree by an ulp.  Without one, ``table`` is the index table at
-    the probed z.  Ties go against the probed agent: they happen at
-    isolated z, and losing them makes each replay the trajectory of the
-    open piece just below its z.
-    """
-
-    __slots__ = ("agent", "table", "scale", "weights", "sums", "times", "crit")
-
-    def __init__(self, agent: int, table: list, scale: float | None, weights: list, n_rho: int):
-        self.agent = agent
-        self.table = table
-        self.scale = scale
-        self.weights = weights
-        self.sums = [0.0] * n_rho
-        self.times: list[int] = []
-        self.crit = -math.inf  # largest critical scale among the rounds won
-
-    def wins(self, level: float, s: int, t: int, disc: float) -> bool:
-        b = self.table[s]
-        if self.scale is None:
-            if not b > level:
-                return False
-        else:
-            if not b > 0.0:
-                return False
-            crit = level / b
-            if not crit < self.scale:
-                return False
-            if crit > self.crit:
-                self.crit = crit
-        self.sums[s % len(self.sums)] += disc * self.weights[s]
-        self.times.append(t)
-        return True
-
-
 _BISECT_LEVELS = 40  # halvings of [lower, report] per breakpoint (non-homogeneous arms)
 _PROBE_TABLES = 4096  # index tables a walk keeps for bisection probes
 _ROOT_XTOL = 1e-15
 _ROOT_RTOL = 4.0 * float(np.finfo(float).eps)  # the smallest rtol brentq accepts
 
 
+def _scale_at(z: float, env: Environment, i: int) -> float:
+    """alpha(z) * A(z): a scale-homogeneous agent's index scale with its
+    report and type both at z (0 when dormant)."""
+    tr = transform_or_dormant(env, i, z)
+    return 0.0 if tr is None else tr.alpha * env.agents[i].value.a(z)
+
+
+def _scale_gap(z: float, env: Environment, i: int, target: float) -> float:
+    # a module function, not a closure over the walk: brentq's wrapper is
+    # a reference cycle, which would keep the walk and its runtime alive
+    return _scale_at(z, env, i) - target
+
+
+class _Levels:
+    """The best index the other agents present on one path, by how many
+    rounds they have won among them: ``values[m]`` after m such rounds,
+    0.0 once the zero arm beats them all (the last entry then).  The
+    others are truthful, so the sequence is the same at every z of agent
+    i's walk; it grows as the walk's merges read past its end (``grow``).
+    """
+
+    __slots__ = ("_paths", "_agents", "_tables", "_pos", "_last", "values")
+
+    def __init__(self, paths: _Trajectories, agents: list[int], tables: list[list[float]]):
+        self._paths = paths
+        self._agents = agents
+        self._tables = tables
+        self._pos = [0] * len(agents)
+        self._last = -1  # slot that won at the last level
+        self.values: list[float] = []
+
+    def grow(self) -> float:
+        """The next level: the last level's winner moves on, then the
+        others are allocated among themselves once more."""
+        states = self._paths.states
+        last = self._last
+        if last >= 0:
+            agent = self._agents[last]
+            n = self._pos[last] = self._pos[last] + 1
+            if n == len(states[agent]):
+                self._paths.extend(agent)
+        vals = [tab[states[a][n]] for a, tab, n in zip(self._agents, self._tables, self._pos)]
+        w = allocate(vals)
+        self._last = w - 1
+        level = vals[w - 1] if w > 0 else 0.0
+        self.values.append(level)
+        return level
+
+
+class _Piece(NamedTuple):
+    """Agent i's side of a path at one point of the walk."""
+
+    sums: list[float]  # discounted rent weight per public state over its rounds
+    times: list[int]  # the rounds it wins
+    crit: float  # largest critical scale among them (scale walk)
+
+
 class _RentWalk:
     """Exact information-rent integral of agent i, one coupled path at a time.
 
     On a path, agent i's allocated theta-sensitivity is a step function
-    of z times A'(z).  Lowering z only lowers i's index, so a replay is
-    unchanged until a round that i won is lost; the rounds i wins, and
+    of z times A'(z).  Lowering z only lowers i's index, so the rounds
+    it wins are unchanged until one is lost; the rounds i wins, and
     hence its states at them (the j-th allocation uses the j-th draw),
     are then constant on each piece.  The walk goes from the report down
-    to the dormancy threshold with one replay per piece and integrates
-    each piece in closed form as sums . (A(z_hi) - A(z_lo)), with A and
-    the sums per public state (sums weighted by B for multiplicative
+    to the dormancy threshold one piece at a time and integrates each
+    piece in closed form as sums . (A(z_hi) - A(z_lo)), with A and the
+    sums per public state (sums weighted by B for multiplicative
     values).  Precondition: allocation is monotone in the report, which
     ``validate_assumptions`` checks the assumptions for and
     ``audit_monotone_allocation`` audits.
 
+    Nothing is replayed.  The others are truthful, so the levels they
+    present form one sequence per path (``_Levels``) whatever i does,
+    and agent i takes a round iff its index beats the current level;
+    ties go against it (they happen at isolated z, and losing them makes
+    each merge the path of the open piece just below its z).  One
+    O(horizon) merge of i's trajectory against the levels (``_merge``)
+    gives a piece's win times, rent sums and critical scale; the path
+    costs one value run plus one merge per piece.
+
     Scale-homogeneous arms (multiplicative, C = 0) have index table
-    scale(z) * base.  A replay at scale s gives the next breakpoint as
-    the largest critical scale m_t / base[s_t] of the rounds i won,
-    which is mapped back to z by a root of scale(z); the next replay
+    scale(z) * base, and i takes a round iff level / b < scale on the
+    base table: that quotient is also the round's critical scale, so
+    wins and breakpoints come from one comparison and cannot disagree by
+    an ulp.  The next breakpoint is the largest critical scale of the
+    rounds i won, mapped back to z by a root of scale(z); the next merge
     runs at that scale.  No index table is built.  The error bound is
     the root's bracket times the jump.
 
-    Other arms bisect z between replays that differ in i's win times,
-    halving [threshold, report] ``_BISECT_LEVELS`` times per breakpoint;
-    the bracket width times the jump bounds the error (one breakpoint
-    per bracket).
+    Other arms bisect z between merges (on the index table at z) that
+    differ in i's win times, halving [threshold, report]
+    ``_BISECT_LEVELS`` times per breakpoint; the bracket width times the
+    jump bounds the error (one breakpoint per bracket).
 
     Each step lowers the walk's variable (the scale, or z) strictly, and
     a chain of win-time vectors that only move later has at most
@@ -679,8 +791,15 @@ class _RentWalk:
         self.theta = list(theta_hat)
         self.hi = self.theta[i]
         self.lo = min(lo, self.hi)
-        self.others = {j: tr for j, tr in transforms.items() if j != i}
-        self.truthful = [Truthful()] * env.k
+        self.others = sorted(j for j in transforms if j != i)
+        self.other_tables = [
+            runtime.index_flat(j, transforms[j], self.theta[j]).tolist() for j in self.others
+        ]
+        self.discs = []  # delta^(t-1) for t = 1..horizon, by the engine's running product
+        disc = 1.0
+        for _ in range(horizon):
+            self.discs.append(disc)
+            disc *= env.delta
         agent = env.agents[i]
         self.n_rho = agent.public.n
         self.value = agent.value
@@ -708,25 +827,50 @@ class _RentWalk:
         return np.array([self.value.da(z, r) for r in range(self.n_rho)])
 
     def _scale(self, z: float) -> float:
-        tr = transform_or_dormant(self.env, self.i, z)
-        return 0.0 if tr is None else tr.alpha * self.value.a(z)
+        return _scale_at(z, self.env, self.i)
 
-    def _replay(self, z: float, table: list, scale: float | None, streams) -> _RentProbe:
-        probe = _RentProbe(self.i, table, scale, self.weights, self.n_rho)
-        theta = list(self.theta)
-        theta[self.i] = z
-        _run_rounds(
-            self.env, self.runtime, self.others, theta, self.truthful, streams, self.horizon,
-            track_prices=False, probe=probe,
-        )
-        return probe
+    def _merge(self, paths: _Trajectories, levels: _Levels, table: list, scale: float | None) -> _Piece:
+        """Agent i's rounds on the path against the others' levels, with
+        the base table and ``scale``, or (``scale`` None) the table at z."""
+        i, n_rho, weights = self.i, self.n_rho, self.weights
+        traj = paths.states[i]
+        seen = levels.values
+        sums = [0.0] * n_rho
+        times: list[int] = []
+        crit = -math.inf
+        n = m = 0
+        s = traj[0]
+        b = table[s]
+        for t, disc in enumerate(self.discs, 1):
+            level = seen[m] if m < len(seen) else levels.grow()
+            if scale is None:
+                win = b > level
+            else:
+                c = level / b if b > 0.0 else math.inf
+                win = c < scale
+                if win and c > crit:
+                    crit = c
+            if win:
+                sums[s % n_rho] += disc * weights[s]
+                times.append(t)
+                n += 1
+                if n == len(traj):
+                    paths.extend(i)
+                s = traj[n]
+                b = table[s]
+            elif level > 0.0:
+                m += 1
+            else:
+                break  # the zero arm takes this round and, with nothing moving, every later one
+        return _Piece(sums, times, crit)
 
-    def integrate(self, streams_of) -> tuple[float, float, int]:
-        """(integral, error bound, replays) on the path whose fresh
-        experience streams ``streams_of()`` returns."""
+    def integrate(self, streams: ExperienceStreams) -> tuple[float, float, int]:
+        """(integral, error bound, pieces) on the path at ``streams``' address."""
+        paths = self.runtime.trajectories(streams)
+        levels = _Levels(paths, self.others, self.other_tables)
         if self.scale_hi is not None:
-            return self._scale_walk(streams_of)
-        return self._bisect_walk(streams_of)
+            return self._scale_walk(paths, levels)
+        return self._bisect_walk(paths, levels)
 
     def _too_many_pieces(self):
         return RuntimeError(
@@ -741,21 +885,23 @@ class _RentWalk:
             return self.lo, 0.0
         if self._scale(z_top) <= crit:  # within rounding of the piece top
             return z_top, 0.0
-        z = brentq(lambda x: self._scale(x) - crit, self.lo, z_top, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL)
+        z = brentq(
+            _scale_gap, self.lo, z_top, args=(self.env, self.i, crit), xtol=_ROOT_XTOL, rtol=_ROOT_RTOL
+        )
         return z, 2.0 * (_ROOT_XTOL + _ROOT_RTOL * abs(z))
 
-    def _scale_walk(self, streams_of) -> tuple[float, float, int]:
+    def _scale_walk(self, paths: _Trajectories, levels: _Levels) -> tuple[float, float, int]:
         total = err = 0.0
         z_top, scale = self.hi, self.scale_hi
         above = None  # (sums, z, bracket width) at the last breakpoint
-        for replays in range(1, self.max_pieces + 1):
-            probe = self._replay(z_top, self.base, scale, streams_of())
-            sums = np.array(probe.sums)
+        for pieces in range(1, self.max_pieces + 1):
+            piece = self._merge(paths, levels, self.base, scale)
+            sums = np.array(piece.sums)
             if above is not None:
                 err += above[2] * abs(float((above[0] - sums) @ self._da(above[1])))
-            if not probe.times:
-                return total, err, replays
-            crit = probe.crit
+            if not piece.times:
+                return total, err, pieces
+            crit = piece.crit
             z_bot, width = self._z_at_scale(crit, z_top)
             if not (crit < scale and z_bot <= z_top):
                 raise RuntimeError(
@@ -764,45 +910,45 @@ class _RentWalk:
                 )
             total += float(sums @ (self._a(z_top) - self._a(z_bot)))
             if z_bot <= self.lo:
-                return total, err, replays
+                return total, err, pieces
             above = (sums, z_bot, width)
             z_top, scale = z_bot, crit
         raise self._too_many_pieces()
 
-    def _probe_at(self, z: float, streams) -> _RentProbe:
+    def _at(self, z: float, paths: _Trajectories, levels: _Levels) -> _Piece:
         table = self.tables.get(z)
         if table is None:
             tr = transform_or_dormant(self.env, self.i, z)
             table = self.runtime.build_table(self.i, tr, z).tolist()
             if len(self.tables) < _PROBE_TABLES:
                 self.tables[z] = table
-        return self._replay(z, table, None, streams)
+        return self._merge(paths, levels, table, None)
 
-    def _bisect_walk(self, streams_of) -> tuple[float, float, int]:
+    def _bisect_walk(self, paths: _Trajectories, levels: _Levels) -> tuple[float, float, int]:
         total = err = 0.0
-        top = self._probe_at(self.hi, streams_of())
-        z_top = c_top = self.hi  # replay point and integration bound of the piece
+        top = self._at(self.hi, paths, levels)
+        z_top = c_top = self.hi  # merge point and integration bound of the piece
         bottom = None
-        replays = 1
+        pieces = 1
         for _ in range(self.max_pieces):
             if not top.times:
-                return total, err, replays
+                return total, err, pieces
             if bottom is None:
-                bottom = self._probe_at(self.lo, streams_of())
-                replays += 1
+                bottom = self._at(self.lo, paths, levels)
+                pieces += 1
             sums = np.array(top.sums)
             if bottom.times == top.times:
                 total += float(sums @ (self._a(c_top) - self._a(self.lo)))
-                return total, err, replays
+                return total, err, pieces
             a, b, below = self.lo, z_top, bottom
             while b - a > self.tol:
                 mid = 0.5 * (a + b)
-                probe = self._probe_at(mid, streams_of())
-                replays += 1
-                if probe.times == top.times:
+                piece = self._at(mid, paths, levels)
+                pieces += 1
+                if piece.times == top.times:
                     b = mid
                 else:
-                    a, below = mid, probe
+                    a, below = mid, piece
             c = 0.5 * (a + b)
             total += float(sums @ (self._a(c_top) - self._a(c)))
             err += abs(float((sums - np.array(below.sums)) @ (self._a(b) - self._a(a))))
@@ -827,10 +973,11 @@ def fee_quadrature(
     Per path: one truthful run at the reports for agent i's value and
     payments, then ``_RentWalk``'s exact information-rent integral over
     [dormancy threshold, report]; below the threshold the integrand is
-    zero (a dormant agent is never allocated).  The walk replays the
-    path once per constant piece of the integrand and needs allocation
-    to be monotone in the report.  ``nodes`` is accepted for call
-    compatibility and unused: no quadrature rule is involved.
+    zero (a dormant agent is never allocated).  The walk merges agent
+    i's trajectory against the others' levels once per constant piece
+    of the integrand and needs allocation to be monotone in the report.
+    ``nodes`` is accepted for call compatibility and unused: no
+    quadrature rule is involved.
     """
     runtime = runtime or MechanismRuntime(env)
     if horizon is None:
@@ -838,27 +985,26 @@ def fee_quadrature(
     theta_hat = [float(x) for x in theta_hat]
     lo = dormancy_threshold(env, i)
     values, payments, integral, error = (np.zeros(paths) for _ in range(4))
-    replays = np.zeros(paths, dtype=int)
+    pieces = np.zeros(paths, dtype=int)
     transforms = _active_transforms(env, runtime, theta_hat)
     if i in transforms:
         walk = _RentWalk(env, runtime, transforms, theta_hat, i, lo, horizon)
         truthful = [Truthful()] * env.k
         for j in range(paths):
-            streams_of = partial(ExperienceStreams, seed, path_offset + j, stream_purpose)
+            streams = ExperienceStreams(seed, path_offset + j, stream_purpose)
             res = _run_rounds(
-                env, runtime, transforms, theta_hat, truthful, streams_of(), horizon,
-                track_prices=True,
+                env, runtime, transforms, theta_hat, truthful, streams, horizon, track_prices=True
             )
             values[j] = res.values[i]
             payments[j] = res.prices[i]
-            integral[j], error[j], replays[j] = walk.integrate(streams_of)
+            integral[j], error[j], pieces[j] = walk.integrate(streams)
     return FeeQuadData(
         lower=lo,
         values=values,
         payments=payments,
         integral=integral,
         error=error,
-        replays=replays,
+        pieces=pieces,
     )
 
 

@@ -64,6 +64,12 @@ class ExperienceStreams:
     therefore couple trajectories the way the allocation-time argument
     requires: after k allocations an agent has seen exactly the same k
     experience draws in both runs.
+
+    The episode engine uses an instance as the address of a path: the
+    mechanism's runtime samples each agent's trajectory on that address
+    once, one ``draw_pair`` per move the first time a run needs it, and
+    every later run, fee-walk piece or audit cell on the address reads
+    the cached states instead of drawing again.
     """
 
     def __init__(self, master_seed: int, path_id: int, purpose: str = "experience"):

@@ -142,8 +142,9 @@ def test_fee_walk_matches_dense_midpoint_sum(sponsored_small, sponsored_small_ru
 
 
 def test_fee_walk_costs_one_replay_per_piece(sponsored2, sponsored2_runtime, monkeypatch):
-    # scale-homogeneous arms: one value run plus one replay per piece,
-    # breakpoints exact to float precision, and no probe tables cached
+    # scale-homogeneous arms: one value run per path and one merge per
+    # piece, no replays, breakpoints exact to float precision, and no
+    # probe tables cached
     env, rt = sponsored2, sponsored2_runtime
     rt.index_flat(0, rt.transform(0, 0.9), 0.9)
     rt.index_flat(1, rt.transform(1, 0.7), 0.7)
@@ -152,13 +153,13 @@ def test_fee_walk_costs_one_replay_per_piece(sponsored2, sponsored2_runtime, mon
     run_rounds = mech._run_rounds
     monkeypatch.setattr(mech, "_run_rounds", lambda *a, **kw: calls.append(1) or run_rounds(*a, **kw))
     data = mech.fee_quadrature(env, [0.9, 0.7], 0, paths=6, seed=1, runtime=rt)
-    assert len(calls) == 6 + int(data.replays.sum())
-    assert data.replays.max() > 2  # the path crosses breakpoints
+    assert len(calls) == 6
+    assert data.pieces.max() > 2  # the path crosses breakpoints
     assert data.quad_error() <= 1e-9
     assert rt._tables.keys() == tables.keys()
     posted = posted_price_env()
     one = mech.fee_quadrature(posted, [0.8], 0, paths=4, runtime=mech.MechanismRuntime(posted))
-    assert list(one.replays) == [1, 1, 1, 1] and one.quad_error() == 0.0
+    assert list(one.pieces) == [1, 1, 1, 1] and one.quad_error() == 0.0
 
 
 def test_fee_walk_fails_loudly_past_its_piece_bound(sponsored_small, sponsored_small_runtime):
@@ -170,7 +171,7 @@ def test_fee_walk_fails_loudly_past_its_piece_bound(sponsored_small, sponsored_s
     assert walk.max_pieces == 40 * 41 // 2 + 1
     walk.max_pieces = 1
     with pytest.raises(RuntimeError, match="passed 1 pieces"):
-        walk.integrate(lambda: mech.ExperienceStreams(5, 0, "fee"))
+        walk.integrate(mech.ExperienceStreams(5, 0, "fee"))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ deterministic output emission.
 
 Subcommands: validate-env, transform, index, simulate, audit, bound.
 Exit status: 0 on success, 1 on audit/validation failure, 2 on config
-or argument errors.  Identical (config, seed) pairs produce
-byte-identical output files.
+or argument errors, and on a DomainError a command raises.  Identical
+(config, seed) pairs produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import verification as ver
 from .config import ConfigError, RunConfig, build_environment, config_hash, parse_config
-from .environments import validate_assumptions
+from .environments import DomainError, validate_assumptions
 from .mechanism import MechanismRuntime, Truthful, run_episode
 from .virtual import dormancy_threshold
 
@@ -59,7 +59,7 @@ def _emit_table(path: Path, header, rows, meta: dict, fmt: str) -> None:
 
 
 def _runtime(cfg: RunConfig, env) -> MechanismRuntime:
-    return MechanismRuntime(env, index_tol=cfg.index_tol, dp_tol=cfg.dp_tol)
+    return MechanismRuntime(env, index_tol=cfg.index_tol)
 
 
 def _meta(cfg: RunConfig, seed: int) -> dict:
@@ -116,7 +116,12 @@ def _cmd_index(cfg: RunConfig, env, out: Path, seed: int, fmt: str, args) -> int
         print(f"error: --agent {agent_id} is out of range (agents 0..{env.k - 1})", file=sys.stderr)
         return 2
     agent = env.agents[agent_id]
-    report = args.report if args.report is not None else agent.distribution.theta_bar
+    theta_bar = agent.distribution.theta_bar
+    for flag, x in (("--report", args.report), ("--theta", args.theta)):
+        if x is not None and not 0.0 <= x <= theta_bar:  # nan fails both
+            print(f"error: {flag} {x!r} is outside [0, theta_bar = {theta_bar!r}]", file=sys.stderr)
+            return 2
+    report = args.report if args.report is not None else theta_bar
     theta = args.theta if args.theta is not None else report
     tr = runtime.transform(agent_id, float(report))
     if tr is None:
@@ -333,6 +338,9 @@ def main(argv=None) -> int:
             return 0 if result.passed else 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")
 

@@ -41,7 +41,6 @@ class RunConfig:
     delta: float
     horizon: int | None = None
     index_tol: float = 1e-9
-    dp_tol: float = 1e-10
     tail_eps: float = 1e-4
     quad_nodes: int = 16
     fee_rollouts: int = 2000
@@ -56,11 +55,10 @@ class RunConfig:
     schema_version: int = SCHEMA_VERSION
 
 
-_FLOAT_FIELDS = ("delta", "index_tol", "dp_tol", "tail_eps")
+_FLOAT_FIELDS = ("delta", "index_tol", "tail_eps")
 
 _POSITIVE_FIELDS = (
     "index_tol",
-    "dp_tol",
     "tail_eps",
     "quad_nodes",
     "fee_rollouts",

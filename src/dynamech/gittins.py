@@ -17,8 +17,8 @@ cross-checks.
 
 The same sweep, on request, records each state's discounted time to
 leave the states retired so far; from those ``retirement_surplus``
-evaluates Whittle's retirement formula for the optimal value of several
-arms against the zero arm, with no product state space.
+evaluates Whittle's retirement formula for the optimal value of one or
+more arms against the zero arm, with no product state space.
 """
 
 from __future__ import annotations
@@ -171,9 +171,12 @@ def _reward_range(arm: CompiledArm) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _sweep_indices(arm: CompiledArm, hits: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Exact index of every state by state elimination, and the order in
-    which the states were retired.
+def _sweep_indices(
+    arm: CompiledArm, record_hits: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Exact index of every state by state elimination, the order in
+    which the states were retired, and (``record_hits``) the discounted
+    time column after each retirement.
 
     The work matrix holds Q (discounted transitions among live states),
     then r (discounted reward) and d (discounted time) accrued from each
@@ -184,10 +187,10 @@ def _sweep_indices(arm: CompiledArm, hits: np.ndarray | None = None) -> tuple[np
     cleared.  Q's rows sum to at most delta, so the pivot is at least
     1 - delta.  Argmax ties go to the lowest state, and each index is
     clipped to its reachable reward range, so a state whose reachable
-    rewards are constant keeps its reward bit-exactly.  Given an n x n
-    array of ones ``hits``, row k - 1 receives E_x[delta^tau] =
-    1 - (1 - delta) d(x) for the states x retired in the first k steps,
-    tau being the time the chain leaves them.
+    rewards are constant keeps its reward bit-exactly.  Row k of the
+    recorded n x n array is d after the first k + 1 retirements, one
+    contiguous copy of the work matrix's column per step
+    (``hit_discounts`` turns it into hit discounts in place).
     """
     n = arm.n
     w = np.zeros((n, n + 2), order="F")
@@ -198,6 +201,7 @@ def _sweep_indices(arm: CompiledArm, hits: np.ndarray | None = None) -> tuple[np
     out = np.empty(n)
     retired = np.zeros(n, dtype=bool)
     order = np.empty(n, dtype=int)
+    hits = np.empty((n, n)) if record_hits else None
     for k in range(n):
         ratio = w[:, n] / w[:, n + 1]
         ratio[retired] = -np.inf
@@ -209,29 +213,34 @@ def _sweep_indices(arm: CompiledArm, hits: np.ndarray | None = None) -> tuple[np
         dger(1.0 / (1.0 - row[a]), col, row, a=w, overwrite_a=True)
         w[:, a] = 0.0
         if hits is not None:
-            done = order[: k + 1]
-            hits[k, done] = 1.0 - (1.0 - arm.delta) * w[done, n + 1]
+            hits[k] = w[:, n + 1]
     lo, hi = _reward_range(arm)
-    return np.clip(out, lo, hi), order
+    return np.clip(out, lo, hi), order, hits
 
 
-def hit_discounts(arm: CompiledArm) -> tuple[np.ndarray, np.ndarray]:
-    """(levels, table) from one index sweep.  ``levels[k]`` is the index
-    of the (k+1)-th retired state, non-increasing; row k of ``table``
-    is E_x[delta^tau] over the states x, tau being the time the chain
-    leaves the first k+1 retired states (0 outside them).  Against a
+def hit_discounts(arm: CompiledArm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indices, levels, table) from one index sweep.  ``indices`` is
+    every state's index, as ``index_of_states`` gives it.  ``levels[k]``
+    is the index of the (k+1)-th retired state, non-increasing; row k
+    of ``table`` is E_x[delta^tau] over the states x, tau being the time
+    the chain leaves the first k+1 retired states (so 1 outside them):
+    1 - (1 - delta) d(x) from the sweep's discounted time d.  Against a
     retirement level in [levels[k+1], levels[k]) the arm plays exactly
     on those states, so row k is there the derivative of its retirement
-    value in a lump-sum retirement reward."""
+    value in a lump-sum retirement reward.  Refuses (DomainError) arms
+    above ``DENSE_SWEEP_MAX_STATES``."""
     if arm.n > DENSE_SWEEP_MAX_STATES:
         raise DomainError(
             f"hit discounts need the exact index sweep: {arm.n} states exceeds "
             f"DENSE_SWEEP_MAX_STATES = {DENSE_SWEEP_MAX_STATES}"
         )
-    table = np.ones((arm.n, arm.n))
-    indices, order = _sweep_indices(arm, table)
+    indices, order, table = _sweep_indices(arm, record_hits=True)
+    table *= 1.0 - arm.delta
+    np.subtract(1.0, table, out=table)
+    for k, x in enumerate(order):
+        table[:k, x] = 1.0  # rows before x retires: the arm stops at once there
     # clipping moves indices by rounding only; keep the levels monotone
-    return np.minimum.accumulate(indices[order]), table
+    return indices, np.minimum.accumulate(indices[order]), table
 
 
 def retirement_surplus(factors: list[tuple[np.ndarray, np.ndarray]]) -> float:

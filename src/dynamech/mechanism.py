@@ -31,16 +31,15 @@ from .environments import (
     sample_transition,
     value,
 )
+from . import gittins
 from .gittins import (
     CompiledArm,
     allocate,
+    compile_arm,
     compile_reward_arm,
     hit_discounts,
     index_of_states,
     index_policy_rollout,
-    joint_optimal_value,
-    joint_state_count,
-    optimal_stop_value,
     retirement_surplus,
     tail_horizon,
 )
@@ -186,13 +185,14 @@ class _Trajectories:
 class MechanismRuntime:
     """Compiled, cached machinery shared across episodes of one environment.
 
-    Index tables, single-arm retirement values and hit discounts are
-    cached per (agent, pegged report, current theta).  Multiplicative
+    Index tables and hit discounts (with the lone-arm values they give)
+    are cached per (agent, pegged report, current theta).  Multiplicative
     values with C = 0 use the positive-homogeneity of the index in the
-    rewards: one base table of the experience process serves every
-    (report, theta) pair through the scale alpha(report) * A(theta),
-    and a positive scale leaves every stopping set, hence the hit
-    discounts, unchanged.
+    rewards: one sweep of the experience process's base arm gives the
+    base index table and hit discounts, and these serve every
+    (report, theta) pair through the scale alpha(report) * A(theta), a
+    positive scale leaving every stopping set, hence the hit discounts,
+    unchanged.
 
     Experience trajectories are cached per stream address
     ``(master_seed, purpose, path_id)``, the ``_TRAJECTORY_PATHS`` most
@@ -201,17 +201,13 @@ class MechanismRuntime:
     move once.
     """
 
-    def __init__(self, env: Environment, *, index_tol: float = 1e-9, dp_tol: float = 1e-10):
+    def __init__(self, env: Environment, *, index_tol: float = 1e-9):
         self.env = env
         self.index_tol = index_tol
-        self.dp_tol = dp_tol
         self._transforms: dict[tuple[int, float], VirtualTransform | None] = {}
         self._tables: dict[tuple[int, float, float], np.ndarray] = {}
-        self._stops: dict[tuple[int, float, float], np.ndarray] = {}
-        self._hits: dict[tuple[int, float, float], tuple[np.ndarray, np.ndarray]] = {}
-        self._base_tables: dict[int, np.ndarray] = {}
-        self._base_stops: dict[int, np.ndarray] = {}
-        self._base_hits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._hits: dict[tuple[int, float, float], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._bases: dict[int, tuple[np.ndarray, np.ndarray | None, np.ndarray | None]] = {}
         self._paths: dict[tuple[int, str, int], _Trajectories] = {}
         self._n_rho = [agent.public.n for agent in env.agents]
         self._scale_bound = []
@@ -255,27 +251,31 @@ class MechanismRuntime:
         agent = self.env.agents[agent_id]
         return compile_reward_arm(agent, agent.value.b, self.env.delta)
 
-    def base_table(self, agent_id: int) -> np.ndarray:
-        """Index table of the experience rewards B alone; a scale-homogeneous
-        agent's table at any (report, theta) is its scale times this."""
+    def _base(self, agent_id: int) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """(index table, levels, hit table) of the experience rewards B
+        alone, from one ``gittins.hit_discounts`` sweep; an arm above the
+        sweep's cutoff bisects its indices and has no hit discounts.  A
+        scale-homogeneous agent's index table and levels at any (report,
+        theta) are its scale times these."""
         # identical agent models (replicated built-ins) share one build
         base_key = id(self.env.agents[agent_id])
-        base = self._base_tables.get(base_key)
+        base = self._bases.get(base_key)
         if base is None:
             arm = self._base_arm(agent_id)
-            base = index_of_states(
-                arm, np.arange(arm.n), self.index_tol / self._scale_bound[agent_id]
-            )
-            self._base_tables[base_key] = base
+            if arm.n <= gittins.DENSE_SWEEP_MAX_STATES:
+                base = hit_discounts(arm)
+            else:
+                tol = self.index_tol / self._scale_bound[agent_id]
+                base = (index_of_states(arm, np.arange(arm.n), tol), None, None)
+            self._bases[base_key] = base
         return base
 
     def build_table(self, agent_id: int, transform: VirtualTransform, theta: float) -> np.ndarray:
         """Index table at (pegged report, theta), not cached."""
         scale = self._homogeneous_scale(agent_id, transform, theta)
         if scale is not None:
-            return scale * self.base_table(agent_id)
-        rewards = xi_table(transform, self.env, agent_id, theta)
-        arm = compile_reward_arm(self.env.agents[agent_id], rewards, self.env.delta)
+            return scale * self._base(agent_id)[0]
+        arm = compile_arm(self.env, agent_id, transform, theta)
         return index_of_states(arm, np.arange(arm.n), self.index_tol)
 
     def index_flat(self, agent_id: int, transform: VirtualTransform, theta: float) -> np.ndarray:
@@ -285,68 +285,53 @@ class MechanismRuntime:
             out = self._tables[key] = self.build_table(agent_id, transform, theta)
         return out
 
-    def stop_flat(self, agent_id: int, transform: VirtualTransform, theta: float) -> np.ndarray:
-        """Optimal lone-arm-versus-zero-arm value over this agent's states."""
-        key = (agent_id, transform.pegged_report, theta)
-        out = self._stops.get(key)
-        if out is not None:
-            return out
-        scale = self._homogeneous_scale(agent_id, transform, theta)
-        if scale is not None:
-            base_key = id(self.env.agents[agent_id])
-            base = self._base_stops.get(base_key)
-            if base is None:
-                base = optimal_stop_value(self._base_arm(agent_id), tol=self.dp_tol)
-                self._base_stops[base_key] = base
-            out = scale * base
-        else:
-            rewards = xi_table(transform, self.env, agent_id, theta)
-            arm = compile_reward_arm(self.env.agents[agent_id], rewards, self.env.delta)
-            out = optimal_stop_value(arm, tol=self.dp_tol)
-        self._stops[key] = out
-        return out
-
     def hits_flat(
         self, agent_id: int, transform: VirtualTransform, theta: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """This agent's positive index levels and the matching rows of its
-        hit-discount table (``gittins.hit_discounts``)."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """This agent's positive index levels, the matching rows of its
+        hit-discount table (``gittins.hit_discounts``, which refuses arms
+        above the sweep's cutoff), and W of its arm alone against the zero
+        arm at each of its states: Whittle's formula with one factor,
+        sum_k (levels[k] - levels[k+1]) (1 - hits[k]) / (1 - delta) with
+        levels[K] = 0, summed as levels[0] - gaps @ hits."""
         key = (agent_id, transform.pegged_report, theta)
         out = self._hits.get(key)
         if out is not None:
             return out
         scale = self._homogeneous_scale(agent_id, transform, theta)
         if scale is not None:
-            base_key = id(self.env.agents[agent_id])
-            base = self._base_hits.get(base_key)
-            if base is None:
-                base = self._base_hits[base_key] = hit_discounts(self._base_arm(agent_id))
-            levels, table = scale * base[0], base[1]
+            _, levels, table = self._base(agent_id)
+            if table is None:  # the base arm bisected: the sweep refuses it
+                hit_discounts(self._base_arm(agent_id))
+            levels = scale * levels
         else:
-            rewards = xi_table(transform, self.env, agent_id, theta)
-            arm = compile_reward_arm(self.env.agents[agent_id], rewards, self.env.delta)
-            levels, table = hit_discounts(arm)
+            _, levels, table = hit_discounts(compile_arm(self.env, agent_id, transform, theta))
         positive = int(np.count_nonzero(levels > 0.0))  # a prefix: levels never rise
-        out = self._hits[key] = (levels[:positive], table[:positive])
+        levels, table = levels[:positive], table[:positive]
+        top = levels[0] if positive else 0.0  # no levels: the arm never plays
+        gaps = levels - np.append(levels[1:], 0.0)
+        out = self._hits[key] = (levels, table, (top - gaps @ table) / (1.0 - self.env.delta))
         return out
 
     # -- externality values ------------------------------------------------
 
     def w_minus(self, others: list[tuple[int, VirtualTransform, float]], states: list[int]) -> float:
         """Optimal transformed surplus of the given arms from their flat
-        states, with the zero arm available.  One arm: its play-or-retire
-        value.  More: Whittle's retirement formula over the arms' hit
-        discounts (``gittins.retirement_surplus``), exact and O(sum of
-        the arms' sizes) per call; every arm must be within the exact
-        sweep's cutoff (``gittins.DENSE_SWEEP_MAX_STATES``)."""
+        states, with the zero arm available, by Whittle's retirement
+        formula over the arms' hit discounts at every arity: one arm
+        reads its cached per-state vector (``hits_flat``), more sum
+        ``gittins.retirement_surplus``, exact and O(sum of the arms'
+        sizes) per call.  Every arm must be within the exact sweep's
+        cutoff (``gittins.DENSE_SWEEP_MAX_STATES``); a larger one raises
+        DomainError."""
         if not others:
             return 0.0
         if len(others) == 1:
             agent_id, tr, theta = others[0]
-            return float(self.stop_flat(agent_id, tr, theta)[states[0]])
+            return float(self.hits_flat(agent_id, tr, theta)[2][states[0]])
         factors = []
         for (agent_id, tr, theta), s in zip(others, states):
-            levels, hits = self.hits_flat(agent_id, tr, theta)
+            levels, hits, _ = self.hits_flat(agent_id, tr, theta)
             factors.append((levels, hits[:, s]))
         return retirement_surplus(factors) / (1.0 - self.env.delta)
 
@@ -810,7 +795,7 @@ class _RentWalk:
         self.max_pieces = horizon * (horizon + 1) // 2 + 1
         self.scale_hi = runtime._homogeneous_scale(i, transforms[i], self.hi)
         if self.scale_hi is not None:
-            self.base = runtime.base_table(i).tolist()
+            self.base = runtime._base(i)[0].tolist()
             self.scale_lo = self._scale(self.lo)
         else:
             self.tol = (self.hi - self.lo) * 2.0**-_BISECT_LEVELS
@@ -1155,14 +1140,15 @@ def marginal_contribution(
     t: int,
     i: int,
     runtime: MechanismRuntime | None = None,
-    state_cap: int = 10_000,
 ) -> float:
     """Round-t marginal contribution of agent i to the optimal
     transformed surplus: [W - W_without_i](state_t) minus the discounted
-    expectation of the same gap after the winner's transition.
+    expectation of the same gap after the winner's transition, each W
+    by ``MechanismRuntime.w_minus`` over the active arms with and
+    without agent i (no joint state space, so no size cap).
 
     Equals alpha_i * (v_i - price) on rounds agent i wins and 0
-    otherwise; exact-DP-sized instances only.
+    otherwise.
     """
     runtime = runtime or MechanismRuntime(env)
     if not 1 <= t <= len(transcript.rounds):
@@ -1172,27 +1158,13 @@ def marginal_contribution(
     if i not in transforms:
         return 0.0
     active = sorted(transforms)
-    arms = []
-    for j in active:
-        rewards = xi_table(transforms[j], env, j, float(round_rec.theta_hat[j]))
-        arms.append(compile_reward_arm(env.agents[j], rewards, env.delta))
-    sizes = [a.n for a in arms]
-    joint_state_count(sizes, state_cap)
-    w_all = joint_optimal_value(arms, env.delta, tol=runtime.dp_tol)
+    arms = [(j, transforms[j], float(round_rec.theta_hat[j])) for j in active]
     pos_i = active.index(i)
-    arms_minus = [a for j, a in enumerate(arms) if j != pos_i]
-    sizes_minus = [s for j, s in enumerate(sizes) if j != pos_i]
-    w_minus = joint_optimal_value(arms_minus, env.delta, tol=runtime.dp_tol)
-
-    comp = [
-        arms[j].state_index(int(round_rec.e_hat[a]), int(round_rec.rho[a]))
-        for j, a in enumerate(active)
-    ]
+    arms_minus = arms[:pos_i] + arms[pos_i + 1 :]
+    comp = [int(round_rec.e_hat[j]) * runtime._n_rho[j] + int(round_rec.rho[j]) for j in active]
 
     def gap(c: list[int]) -> float:
-        c_minus = [s for j, s in enumerate(c) if j != pos_i]
-        base = float(w_minus[np.ravel_multi_index(c_minus, sizes_minus)]) if sizes_minus else 0.0
-        return float(w_all[np.ravel_multi_index(c, sizes)]) - base
+        return runtime.w_minus(arms, c) - runtime.w_minus(arms_minus, c[:pos_i] + c[pos_i + 1 :])
 
     here = gap(comp)
     winner = round_rec.winner
@@ -1203,10 +1175,13 @@ def marginal_contribution(
         if wi not in active:
             raise DomainError("transcript winner not in active set")
         pos_w = active.index(wi)
-        row = arms[pos_w].transition.getrow(comp[pos_w])
+        agent = env.agents[wi]
+        e, rho = divmod(comp[pos_w], runtime._n_rho[wi])
+        # next flat state e2 * n_rho + rho2 with probability h[rho, e][e2] * g[rho][rho2]
+        probs = np.outer(agent.private.matrix[rho, e], agent.public.matrix[rho]).reshape(-1)
         expected = 0.0
-        for s2, pr in zip(row.indices, row.data):
+        for s2 in np.nonzero(probs)[0]:
             nxt = list(comp)
             nxt[pos_w] = int(s2)
-            expected += float(pr) * gap(nxt)
+            expected += float(probs[s2]) * gap(nxt)
     return here - env.delta * expected

@@ -19,14 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .environments import DomainError, Environment
-from .gittins import (
-    compile_reward_arm,
-    index_policy_winners,
-    joint_optimal_value,
-    joint_policy_value,
-    joint_state_count,
-    tail_horizon,
-)
+from .gittins import tail_horizon
 from .mechanism import (
     CorrectingDeviation,
     FeeQuadData,
@@ -41,7 +34,7 @@ from .mechanism import (
     fee_quadrature,
 )
 from .rng import ExperienceStreams, substream
-from .virtual import dormancy_threshold, transform_or_dormant, xi_table
+from .virtual import dormancy_threshold, transform_or_dormant
 
 __all__ = [
     "AuditResult",
@@ -53,8 +46,6 @@ __all__ = [
     "audit_ir",
     "audit_monotone_allocation",
     "audit_allocation_time_coupling",
-    "PolicyValue",
-    "exact_dp_policy_value",
 ]
 
 
@@ -684,62 +675,3 @@ def audit_allocation_time_coupling(
         seeds=tuple(seeds),
         detail=detail or f"{checked} paired seeds, every realized allocation weakly earlier",
     )
-
-
-# ---------------------------------------------------------------------------
-# Exact DP oracle
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PolicyValue:
-    policy_value: float
-    optimal_value: float
-
-
-def exact_dp_policy_value(
-    env: Environment,
-    reports,
-    theta,
-    e,
-    rho,
-    policy,
-    *,
-    state_cap: int = 10_000,
-    dp_tol: float = 1e-10,
-    runtime: MechanismRuntime | None = None,
-) -> PolicyValue:
-    """Exact discounted transformed value of ``policy`` on the joint
-    allocation MDP, next to the unconstrained value-iteration optimum.
-
-    ``policy`` is "index", "zero", or a callable mapping the tuple of
-    active agents' flat states to 0 (no allocation) or a 1-based
-    position within the active list.
-    """
-    runtime = runtime or MechanismRuntime(env)
-    transforms = _active_transforms(env, runtime, [float(r) for r in reports])
-    active = sorted(transforms)
-    arms = [
-        compile_reward_arm(
-            env.agents[i], xi_table(transforms[i], env, i, float(theta[i])), env.delta
-        )
-        for i in active
-    ]
-    sizes = [a.n for a in arms]
-    total = joint_state_count(sizes, state_cap)
-    if not arms:
-        return PolicyValue(policy_value=0.0, optimal_value=0.0)
-    if policy == "index":
-        winners = index_policy_winners(
-            [runtime.index_flat(i, transforms[i], float(theta[i])) for i in active]
-        )
-    elif policy == "zero":
-        winners = np.zeros(total, dtype=int)
-    else:
-        winners = np.array([policy(comp) for comp in np.ndindex(*sizes)], dtype=int)
-    opt = joint_optimal_value(arms, env.delta, tol=dp_tol)
-    val = joint_policy_value(arms, winners, env.delta)
-    start = np.ravel_multi_index(
-        [int(e[i]) * env.agents[i].public.n + int(rho[i]) for i in active], sizes
-    )
-    return PolicyValue(policy_value=float(val[start]), optimal_value=float(opt[start]))

@@ -10,6 +10,7 @@ plain value object.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,18 +76,27 @@ def affine_coefficients(env: Environment, agent_id: int, report: float) -> Virtu
     Additive values always have alpha = 1 and beta(rho) =
     -[(1-F)/f] * dA/dtheta; multiplicative values have
     alpha = 1 - [(1-F)/f] * A'/A and beta = (alpha - 1) * C, and
-    require A(report) > 0.
+    require A(report) > 0 and a finite alpha.
     """
-    agent = env.agents[agent_id]
-    ih = inverse_hazard(agent.distribution, report)
+    t = _affine(env.agents[agent_id], report)
+    if t is None:
+        raise DomainError(f"transform undefined at report {report!r}: A <= 0 or alpha not finite")
+    return t
+
+
+def _affine(agent, report: float) -> VirtualTransform | None:
+    """``affine_coefficients``, or None for a multiplicative value with
+    A(report) <= 0 or a non-finite alpha."""
     val = agent.value
     if isinstance(val, MultiplicativeValue):
         a_r = val.a(report)
         if a_r <= 0.0:
-            raise DomainError(f"multiplicative A({report}) <= 0; transform undefined")
-        alpha = 1.0 - ih * val.da(report) / a_r
-        beta = (alpha - 1.0) * val.c
-        return VirtualTransform(alpha=alpha, beta=beta, pegged_report=report)
+            return None
+        alpha = 1.0 - inverse_hazard(agent.distribution, report) * val.da(report) / a_r
+        if not math.isfinite(alpha):  # A'/A overflows at subnormal reports; beta would be nan
+            return None
+        return VirtualTransform(alpha=alpha, beta=(alpha - 1.0) * val.c, pegged_report=report)
+    ih = inverse_hazard(agent.distribution, report)
     beta = np.array([-ih * val.da(report, rho) for rho in range(agent.public.n)])
     return VirtualTransform(alpha=1.0, beta=beta, pegged_report=report)
 
@@ -99,18 +109,12 @@ def transform_or_dormant(
     A multiplicative agent whose transform has alpha <= 0 (including the
     degenerate A(report) <= 0 case) has xi = alpha*A*B - C <= 0
     pointwise, so the zero arm weakly dominates it; the mechanism
-    hard-excludes such agents and never divides by alpha <= 0.
-    Additive agents (alpha = 1) are never dormant.
+    hard-excludes such agents and never divides by alpha <= 0.  A
+    non-finite alpha (A'/A overflowing at a subnormal report) counts as
+    dormant too.  Additive agents (alpha = 1) are never dormant.
     """
-    agent = env.agents[agent_id]
-    if isinstance(agent.value, MultiplicativeValue):
-        if agent.value.a(report) <= 0.0:
-            return None
-        t = affine_coefficients(env, agent_id, report)
-        if t.alpha <= 0.0:
-            return None
-        return t
-    return affine_coefficients(env, agent_id, report)
+    t = _affine(env.agents[agent_id], report)
+    return t if t is not None and t.alpha > 0.0 else None
 
 
 def dormancy_threshold(env: Environment, agent_id: int, tol: float = 1e-12) -> float:

@@ -241,6 +241,40 @@ def test_cli_index_agent_out_of_range_exits_2(tmp_path, capsys, agent):
     assert not (tmp_path / "index.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--report", "2.0"), ("--report", "nan"), ("--report", "-1"), ("--theta", "5")]
+)
+def test_cli_index_type_out_of_range_exits_2(tmp_path, capsys, flag, value):
+    argv = ["--config", str(SPONSORED2), "--out", str(tmp_path), "index", flag, value]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "index.csv").exists()
+
+
+def test_cli_simulate_refuses_lone_arm_above_sweep_cutoff(tmp_path, capsys, monkeypatch):
+    from dynamech import gittins
+
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(
+        json.dumps(
+            {
+                "environment": {"name": "sponsored_search", "params": {"k": 2, "cap": 2}},
+                "delta": 0.8,
+                "fee_rollouts": 2,
+                "master_seed": 5,  # draws both agents active, so each prices the other
+            }
+        )
+    )
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "ok"), "simulate"]) == 0
+    monkeypatch.setattr(gittins, "DENSE_SWEEP_MAX_STATES", 35)  # the arms have 36 states
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "refused"), "simulate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "DENSE_SWEEP_MAX_STATES = 35" in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 SPONSORED4 = REPO / "configs" / "sponsored_search_4.cfg"
 
 

@@ -415,8 +415,9 @@ def _hits_gap_to_per_level_solves(arm: gittins.CompiledArm) -> float:
     per level.  Each level's continuation set is read off the table (the
     states whose entry is below 1) and must grow by one state of highest
     remaining index per level."""
-    levels, table = gittins.hit_discounts(arm)
+    indices, levels, table = gittins.hit_discounts(arm)
     idx = gittins.index_of_states(arm, np.arange(arm.n), tol=1e-9)
+    assert np.array_equal(indices, idx)  # the index table comes from the same sweep
     p, delta = arm.transition.toarray(), arm.delta
     assert table.shape == (arm.n, arm.n)
     assert np.all(np.diff(levels) <= 0.0)
@@ -487,6 +488,6 @@ def test_whittle_value_matches_joint_optimum(seed, k, tie_within, tie_across):
             )
         )
     opt = gittins.joint_optimal_value(arms, delta, tol=1e-12).reshape([a.n for a in arms])
-    hits = [gittins.hit_discounts(a) for a in arms]
+    hits = [gittins.hit_discounts(a)[1:] for a in arms]
     worst = max(abs(_whittle_w(hits, s, delta) - opt[s]) for s in np.ndindex(opt.shape))
     assert worst <= 1e-9

@@ -185,18 +185,41 @@ def _ar1_env(k: int) -> envs.Environment:
 
 @pytest.mark.parametrize("which", ["sponsored", "ar1"])
 def test_one_arm_whittle_formula_equals_stop_value(which, sponsored_small):
-    # the lone-arm price keeps the play-or-retire value; it is the
-    # one-arm case of the formula that prices two or more arms
+    # the lone-arm price is the one-arm case of the formula that prices
+    # two or more arms; value iteration is the independent reference
     env = sponsored_small if which == "sponsored" else _ar1_env(1)
     rt = mech.MechanismRuntime(env)
     tr, theta = rt.transform(0, 0.9), 0.75
-    levels, hits = rt.hits_flat(0, tr, theta)
+    arm = compile_reward_arm(env.agents[0], xi_table(tr, env, 0, theta), env.delta)
+    stop = gittins.optimal_stop_value(arm, tol=1e-12)
+    assert stop.max() > 0.1
+    got = np.array([rt.w_minus([(0, tr, theta)], [s]) for s in range(arm.n)])
+    assert np.max(np.abs(got - stop)) <= 1e-9
+
+
+@pytest.mark.parametrize("which", ["sponsored", "ar1"])
+def test_lone_arm_vector_equals_per_state_whittle_sum(which, sponsored_small):
+    env = sponsored_small if which == "sponsored" else _ar1_env(1)
+    rt = mech.MechanismRuntime(env)
+    tr, theta = rt.transform(0, 0.9), 0.75
+    levels, hits, lone = rt.hits_flat(0, tr, theta)
     assert len(levels) > 0
-    stop = rt.stop_flat(0, tr, theta)
-    whittle = [
-        retirement_surplus([(levels, hits[:, s])]) / (1.0 - env.delta) for s in range(len(stop))
-    ]
-    assert np.max(np.abs(np.array(whittle) - stop)) <= 1e-9
+    whittle = [retirement_surplus([(levels, hits[:, s])]) / (1.0 - env.delta) for s in range(len(lone))]
+    assert np.max(np.abs(np.array(whittle) - lone)) <= 1e-14
+
+
+def test_index_table_and_prices_share_one_sweep(monkeypatch):
+    env = envs.sponsored_search(k=3, cap=2, delta=0.8)
+    rt = mech.MechanismRuntime(env)
+    calls = []
+    sweep = gittins._sweep_indices
+    monkeypatch.setattr(gittins, "_sweep_indices", lambda *a, **kw: calls.append(1) or sweep(*a, **kw))
+    tr = rt.transform(0, 0.9)
+    assert rt.index_flat(0, tr, 0.8).max() > 0.0
+    assert rt.w_minus([(0, tr, 0.8)], [0]) > 0.0
+    others = [(1, rt.transform(1, 0.9), 0.9), (2, rt.transform(2, 0.7), 0.7)]
+    assert rt.w_minus(others, [0, 0]) > 0.0  # replicated agent models: the same base arm
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("which", ["sponsored", "ar1"])
@@ -234,7 +257,8 @@ def test_multi_arm_price_refuses_arm_above_sweep_cutoff(monkeypatch):
     monkeypatch.setattr(gittins, "DENSE_SWEEP_MAX_STATES", 35)
     with pytest.raises(DomainError, match="DENSE_SWEEP_MAX_STATES = 35"):
         rt.w_minus(others, [0, 0])
-    assert rt.w_minus(others[:1], [0]) > 0.0  # a lone arm keeps its stop value
+    with pytest.raises(DomainError, match="DENSE_SWEEP_MAX_STATES = 35"):
+        rt.w_minus(others[:1], [0])  # a lone arm refuses as well
 
 
 def test_run_episode_posted_price_truthful(posted_price, posted_price_runtime):
@@ -305,6 +329,27 @@ def test_marginal_contribution_identity_constant_arms():
         assert mech.marginal_contribution(env, tr, t, 1, runtime=rt) == pytest.approx(
             0.0, abs=1e-9
         )
+
+
+def test_marginal_contribution_vcg_identity_over_four_arms():
+    # 36^4 joint states: too many for any joint-state-space method
+    env = envs.sponsored_search(k=4, cap=2, delta=0.8)
+    rt = mech.MechanismRuntime(env)
+    theta = [0.9, 0.85, 0.8, 0.75]
+    tr = mech.run_episode(
+        env, [mech.Truthful()] * 4, seed=1, horizon=12, theta=theta, runtime=rt, fee_mode="skip"
+    )
+    assert {r.winner for r in tr.rounds} == {1, 2, 3, 4}
+    worst = 0.0
+    for t, rec in enumerate(tr.rounds, 1):
+        for i in range(4):
+            m = mech.marginal_contribution(env, tr, t, i, runtime=rt)
+            target = 0.0
+            if rec.winner == i + 1:
+                v = envs.value(env, i, envs.ArmState(theta[i], rec.true_e[i], rec.rho[i]))
+                target = rt.transform(i, theta[i]).alpha * (v - rec.payment)
+            worst = max(worst, abs(m - target))
+    assert worst <= 1e-8
 
 
 def test_marginal_contribution_single_agent_is_xi():

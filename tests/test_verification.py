@@ -7,6 +7,7 @@ from dynamech import verification as ver
 from dynamech.environments import DomainError
 
 from conftest import constant_arm_env
+from oracles import exact_dp_policy_value
 
 
 @pytest.fixture(scope="module")
@@ -266,7 +267,7 @@ def test_coupling_rejects_mismatched_vectors(sponsored_small):
 
 def test_exact_dp_zero_policy():
     env = constant_arm_env(0.5, k=2)
-    pv = ver.exact_dp_policy_value(env, [1.0, 1.0], [0.6, 0.2], [0, 0], [0, 0], "zero")
+    pv = exact_dp_policy_value(env, [1.0, 1.0], [0.6, 0.2], [0, 0], [0, 0], "zero")
     assert pv.policy_value == 0.0
     assert pv.optimal_value == pytest.approx(1.2, abs=1e-9)
 
@@ -277,12 +278,12 @@ def test_exact_dp_constant_arms_best_policy():
     def always_best(comp):
         return 1  # agent 0 holds the higher constant reward
 
-    pv = ver.exact_dp_policy_value(env, [1.0, 1.0], [0.6, 0.2], [0, 0], [0, 0], always_best)
+    pv = exact_dp_policy_value(env, [1.0, 1.0], [0.6, 0.2], [0, 0], [0, 0], always_best)
     assert pv.policy_value == pytest.approx(1.2, abs=1e-9)
 
 
 def test_exact_dp_index_policy_matches_optimum(sponsored_small, sponsored_small_runtime):
-    pv = ver.exact_dp_policy_value(
+    pv = exact_dp_policy_value(
         sponsored_small,
         [0.9, 0.7],
         [0.9, 0.7],
@@ -296,7 +297,7 @@ def test_exact_dp_index_policy_matches_optimum(sponsored_small, sponsored_small_
 
 def test_exact_dp_refuses_oversized(sponsored2, sponsored2_runtime):
     with pytest.raises(DomainError):
-        ver.exact_dp_policy_value(
+        exact_dp_policy_value(
             sponsored2, [0.9, 0.7], [0.9, 0.7], [0, 0], [0, 0], "zero",
             state_cap=100, runtime=sponsored2_runtime,
         )

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -177,3 +179,14 @@ def test_dormancy_threshold_uniform_linear():
     val = envs.AdditiveValue(a=lambda t, r: t, da=lambda t, r: 1.0, b=np.zeros((1, 1)))
     add_env = envs.finite_chain(0.5, g=[[1.0]], h=[[1.0]], value=val)
     assert virtual.dormancy_threshold(add_env, 0) == 0.0
+
+
+def test_subnormal_report_is_dormant_without_a_warning():
+    # A'/A overflows at a subnormal report: alpha = -inf, and beta =
+    # (alpha - 1) * C would be nan
+    env = envs.sponsored_search(k=2, cap=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert virtual.transform_or_dormant(env, 0, 5e-324) is None
+    with pytest.raises(DomainError, match="alpha not finite"):
+        virtual.affine_coefficients(env, 0, 5e-324)

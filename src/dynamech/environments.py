@@ -21,7 +21,6 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import simpson
 
 __all__ = [
     "DomainError",
@@ -278,6 +277,30 @@ class AgentModel:
     def n_states(self) -> int:
         return self.private.n * self.public.n
 
+    @cached_property
+    def transition(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, indices, probs): the experience transition over flat
+        states s = e * n_rho + rho in CSR form, P[(e, rho), (e2, r2)] =
+        H[rho, e, e2] * G[rho, r2] over the nonzero factors, columns
+        ascending in each row.  It does not depend on theta, so it is
+        built once, on first use, and shared (read-only) by every arm
+        compiled from this agent."""
+        n_rho = self.public.n
+        g, h = self.public.matrix, self.private.matrix
+        g_rows, g_cols = np.nonzero(g)  # row-major: per rho, r2 ascending
+        g_ptr = np.searchsorted(g_rows, np.arange(n_rho + 1))
+        e, rho, e2 = np.nonzero(h.transpose(1, 0, 2))  # (e, rho, e2) in flat-state order
+        reps = np.diff(g_ptr)[rho]
+        first = np.cumsum(reps) - reps  # each H entry's first position
+        g_at = np.repeat(g_ptr[rho] - first, reps) + np.arange(int(reps.sum()))
+        indices = np.repeat(e2 * n_rho, reps) + g_cols[g_at]
+        probs = np.repeat(h[rho, e, e2], reps) * g[g_rows[g_at], g_cols[g_at]]
+        row_len = np.count_nonzero(h, axis=2).T * np.diff(g_ptr)  # (n_e, n_rho)
+        indptr = np.concatenate([[0], np.cumsum(row_len.reshape(-1))])
+        for arr in (indptr, indices, probs):
+            arr.flags.writeable = False
+        return indptr, indices, probs
+
 
 @dataclass(frozen=True)
 class Environment:
@@ -434,6 +457,21 @@ class ValidityReport:
         }
 
 
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson's rule over an odd number of samples at
+    possibly unequal spacing, as ``scipy.integrate.simpson`` computes
+    it: each pair of intervals (h0, h1) weighs its three samples by
+    (h0 + h1) / 6 * (2 - h1 / h0, (h0 + h1)^2 / (h0 h1), 2 - h0 / h1)."""
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    ratio = h0 / h1
+    terms = hsum / 6.0 * (
+        y[0:-2:2] * (2.0 - 1.0 / ratio) + y[1::2] * (hsum * (hsum / (h0 * h1))) + y[2::2] * (2.0 - ratio)
+    )
+    return float(np.sum(terms))
+
+
 def _check_distribution(agent_id: int, dist: TypeDistribution, grid: int) -> list[AssumptionCheck]:
     checks = []
     tb = dist.theta_bar
@@ -451,7 +489,7 @@ def _check_distribution(agent_id: int, dist: TypeDistribution, grid: int) -> lis
     )
     fine = np.linspace(0.0, tb, 8 * grid + 1)
     dens = np.array([dist.pdf(float(t)) for t in fine])
-    mass = float(simpson(dens, x=fine))
+    mass = _simpson(dens, fine)
     ok = abs(mass - 1.0) <= 1e-6
     checks.append(
         AssumptionCheck(

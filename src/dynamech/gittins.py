@@ -25,11 +25,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg.blas import dger
 
 from .environments import AgentModel, ArmState, DomainError, Environment, sample_transition
 from .rng import substream
@@ -72,13 +70,18 @@ def tail_horizon(delta: float, k: int, v_max: float, eps: float = 1e-4) -> int:
 
 @dataclass(frozen=True)
 class CompiledArm:
-    """One agent's arm for a fixed theta: flat rewards and transition.
+    """One agent's arm for a fixed theta: flat rewards and the
+    transition in CSR form (row s's successors are
+    ``indices[indptr[s]:indptr[s + 1]]`` with probabilities ``probs``
+    there).
 
     States are flattened as s = e * n_rho + rho.
     """
 
     rewards: np.ndarray  # (n,)
-    transition: sp.csr_matrix  # (n, n)
+    indptr: np.ndarray  # (n + 1,)
+    indices: np.ndarray  # (nnz,)
+    probs: np.ndarray  # (nnz,)
     delta: float
     n_e: int
     n_rho: int
@@ -90,23 +93,14 @@ class CompiledArm:
     def state_index(self, e: int, rho: int) -> int:
         return e * self.n_rho + rho
 
+    @cached_property
+    def transition(self):
+        """The transition as a ``scipy.sparse.csr_matrix``, for the value
+        iterations and the product-space oracles; imports scipy on first
+        use."""
+        import scipy.sparse as sp
 
-def _joint_transition(agent: AgentModel) -> sp.csr_matrix:
-    n_e, n_rho = agent.private.n, agent.public.n
-    g, h = agent.public.matrix, agent.private.matrix
-    rows, cols, vals = [], [], []
-    for e in range(n_e):
-        for rho in range(n_rho):
-            s = e * n_rho + rho
-            h_row = h[rho, e]
-            g_row = g[rho]
-            for e2 in np.nonzero(h_row)[0]:
-                pe = h_row[e2]
-                for r2 in np.nonzero(g_row)[0]:
-                    rows.append(s)
-                    cols.append(int(e2) * n_rho + int(r2))
-                    vals.append(pe * g_row[r2])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n_e * n_rho, n_e * n_rho))
+        return sp.csr_matrix((self.probs, self.indices, self.indptr), shape=(self.n, self.n))
 
 
 def compile_reward_arm(agent: AgentModel, rewards: np.ndarray, delta: float) -> CompiledArm:
@@ -116,9 +110,12 @@ def compile_reward_arm(agent: AgentModel, rewards: np.ndarray, delta: float) -> 
         raise DomainError("reward table shape does not match state spaces")
     if not np.all(np.isfinite(rewards)):
         raise DomainError("non-finite reward on some state")
+    indptr, indices, probs = agent.transition
     return CompiledArm(
         rewards=rewards.reshape(-1).copy(),
-        transition=_joint_transition(agent),
+        indptr=indptr,
+        indices=indices,
+        probs=probs,
         delta=delta,
         n_e=agent.private.n,
         n_rho=agent.public.n,
@@ -132,9 +129,9 @@ def compile_arm(
     return compile_reward_arm(env.agents[agent_id], rewards, env.delta)
 
 
-def _reachable(transition: sp.csr_matrix, start: int) -> np.ndarray:
-    indptr, indices = transition.indptr, transition.indices
-    seen = np.zeros(transition.shape[0], dtype=bool)
+def _reachable(arm: CompiledArm, start: int) -> np.ndarray:
+    indptr, indices = arm.indptr, arm.indices
+    seen = np.zeros(arm.n, dtype=bool)
     seen[start] = True
     stack = [start]
     while stack:
@@ -157,14 +154,13 @@ VI_MAX_SWEEPS = 200_000
 def _reward_range(arm: CompiledArm) -> tuple[np.ndarray, np.ndarray]:
     """Min and max reward over each state's reachable set (itself
     included), by relaxing along transitions to a fixed point."""
-    t = arm.transition
-    rows = np.nonzero(np.diff(t.indptr))[0]  # reduceat needs nonempty segments
-    starts = t.indptr[rows]
+    rows = np.nonzero(np.diff(arm.indptr))[0]  # reduceat needs nonempty segments
+    starts = arm.indptr[rows]
     lo, hi = arm.rewards.copy(), arm.rewards.copy()
     while len(rows):
         new_lo, new_hi = lo.copy(), hi.copy()
-        new_lo[rows] = np.minimum(lo[rows], np.minimum.reduceat(lo[t.indices], starts))
-        new_hi[rows] = np.maximum(hi[rows], np.maximum.reduceat(hi[t.indices], starts))
+        new_lo[rows] = np.minimum(lo[rows], np.minimum.reduceat(lo[arm.indices], starts))
+        new_hi[rows] = np.maximum(hi[rows], np.maximum.reduceat(hi[arm.indices], starts))
         if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
             break
         lo, hi = new_lo, new_hi
@@ -182,38 +178,42 @@ def _sweep_indices(
     then r (discounted reward) and d (discounted time) accrued from each
     state until the chain first returns to a live state.  Retiring the
     live state a with the largest r/d records that ratio as its index;
-    folding it in is one rank-one update of all three,
-    W += Q[:, a] W[a, :] / (1 - Q[a, a]), after which column a is
-    cleared.  Q's rows sum to at most delta, so the pivot is at least
-    1 - delta.  Argmax ties go to the lowest state, and each index is
-    clipped to its reachable reward range, so a state whose reachable
-    rewards are constant keeps its reward bit-exactly.  Row k of the
-    recorded n x n array is d after the first k + 1 retirements, one
-    contiguous copy of the work matrix's column per step
+    folding it in updates every row p that can step to a,
+    W[p, :] += Q[p, a] * (W[a, :] / (1 - Q[a, a])) with row a scaled
+    first, and then clears column a.  Only the block of rows with
+    Q[p, a] != 0 and columns with W[a, j] != 0 is touched: every other
+    entry would gain an exact zero.  Q's rows sum to at most delta, so
+    the pivot is at least 1 - delta.  Argmax ties go to the lowest
+    state, and each index is clipped to its reachable reward range, so a
+    state whose reachable rewards are constant keeps its reward
+    bit-exactly.  Row k of the recorded n x n array is d after the first
+    k + 1 retirements, one copy of the work matrix's d column per step
     (``hit_discounts`` turns it into hit discounts in place).
     """
     n = arm.n
-    w = np.zeros((n, n + 2), order="F")
-    arm.transition.toarray(out=w[:, :n])
-    w[:, :n] *= arm.delta
-    w[:, n] = arm.rewards
-    w[:, n + 1] = 1.0
+    w = np.zeros((n, n + 2))
+    w[np.repeat(np.arange(n), np.diff(arm.indptr)), arm.indices] = arm.probs * arm.delta
+    r, d = w[:, n], w[:, n + 1]
+    r[:] = arm.rewards
+    d[:] = 1.0
     out = np.empty(n)
     retired = np.zeros(n, dtype=bool)
     order = np.empty(n, dtype=int)
     hits = np.empty((n, n)) if record_hits else None
     for k in range(n):
-        ratio = w[:, n] / w[:, n + 1]
+        ratio = r / d
         ratio[retired] = -np.inf
-        a = int(np.argmax(ratio))
+        a = int(ratio.argmax())
         out[a] = ratio[a]
         retired[a] = True
         order[k] = a
-        col, row = w[:, a].copy(), w[a, :].copy()  # dger writes w while reading them
-        dger(1.0 / (1.0 - row[a]), col, row, a=w, overwrite_a=True)
-        w[:, a] = 0.0
+        col = w[:, a]
+        rows = col.nonzero()[0][:, None]
+        cols = w[a].nonzero()[0]
+        w[rows, cols] += col[rows] * ((1.0 / (1.0 - w[a, a])) * w[a, cols])
+        col[:] = 0.0
         if hits is not None:
-            hits[k] = w[:, n + 1]
+            hits[k] = d
     lo, hi = _reward_range(arm)
     return np.clip(out, lo, hi), order, hits
 
@@ -383,7 +383,7 @@ def brute_force_index(
     """
     arm = compile_arm(env, agent_id, transform, state.theta)
     s0 = arm.state_index(state.e, state.rho)
-    reach = _reachable(arm.transition, s0)
+    reach = _reachable(arm, s0)
     n_r = len(reach)
     if n_r * horizon > cap:
         raise DomainError(f"brute force refused: {n_r} states * {horizon} steps > cap {cap}")
@@ -569,14 +569,15 @@ def index_policy_rollout(
     return totals
 
 
-def joint_policy_matrix(
-    arms: list[CompiledArm], winners: np.ndarray
-) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Transition matrix and per-state reward of a fixed joint policy.
+def joint_policy_matrix(arms: list[CompiledArm], winners: np.ndarray):
+    """Transition matrix (``scipy.sparse.csr_matrix``) and per-state
+    reward of a fixed joint policy.
 
     ``winners[flat]`` is 0 for the zero arm or j for included arm j-1,
     over the joint states in C order.
     """
+    import scipy.sparse as sp
+
     sizes = [a.n for a in arms]
     strides = [math.prod(sizes[j + 1 :]) for j in range(len(sizes))]
     total = math.prod(sizes)
@@ -592,8 +593,8 @@ def joint_policy_matrix(
         j = w - 1
         arm, s = arms[j], comp[j]
         rewards[flat] = arm.rewards[s]
-        lo, hi = arm.transition.indptr[s], arm.transition.indptr[s + 1]
-        for s2, pr in zip(arm.transition.indices[lo:hi], arm.transition.data[lo:hi]):
+        lo, hi = arm.indptr[s], arm.indptr[s + 1]
+        for s2, pr in zip(arm.indices[lo:hi], arm.probs[lo:hi]):
             rows.append(flat)
             cols.append(flat + (int(s2) - s) * strides[j])
             vals.append(float(pr))
@@ -603,6 +604,9 @@ def joint_policy_matrix(
 
 def joint_policy_value(arms: list[CompiledArm], winners: np.ndarray, delta: float) -> np.ndarray:
     """Exact discounted value of a fixed joint policy (sparse solve)."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     t, rewards = joint_policy_matrix(arms, winners)
     total = t.shape[0]
     system = sp.identity(total, format="csr") - delta * t

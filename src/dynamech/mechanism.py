@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .environments import (
     ArmState,
@@ -279,11 +278,29 @@ class MechanismRuntime:
         return index_of_states(arm, np.arange(arm.n), self.index_tol)
 
     def index_flat(self, agent_id: int, transform: VirtualTransform, theta: float) -> np.ndarray:
+        """Index table at (pegged report, theta), cached.  A key that is
+        not scale-homogeneous takes one ``hit_discounts`` sweep for both
+        its index table and its hit discounts (``hits_flat``)."""
         key = (agent_id, transform.pegged_report, theta)
         out = self._tables.get(key)
         if out is None:
-            out = self._tables[key] = self.build_table(agent_id, transform, theta)
+            if (
+                self._homogeneous_scale(agent_id, transform, theta) is None
+                and self.env.agents[agent_id].n_states <= gittins.DENSE_SWEEP_MAX_STATES
+            ):
+                self._sweep_key(key, transform)
+            else:
+                self._tables[key] = self.build_table(agent_id, transform, theta)
+            out = self._tables[key]
         return out
+
+    def _sweep_key(self, key: tuple[int, float, float], transform: VirtualTransform) -> None:
+        """Index table and hit discounts of a key that is not
+        scale-homogeneous, from one ``hit_discounts`` sweep."""
+        agent_id, _, theta = key
+        indices, levels, table = hit_discounts(compile_arm(self.env, agent_id, transform, theta))
+        self._tables[key] = indices
+        self._hits[key] = self._whittle(levels, table)
 
     def hits_flat(
         self, agent_id: int, transform: VirtualTransform, theta: float
@@ -299,19 +316,22 @@ class MechanismRuntime:
         if out is not None:
             return out
         scale = self._homogeneous_scale(agent_id, transform, theta)
-        if scale is not None:
-            _, levels, table = self._base(agent_id)
-            if table is None:  # the base arm bisected: the sweep refuses it
-                hit_discounts(self._base_arm(agent_id))
-            levels = scale * levels
-        else:
-            _, levels, table = hit_discounts(compile_arm(self.env, agent_id, transform, theta))
+        if scale is None:
+            self._sweep_key(key, transform)
+            return self._hits[key]
+        _, levels, table = self._base(agent_id)
+        if table is None:  # the base arm bisected: the sweep refuses it
+            hit_discounts(self._base_arm(agent_id))
+        out = self._hits[key] = self._whittle(scale * levels, table)
+        return out
+
+    def _whittle(self, levels: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``hits_flat``'s triple from a sweep's levels and hit table."""
         positive = int(np.count_nonzero(levels > 0.0))  # a prefix: levels never rise
         levels, table = levels[:positive], table[:positive]
         top = levels[0] if positive else 0.0  # no levels: the arm never plays
         gaps = levels - np.append(levels[1:], 0.0)
-        out = self._hits[key] = (levels, table, (top - gaps @ table) / (1.0 - self.env.delta))
-        return out
+        return levels, table, (top - gaps @ table) / (1.0 - self.env.delta)
 
     # -- externality values ------------------------------------------------
 
@@ -664,7 +684,65 @@ class FeeQuadData:
 _BISECT_LEVELS = 40  # halvings of [lower, report] per breakpoint (non-homogeneous arms)
 _PROBE_TABLES = 4096  # index tables a walk keeps for bisection probes
 _ROOT_XTOL = 1e-15
-_ROOT_RTOL = 4.0 * float(np.finfo(float).eps)  # the smallest rtol brentq accepts
+_ROOT_RTOL = 4.0 * float(np.finfo(float).eps)  # the smallest rtol _brentq accepts
+_ROOT_MAXITER = 100
+
+
+def _brentq(f, xa: float, xb: float, *, xtol: float, rtol: float) -> float:
+    """A root of f in [xa, xb] by Brent's method (Brent 1973), step for
+    step as ``scipy.optimize.brentq`` takes it, so it returns the same
+    bits: inverse quadratic or secant steps while they shrink fast
+    enough, bisection otherwise, until the bracket is within
+    xtol + rtol * |x|.  Raises ValueError on a bracket whose ends have
+    the same sign or on a NaN value, and RuntimeError when it has not
+    converged after ``_ROOT_MAXITER`` iterations."""
+    if xtol <= 0 or rtol < _ROOT_RTOL:
+        raise ValueError(f"tolerances too small: xtol {xtol!r}, rtol {rtol!r}")
+
+    def at(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = at(xpre), at(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        tol = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < tol:
+            return xcur
+        step = None
+        if abs(spre) > tol and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - tol):
+                step = stry
+        if step is None:  # bisect
+            spre = scur = sbis
+        else:
+            spre, scur = scur, step
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > tol else (tol if sbis > 0 else -tol)
+        fcur = at(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {_ROOT_MAXITER} iterations; last x {xcur!r}")
 
 
 def _scale_at(z: float, env: Environment, i: int) -> float:
@@ -672,12 +750,6 @@ def _scale_at(z: float, env: Environment, i: int) -> float:
     report and type both at z (0 when dormant)."""
     tr = transform_or_dormant(env, i, z)
     return 0.0 if tr is None else tr.alpha * env.agents[i].value.a(z)
-
-
-def _scale_gap(z: float, env: Environment, i: int, target: float) -> float:
-    # a module function, not a closure over the walk: brentq's wrapper is
-    # a reference cycle, which would keep the walk and its runtime alive
-    return _scale_at(z, env, i) - target
 
 
 class _Levels:
@@ -870,9 +942,7 @@ class _RentWalk:
             return self.lo, 0.0
         if self._scale(z_top) <= crit:  # within rounding of the piece top
             return z_top, 0.0
-        z = brentq(
-            _scale_gap, self.lo, z_top, args=(self.env, self.i, crit), xtol=_ROOT_XTOL, rtol=_ROOT_RTOL
-        )
+        z = _brentq(lambda z: self._scale(z) - crit, self.lo, z_top, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL)
         return z, 2.0 * (_ROOT_XTOL + _ROOT_RTOL * abs(z))
 
     def _scale_walk(self, paths: _Trajectories, levels: _Levels) -> tuple[float, float, int]:

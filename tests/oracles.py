@@ -1,7 +1,9 @@
-"""Joint-state-space oracles kept for tests: the exact value of an
-allocation policy over the product of the active arms' state spaces,
-next to the joint value-iteration optimum.  The library prices by
-Whittle's retirement formula and never builds the joint space.
+"""Oracles kept for tests: the exact value of an allocation policy over
+the product of the active arms' state spaces, next to the joint
+value-iteration optimum (the library prices by Whittle's retirement
+formula and never builds the joint space), and the per-entry loop that
+built an agent's flat transition matrix before ``AgentModel.transition``
+built it vectorised.
 """
 
 from __future__ import annotations
@@ -9,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from dynamech.environments import Environment
+from dynamech.environments import AgentModel, Environment
 from dynamech.gittins import (
     compile_reward_arm,
     index_policy_winners,
@@ -74,3 +77,23 @@ def exact_dp_policy_value(
         [int(e[i]) * env.agents[i].public.n + int(rho[i]) for i in active], sizes
     )
     return PolicyValue(policy_value=float(val[start]), optimal_value=float(opt[start]))
+
+
+def loop_transition(agent: AgentModel) -> sp.csr_matrix:
+    """The agent's flat transition P[(e, rho), (e2, r2)] = H[rho, e, e2] *
+    G[rho, r2], one entry at a time over the nonzero factors."""
+    n_e, n_rho = agent.private.n, agent.public.n
+    g, h = agent.public.matrix, agent.private.matrix
+    rows, cols, vals = [], [], []
+    for e in range(n_e):
+        for rho in range(n_rho):
+            s = e * n_rho + rho
+            h_row = h[rho, e]
+            g_row = g[rho]
+            for e2 in np.nonzero(h_row)[0]:
+                pe = h_row[e2]
+                for r2 in np.nonzero(g_row)[0]:
+                    rows.append(s)
+                    cols.append(int(e2) * n_rho + int(r2))
+                    vals.append(pe * g_row[r2])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n_e * n_rho, n_e * n_rho))

@@ -197,6 +197,56 @@ def test_worker_count_does_not_change_bytes(tmp_path):
     assert outputs["1"] == outputs["2"] == outputs["8"]
 
 
+_NO_SCIPY_SCRIPT = """
+import json, sys
+from dynamech.cli import main
+
+status = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"status": status, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_no_cli_command_loads_scipy(tmp_path):
+    ar1 = tmp_path / "ar1.cfg"
+    ar1.write_text(
+        json.dumps(
+            {
+                "environment": {
+                    "name": "ar1",
+                    "params": {"k": 2, "coeff": 0.5, "shock": [[0.2]], "grid_step": 0.1, "alloc_cap": 6},
+                },
+                "delta": 0.8,
+                "audit_episodes": 2,
+                "master_seed": 17,
+            }
+        )
+    )
+    runs = [
+        (POSTED, "validate-env"),
+        (POSTED, "transform"),
+        (POSTED, "index"),
+        (POSTED, "simulate"),
+        (POSTED, "audit"),
+        (POSTED, "bound"),
+        (SPONSORED2, "simulate"),
+        (SPONSORED2, "index"),
+        (ar1, "bound"),
+    ]
+    argvs = [["--config", str(cfg), "--out", str(tmp_path / str(j)), cmd] for j, (cfg, cmd) in enumerate(runs)]
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(argvs)],
+        env=env,
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["status"] == [0] * len(runs)
+    assert result["scipy"] == []
+
+
 def _finite_chain_config(params: dict, **extra) -> str:
     cfg = {"environment": {"name": "finite_chain", "params": params}, "delta": 0.5}
     cfg.update(extra)

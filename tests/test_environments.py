@@ -210,3 +210,25 @@ def test_ar1_frozen_when_idle():
     # no allocation -> no state change by construction; the value depends
     # only on the stored state
     assert envs.value(env, 0, s) == envs.value(env, 0, ArmState(0.6, s.e, s.rho))
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        envs.uniform_type(),
+        envs.uniform_type(2.5),
+        envs.power_type(),
+        envs.power_type(2.0, 3.0),
+        envs.capped_exponential_type(),
+        envs.capped_exponential_type(3.0, 2.0),
+    ],
+    ids=lambda d: d.name,
+)
+@pytest.mark.parametrize("grid", [16, 64])
+def test_density_mass_simpson_matches_scipy(dist, grid):
+    from scipy.integrate import simpson
+
+    # the samples _check_distribution integrates
+    fine = np.linspace(0.0, dist.theta_bar, 8 * grid + 1)
+    dens = np.array([dist.pdf(float(t)) for t in fine])
+    assert abs(envs._simpson(dens, fine) - float(simpson(dens, x=fine))) <= 1e-14

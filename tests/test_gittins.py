@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,11 +8,13 @@ from hypothesis import strategies as st
 
 from dynamech import environments as envs
 from dynamech import gittins
+from dynamech.config import build_environment, parse_config
 from dynamech.environments import ArmState, DomainError
 from dynamech.rng import substream
 from dynamech.virtual import VirtualTransform, affine_coefficients
 
 from conftest import constant_arm_env, two_state_env
+from oracles import loop_transition
 
 
 def _identity_transform(n_rho: int = 1) -> VirtualTransform:
@@ -137,6 +141,21 @@ def test_bisection_agrees_with_exact_largest_index_method(seed):
                 assert idx == pytest.approx(exact[s], abs=2e-9)
 
 
+def _chain_arm(rewards: np.ndarray, p: np.ndarray, delta: float) -> gittins.CompiledArm:
+    """Arm of a chain given as a dense transition matrix, built from
+    the matrix's CSR arrays."""
+    t = sp.csr_matrix(p)
+    return gittins.CompiledArm(
+        rewards=rewards,
+        indptr=t.indptr,
+        indices=t.indices,
+        probs=t.data,
+        delta=delta,
+        n_e=len(rewards),
+        n_rho=1,
+    )
+
+
 def _random_arm(seed: int, max_states: int = 40) -> gittins.CompiledArm:
     """Random chain with sparse rows, a few self-loops and a delta in
     [0.5, 0.98)."""
@@ -147,9 +166,7 @@ def _random_arm(seed: int, max_states: int = 40) -> gittins.CompiledArm:
     p /= p.sum(axis=1, keepdims=True)
     rewards = gen.random(n) - 0.3
     delta = 0.5 + 0.48 * float(gen.random())
-    return gittins.CompiledArm(
-        rewards=rewards, transition=sp.csr_matrix(p), delta=delta, n_e=n, n_rho=1
-    )
+    return _chain_arm(rewards, p, delta)
 
 
 @settings(max_examples=40, deadline=None)
@@ -188,9 +205,7 @@ def test_sweep_constant_reachable_rewards_are_bit_exact(reward):
         ]
     )
     rewards = np.array([reward, reward, reward, reward + 0.9, reward - 0.4])
-    arm = gittins.CompiledArm(
-        rewards=rewards, transition=sp.csr_matrix(p), delta=0.93, n_e=5, n_rho=1
-    )
+    arm = _chain_arm(rewards, p, 0.93)
     got = gittins.index_of_states(arm, np.arange(5), tol=1e-9)
     assert np.all(got[:3] == reward)
     want = gittins.vwb_indices(rewards, p, 0.93)
@@ -482,12 +497,72 @@ def test_whittle_value_matches_joint_optimum(seed, k, tie_within, tie_across):
         rewards = gen.uniform(-1.0, 1.0, n)
         if tie_within and n >= 2:
             p[1], rewards[1] = p[0], rewards[0]  # states 0 and 1 share one index
-        arms.append(
-            gittins.CompiledArm(
-                rewards=rewards, transition=sp.csr_matrix(p), delta=delta, n_e=n, n_rho=1
-            )
-        )
+        arms.append(_chain_arm(rewards, p, delta))
     opt = gittins.joint_optimal_value(arms, delta, tol=1e-12).reshape([a.n for a in arms])
     hits = [gittins.hit_discounts(a)[1:] for a in arms]
     worst = max(abs(_whittle_w(hits, s, delta) - opt[s]) for s in np.ndindex(opt.shape))
     assert worst <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The sweep's block update and the vectorised transition arrays
+# ---------------------------------------------------------------------------
+
+
+def _full_update_sweep(arm: gittins.CompiledArm):
+    """``_sweep_indices`` with hits, folding each retired state into the
+    whole work matrix instead of the block of nonzero rows and columns."""
+    n = arm.n
+    w = np.zeros((n, n + 2))
+    w[:, :n] = arm.transition.toarray() * arm.delta
+    w[:, n] = arm.rewards
+    w[:, n + 1] = 1.0
+    out, order, hits = np.empty(n), np.empty(n, dtype=int), np.empty((n, n))
+    retired = np.zeros(n, dtype=bool)
+    for k in range(n):
+        ratio = w[:, n] / w[:, n + 1]
+        ratio[retired] = -np.inf
+        a = int(np.argmax(ratio))
+        out[a], retired[a], order[k] = ratio[a], True, a
+        w += np.outer(w[:, a], (1.0 / (1.0 - w[a, a])) * w[a])
+        w[:, a] = 0.0
+        hits[k] = w[:, n + 1]
+    lo, hi = gittins._reward_range(arm)
+    return np.clip(out, lo, hi), order, hits
+
+
+def _assert_block_update_drops_nothing(arm: gittins.CompiledArm) -> None:
+    got = gittins._sweep_indices(arm, record_hits=True)
+    want = _full_update_sweep(arm)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_block_update_equals_full_update_on_random_chains(seed):
+    _assert_block_update_drops_nothing(_random_arm(seed))
+
+
+def test_block_update_equals_full_update_on_cap5_arm(sponsored2):
+    agent = sponsored2.agents[0]
+    _assert_block_update_drops_nothing(gittins.compile_reward_arm(agent, agent.value.b, sponsored2.delta))
+
+
+def _shipped_agents():
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    yield envs.sponsored_search(k=1, cap=5, delta=0.8).agents[0]
+    yield envs.ar1(k=1, coeff=0.5, shock=np.array([[0.2]]), delta=0.8, grid_step=0.1, alloc_cap=6).agents[0]
+    for name in ("posted_price", "exponential_control"):
+        yield build_environment(parse_config(configs / f"{name}.cfg")).agents[0]
+
+
+def test_transition_arrays_equal_the_per_entry_build():
+    for agent in _shipped_agents():
+        want = loop_transition(agent)
+        indptr, indices, probs = agent.transition
+        assert np.array_equal(indptr, want.indptr)
+        assert np.array_equal(indices, want.indices)
+        assert np.array_equal(probs, want.data)  # bit for bit
+        arm = gittins.compile_reward_arm(agent, agent.value.b, 0.8)
+        assert arm.indptr is indptr  # every compile shares the agent's arrays

@@ -1,3 +1,6 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -220,6 +223,23 @@ def test_index_table_and_prices_share_one_sweep(monkeypatch):
     others = [(1, rt.transform(1, 0.9), 0.9), (2, rt.transform(2, 0.7), 0.7)]
     assert rt.w_minus(others, [0, 0]) > 0.0  # replicated agent models: the same base arm
     assert len(calls) == 1
+
+
+def test_additive_key_is_swept_once_for_index_and_prices(monkeypatch):
+    # an additive agent's index table and hit discounts come from one
+    # sweep per (report, theta); fee-walk probe tables record no hits
+    env = _ar1_env(2)
+    rt = mech.MechanismRuntime(env)
+    calls = []
+    sweep = gittins._sweep_indices
+    monkeypatch.setattr(
+        gittins, "_sweep_indices", lambda arm, record_hits=False: calls.append(record_hits) or sweep(arm, record_hits)
+    )
+    tr = mech.run_episode(env, [mech.Truthful()] * 2, seed=3, theta=[0.9, 0.8], runtime=rt, fee_mode="skip")
+    assert {r.winner for r in tr.rounds} >= {1, 2}  # both agents win, so each prices the other
+    assert calls == [True, True]
+    rt.build_table(0, rt.transform(0, 0.9), 0.85)
+    assert calls == [True, True, False]
 
 
 @pytest.mark.parametrize("which", ["sponsored", "ar1"])
@@ -468,3 +488,92 @@ def test_sampled_types_when_theta_omitted(posted_price, posted_price_runtime):
         runtime=posted_price_runtime, fee_mode="skip",
     )
     assert c.theta != a.theta
+
+
+# ---------------------------------------------------------------------------
+# The in-tree Brent root finder against scipy's
+# ---------------------------------------------------------------------------
+
+
+def test_brent_port_equals_scipy_on_fee_walk_calls(tmp_path, monkeypatch):
+    from scipy.optimize import brentq
+
+    from dynamech.cli import main
+
+    calls = []
+    port = mech._brentq
+
+    def recording(f, xa, xb, **tols):
+        z = port(f, xa, xb, **tols)
+        calls.append((f, xa, xb, tols, z))
+        return z
+
+    monkeypatch.setattr(mech, "_brentq", recording)
+    config = Path(__file__).resolve().parents[1] / "configs" / "sponsored_search_2.cfg"
+    # seed 203 draws both agents above the dormancy threshold, so both pay fees
+    assert main(["--config", str(config), "--out", str(tmp_path), "--seed", "203", "simulate"]) == 0
+    assert len(calls) > 100
+    for f, xa, xb, tols, z in calls:
+        assert brentq(f, xa, xb, **tols) == z  # bit for bit
+
+
+def _bracketed(gen):
+    """A random function with one sign change at r, a bracket around r
+    and root-finding tolerances."""
+    r = float(gen.uniform(-2.0, 2.0))
+    c, p = float(gen.uniform(0.1, 10.0)), float(gen.uniform(0.2, 4.0))
+    family = int(gen.integers(0, 5))
+    if family == 0:
+        f = lambda x: c * (x - r) + (x - r) ** 3
+    elif family == 1:
+        f = lambda x: math.exp(c * x) - math.exp(c * r)
+    elif family == 2:
+        f = lambda x: math.copysign(abs(x - r) ** p, x - r)
+    elif family == 3:
+        f = lambda x: math.tanh(c * (x - r)) + 0.3 * math.sin(5.0 * (x - r)) / c
+    else:
+        f = lambda x: 1.0 if x >= r else -c  # a jump: bisection steps only
+    xa, xb = r - float(gen.exponential(1.0)), r + float(gen.exponential(1.0))
+    if gen.random() < 0.5:
+        xa, xb = xb, xa
+    xtol = float(10.0 ** gen.uniform(-15.0, -4.0))
+    rtol = mech._ROOT_RTOL * float(10.0 ** gen.uniform(0.0, 6.0))
+    return f, xa, xb, xtol, rtol
+
+
+def _outcome(solver, f, xa, xb, xtol, rtol):
+    """The root, or the type of the error raised."""
+    try:
+        return solver(f, xa, xb, xtol=xtol, rtol=rtol)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+def test_brent_port_equals_scipy_on_random_brackets():
+    from scipy.optimize import brentq
+
+    gen = np.random.default_rng(20260)
+    outcomes = []
+    for _ in range(3000):
+        case = _bracketed(gen)
+        outcomes.append(_outcome(mech._brentq, *case))
+        assert outcomes[-1] == _outcome(brentq, *case)  # bit for bit, or both fail
+    assert sum(isinstance(z, float) for z in outcomes) > 2800
+
+
+def test_brent_port_raises_like_scipy():
+    from scipy.optimize import brentq
+
+    nan_inside = lambda x: x - 0.5 if x in (0.0, 1.0) else math.nan
+    step = lambda x: 1.0 if x >= 0.0 else -1.0  # ~1,000 halvings from 1e300 to xtol
+    cases = [
+        (lambda x: x * x + 1.0, -1.0, 1.0, ValueError, "different signs"),
+        (nan_inside, 0.0, 1.0, ValueError, "NaN"),
+        (lambda x: math.nan, 0.0, 1.0, ValueError, "NaN"),
+        (step, -1e300, 1e300, RuntimeError, "did not converge"),
+    ]
+    for f, xa, xb, error, message in cases:
+        with pytest.raises(error, match=message):
+            mech._brentq(f, xa, xb, xtol=1e-15, rtol=mech._ROOT_RTOL)
+        with pytest.raises(error):
+            brentq(f, xa, xb, xtol=1e-15, rtol=mech._ROOT_RTOL)

@@ -16,6 +16,7 @@ alpha is always safe.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -161,14 +162,26 @@ class _Trajectories:
     allocates past its end, through ``ExperienceStreams.draw_pair`` and
     ``sample_transition``; an agent that is never allocated draws
     nothing.
+
+    The truthful others' levels against one agent (``_Levels``) live here
+    too, one sequence per opponent key (``_Opponents.key``), so they
+    leave the runtime with the address.
     """
 
-    __slots__ = ("_agents", "_streams", "states")
+    __slots__ = ("_agents", "_streams", "states", "_levels")
 
     def __init__(self, env: Environment, streams: ExperienceStreams):
         self._agents = env.agents
         self._streams = streams.replay()
         self.states: list[list[int]] = [[0] for _ in env.agents]
+        self._levels: dict[tuple, _Levels] = {}
+
+    def levels(self, opponents: _Opponents) -> _Levels:
+        """The levels ``opponents`` present on this path, from their start."""
+        out = self._levels.get(opponents.key)
+        if out is None:
+            out = self._levels[opponents.key] = _Levels(opponents)
+        return out
 
     def extend(self, i: int) -> None:
         """Draw agent i's next move."""
@@ -197,7 +210,9 @@ class MechanismRuntime:
     ``(master_seed, purpose, path_id)``, the ``_TRAJECTORY_PATHS`` most
     recently used ones, so every run on an address (the audits' cells,
     the fee walk's pieces, the fees of different reports) samples each
-    move once.
+    move once; the truthful others' levels on an address are cached with
+    its trajectories.  Dormancy thresholds are cached per agent
+    (``threshold``).
     """
 
     def __init__(self, env: Environment, *, index_tol: float = 1e-9):
@@ -208,6 +223,7 @@ class MechanismRuntime:
         self._hits: dict[tuple[int, float, float], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._bases: dict[int, tuple[np.ndarray, np.ndarray | None, np.ndarray | None]] = {}
         self._paths: dict[tuple[int, str, int], _Trajectories] = {}
+        self._thresholds: dict[int, float] = {}
         self._n_rho = [agent.public.n for agent in env.agents]
         self._scale_bound = []
         for agent in env.agents:
@@ -224,6 +240,13 @@ class MechanismRuntime:
         if key not in self._transforms:
             self._transforms[key] = transform_or_dormant(self.env, agent_id, report)
         return self._transforms[key]
+
+    def threshold(self, agent_id: int) -> float:
+        """``virtual.dormancy_threshold`` of the agent, computed once."""
+        out = self._thresholds.get(agent_id)
+        if out is None:
+            out = self._thresholds[agent_id] = dormancy_threshold(self.env, agent_id)
+        return out
 
     def trajectories(self, streams: ExperienceStreams) -> _Trajectories:
         """The trajectories at ``streams``' address, from their start."""
@@ -640,6 +663,195 @@ def _deriv_flat(env: Environment, agent_id: int, theta: float) -> np.ndarray:
     return np.broadcast_to(da_row[None, :], val.b.shape).reshape(-1).copy()
 
 
+@functools.lru_cache(maxsize=64)
+def _discounts(delta: float, horizon: int) -> tuple[float, ...]:
+    """delta^(t-1) for t = 1..horizon, by the engine's running product."""
+    out = []
+    disc = 1.0
+    for _ in range(horizon):
+        out.append(disc)
+        disc *= delta
+    return tuple(out)
+
+
+class _Opponents(NamedTuple):
+    """Agent i's active opponents, truthful at their types, as every
+    one-deviator run and fee walk of agent i sees them."""
+
+    key: tuple  # ((j, pegged report, theta_j), ...): their levels' cache key on a path
+    agents: list[int]
+    arms: list[tuple[int, VirtualTransform, float]]  # ``w_minus``'s arms
+    tables: list[list[float]]  # index tables at their types
+
+
+def _opponents(runtime: MechanismRuntime, transforms, theta, i: int) -> _Opponents:
+    arms = [(j, transforms[j], float(theta[j])) for j in sorted(transforms) if j != i]
+    return _Opponents(
+        tuple((j, tr.pegged_report, th) for j, tr, th in arms),
+        [j for j, _, _ in arms],
+        arms,
+        [runtime.index_flat(j, tr, th).tolist() for j, tr, th in arms],
+    )
+
+
+class _Levels:
+    """The truthful others' side of one path, by how many rounds they
+    have won among them.  After m such rounds ``values[m]`` is the best
+    index they present (0.0 once the zero arm beats them all, the last
+    entry then), ``holders[m]`` the id of the agent presenting it (the
+    lowest id among equals; -1 for the zero arm) and ``states[m]`` their
+    flat states.  The others are truthful, so the sequence is the same
+    whatever agent i does: it is cached on the path's ``_Trajectories``
+    under the others' key and read by every strategy of i, every report
+    of its fee, every point of its rent walk and every audit grid point
+    at the same opponent profile.  It grows as merges read past its end
+    (``grow``).  ``w_memo[m]`` holds the others' W at ``states[m]``
+    once a merge has priced a win at level m.
+    """
+
+    __slots__ = ("_opponents", "_pos", "_last", "values", "holders", "states", "w_memo")
+
+    def __init__(self, opponents: _Opponents):
+        self._opponents = opponents
+        self._pos = [0] * len(opponents.agents)
+        self._last = -1  # slot that won at the last level
+        self.values: list[float] = []
+        self.holders: list[int] = []
+        self.states: list[list[int]] = []
+        self.w_memo: dict[int, float] = {}
+
+    def grow(self, paths: _Trajectories) -> float:
+        """The next level: the last level's winner moves on, then the
+        others are allocated among themselves once more."""
+        traj = paths.states
+        agents = self._opponents.agents
+        last = self._last
+        if last >= 0:
+            agent = agents[last]
+            n = self._pos[last] = self._pos[last] + 1
+            if n == len(traj[agent]):
+                paths.extend(agent)
+        states = [traj[a][n] for a, n in zip(agents, self._pos)]
+        vals = [tab[s] for tab, s in zip(self._opponents.tables, states)]
+        w = allocate(vals)
+        self._last = w - 1
+        level = vals[w - 1] if w > 0 else 0.0
+        self.values.append(level)
+        self.holders.append(agents[w - 1] if w > 0 else -1)
+        self.states.append(states)
+        return level
+
+
+class _Run(NamedTuple):
+    """Agent i's side of one path."""
+
+    value: float  # discounted value of the rounds it wins
+    price: float  # discounted per-round payments (0 without track_prices)
+    times: list[int]  # the rounds it wins
+
+
+class _Deviator:
+    """Agent i playing ``strategy`` against truthful others, one coupled
+    path at a time: the episode engine's rounds, seen from agent i.
+
+    The others' levels on the path (``_Levels``) do not depend on what i
+    does, so a run is one merge of i's trajectory against them.  At each
+    round i presents its index: its table at its state when truthful,
+    else through its report of the round (the table at the reported
+    type, at the reported experience and true public state).  Agent i
+    wins iff that index b is positive and either b > level or b == level
+    with i below the level's holder, which is ``allocate``'s rule; on a
+    win i moves on, on a loss to a positive level the others' winner
+    does (the next level), and a zero-arm round moves nothing.  A
+    truthful i then repeats that round forever, so the merge stops; a
+    strategic one may report differently later and plays on.
+
+    A win at level m is priced ((1 - delta) W(others at states[m]) -
+    beta[rho_i]) / alpha, ``per_round_price``'s formula, with W memoized
+    per (path, m) on the levels.  Values and prices are summed in round
+    order with the engine's running discount, so a run gives agent i's
+    ``_run_rounds`` value, payments and win times bit for bit.
+    """
+
+    def __init__(
+        self, env, runtime, transforms, theta, i: int, strategy, horizon: int, *,
+        track_prices: bool = True,
+    ):
+        self.runtime = runtime
+        self.i = i
+        self.theta = float(theta[i])
+        self.theta_bar = env.agents[i].distribution.theta_bar
+        self.strategy = strategy
+        self.truthful = isinstance(strategy, Truthful)
+        self.track_prices = track_prices
+        self.transform = transforms.get(i)
+        self.opponents = _opponents(runtime, transforms, theta, i)
+        self.discs = _discounts(env.delta, horizon)
+        self.n_rho = runtime._n_rho[i]
+        self.w_weight = 1.0 - env.delta
+        self.tables: dict[float, list[float]] = {}
+        if self.transform is not None:
+            self.values = _value_flat(env, i, self.theta).tolist()
+            self.beta = self.transform.beta.tolist()
+
+    def _table(self, theta_hat: float) -> list[float]:
+        table = self.tables.get(theta_hat)
+        if table is None:
+            table = self.runtime.index_flat(self.i, self.transform, theta_hat).tolist()
+            self.tables[theta_hat] = table
+        return table
+
+    def run(self, streams: ExperienceStreams) -> _Run:
+        """Agent i's value, payments and win times on ``streams``' address."""
+        times: list[int] = []
+        if self.transform is None:  # dormant at its period-0 report: never allocated
+            return _Run(0.0, 0.0, times)
+        i, n_rho, runtime, values = self.i, self.n_rho, self.runtime, self.values
+        paths = runtime.trajectories(streams)
+        levels = paths.levels(self.opponents)
+        seen, holders, w_memo = levels.values, levels.holders, levels.w_memo
+        arms = self.opponents.arms
+        traj = paths.states[i]
+        truthful, report, theta, theta_bar = (
+            self.truthful, self.strategy.report, self.theta, self.theta_bar
+        )
+        alpha, beta, weight, tables = self.transform.alpha, self.beta, self.w_weight, self.tables
+        track_prices = self.track_prices
+        value = price = 0.0
+        n = m = 0
+        s = traj[0]
+        if truthful:
+            table = self._table(theta)
+            b = table[s]
+        for t, disc in enumerate(self.discs, 1):
+            if not truthful:
+                rep = report(t, theta, s // n_rho, theta_bar)
+                table = tables.get(rep.theta_hat)
+                if table is None:
+                    table = self._table(rep.theta_hat)
+                b = table[rep.e_hat * n_rho + s % n_rho]
+            level = seen[m] if m < len(seen) else levels.grow(paths)
+            if b > 0.0 and (b > level or (b == level and i < holders[m])):
+                value += disc * values[s]
+                if track_prices:
+                    w = w_memo.get(m)
+                    if w is None:
+                        w = w_memo[m] = runtime.w_minus(arms, levels.states[m])
+                    price += disc * ((weight * w - beta[s % n_rho]) / alpha)
+                times.append(t)
+                n += 1
+                if n == len(traj):
+                    paths.extend(i)
+                s = traj[n]
+                if truthful:
+                    b = table[s]
+            elif level > 0.0:
+                m += 1
+            elif truthful:
+                break  # the zero arm takes this round and, with nothing moving, every later one
+        return _Run(value, price, times)
+
+
 # ---------------------------------------------------------------------------
 # Entry fees
 # ---------------------------------------------------------------------------
@@ -660,7 +872,7 @@ class FeeQuadData:
     pieces[j]: the walk's merges on path j, one per constant piece of
     the integrand on scale-homogeneous arms (plus the bisection probes
     on other arms), each O(horizon) over the path's trajectories; the
-    path's one value run (``_run_rounds``) comes on top.
+    path's one value run (a truthful ``_Deviator`` merge) comes on top.
     """
 
     lower: float
@@ -752,42 +964,6 @@ def _scale_at(z: float, env: Environment, i: int) -> float:
     return 0.0 if tr is None else tr.alpha * env.agents[i].value.a(z)
 
 
-class _Levels:
-    """The best index the other agents present on one path, by how many
-    rounds they have won among them: ``values[m]`` after m such rounds,
-    0.0 once the zero arm beats them all (the last entry then).  The
-    others are truthful, so the sequence is the same at every z of agent
-    i's walk; it grows as the walk's merges read past its end (``grow``).
-    """
-
-    __slots__ = ("_paths", "_agents", "_tables", "_pos", "_last", "values")
-
-    def __init__(self, paths: _Trajectories, agents: list[int], tables: list[list[float]]):
-        self._paths = paths
-        self._agents = agents
-        self._tables = tables
-        self._pos = [0] * len(agents)
-        self._last = -1  # slot that won at the last level
-        self.values: list[float] = []
-
-    def grow(self) -> float:
-        """The next level: the last level's winner moves on, then the
-        others are allocated among themselves once more."""
-        states = self._paths.states
-        last = self._last
-        if last >= 0:
-            agent = self._agents[last]
-            n = self._pos[last] = self._pos[last] + 1
-            if n == len(states[agent]):
-                self._paths.extend(agent)
-        vals = [tab[states[a][n]] for a, tab, n in zip(self._agents, self._tables, self._pos)]
-        w = allocate(vals)
-        self._last = w - 1
-        level = vals[w - 1] if w > 0 else 0.0
-        self.values.append(level)
-        return level
-
-
 class _Piece(NamedTuple):
     """Agent i's side of a path at one point of the walk."""
 
@@ -812,10 +988,13 @@ class _RentWalk:
     ``audit_monotone_allocation`` audits.
 
     Nothing is replayed.  The others are truthful, so the levels they
-    present form one sequence per path (``_Levels``) whatever i does,
-    and agent i takes a round iff its index beats the current level;
-    ties go against it (they happen at isolated z, and losing them makes
-    each merge the path of the open piece just below its z).  One
+    present form one sequence per path (``_Levels``) whatever i does; it
+    is the cached sequence the path's value run and every audit run of
+    agent i against the same opponents read.  Agent i takes a round iff
+    its index beats the current level; ties go against it, whatever the
+    holder's id (they happen at isolated z, and losing them makes each
+    merge the path of the open piece just below its z; the value run,
+    at the report itself, keeps ``allocate``'s tie rule).  One
     O(horizon) merge of i's trajectory against the levels (``_merge``)
     gives a piece's win times, rent sums and critical scale; the path
     costs one value run plus one merge per piece.
@@ -848,15 +1027,8 @@ class _RentWalk:
         self.theta = list(theta_hat)
         self.hi = self.theta[i]
         self.lo = min(lo, self.hi)
-        self.others = sorted(j for j in transforms if j != i)
-        self.other_tables = [
-            runtime.index_flat(j, transforms[j], self.theta[j]).tolist() for j in self.others
-        ]
-        self.discs = []  # delta^(t-1) for t = 1..horizon, by the engine's running product
-        disc = 1.0
-        for _ in range(horizon):
-            self.discs.append(disc)
-            disc *= env.delta
+        self.opponents = _opponents(runtime, transforms, self.theta, i)
+        self.discs = _discounts(env.delta, horizon)
         agent = env.agents[i]
         self.n_rho = agent.public.n
         self.value = agent.value
@@ -899,7 +1071,7 @@ class _RentWalk:
         s = traj[0]
         b = table[s]
         for t, disc in enumerate(self.discs, 1):
-            level = seen[m] if m < len(seen) else levels.grow()
+            level = seen[m] if m < len(seen) else levels.grow(paths)
             if scale is None:
                 win = b > level
             else:
@@ -924,7 +1096,7 @@ class _RentWalk:
     def integrate(self, streams: ExperienceStreams) -> tuple[float, float, int]:
         """(integral, error bound, pieces) on the path at ``streams``' address."""
         paths = self.runtime.trajectories(streams)
-        levels = _Levels(paths, self.others, self.other_tables)
+        levels = paths.levels(self.opponents)
         if self.scale_hi is not None:
             return self._scale_walk(paths, levels)
         return self._bisect_walk(paths, levels)
@@ -1025,12 +1197,13 @@ def fee_quadrature(
 ) -> FeeQuadData:
     """One coupled Monte Carlo pass behind the period-0 charge.
 
-    Per path: one truthful run at the reports for agent i's value and
-    payments, then ``_RentWalk``'s exact information-rent integral over
-    [dormancy threshold, report]; below the threshold the integrand is
-    zero (a dormant agent is never allocated).  The walk merges agent
-    i's trajectory against the others' levels once per constant piece
-    of the integrand and needs allocation to be monotone in the report.
+    Per path: one truthful ``_Deviator`` merge at the reports for agent
+    i's value and payments, then ``_RentWalk``'s exact information-rent
+    integral over [dormancy threshold, report]; below the threshold the
+    integrand is zero (a dormant agent is never allocated).  The walk
+    merges agent i's trajectory against the others' levels once per
+    constant piece of the integrand and needs allocation to be monotone
+    in the report.
     ``nodes`` is accepted for call compatibility and unused: no
     quadrature rule is involved.
     """
@@ -1038,20 +1211,16 @@ def fee_quadrature(
     if horizon is None:
         horizon = tail_horizon(env.delta, env.k, env.v_max)
     theta_hat = [float(x) for x in theta_hat]
-    lo = dormancy_threshold(env, i)
+    lo = runtime.threshold(i)
     values, payments, integral, error = (np.zeros(paths) for _ in range(4))
     pieces = np.zeros(paths, dtype=int)
     transforms = _active_transforms(env, runtime, theta_hat)
     if i in transforms:
         walk = _RentWalk(env, runtime, transforms, theta_hat, i, lo, horizon)
-        truthful = [Truthful()] * env.k
+        truthful = _Deviator(env, runtime, transforms, theta_hat, i, Truthful(), horizon)
         for j in range(paths):
             streams = ExperienceStreams(seed, path_offset + j, stream_purpose)
-            res = _run_rounds(
-                env, runtime, transforms, theta_hat, truthful, streams, horizon, track_prices=True
-            )
-            values[j] = res.values[i]
-            payments[j] = res.prices[i]
+            values[j], payments[j], _ = truthful.run(streams)
             integral[j], error[j], pieces[j] = walk.integrate(streams)
     return FeeQuadData(
         lower=lo,

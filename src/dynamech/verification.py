@@ -29,6 +29,7 @@ from .mechanism import (
     MisreportThetaAlways,
     Truthful,
     _active_transforms,
+    _Deviator,
     _mean_se,
     _run_rounds,
     fee_quadrature,
@@ -151,27 +152,29 @@ def _utility_paths(
     env: Environment,
     runtime: MechanismRuntime,
     theta,
-    strategies,
+    strategy,
     agent_id: int,
     seed: int,
     purpose: str,
     n_paths: int,
     horizon: int,
 ) -> np.ndarray:
-    """Per-path discounted (value - per-round payments) of one agent."""
+    """Per-path discounted (value - per-round payments) of one agent
+    playing ``strategy`` while every other agent is truthful: one
+    ``mechanism._Deviator`` merge per path against the others' levels,
+    which the runtime caches per path and opponent profile, so every
+    strategy and grid point of the agent reads the same sequence."""
     theta = [float(t) for t in theta]
-    theta_hat0 = [
-        strategies[i].report(0, theta[i], 0, env.agents[i].distribution.theta_bar).theta_hat
-        for i in range(env.k)
-    ]
+    theta_hat0 = list(theta)
+    theta_hat0[agent_id] = strategy.report(
+        0, theta[agent_id], 0, env.agents[agent_id].distribution.theta_bar
+    ).theta_hat
     transforms = _active_transforms(env, runtime, theta_hat0)
+    run = _Deviator(env, runtime, transforms, theta, agent_id, strategy, horizon)
     out = np.zeros(n_paths)
     for j in range(n_paths):
-        streams = ExperienceStreams(seed, j, purpose)
-        res = _run_rounds(
-            env, runtime, transforms, theta, strategies, streams, horizon, track_prices=True
-        )
-        out[j] = res.values[agent_id] - res.prices[agent_id]
+        res = run.run(ExperienceStreams(seed, j, purpose))
+        out[j] = res.value - res.price
     return out
 
 
@@ -253,7 +256,7 @@ def audit_envelope(
         u_zero, u_zero_se = 0.0, 0.0
     else:
         zero_core = _utility_paths(
-            env, runtime, theta0, [Truthful()] * env.k, agent_id, seed, "envelope0", paths, horizon
+            env, runtime, theta0, Truthful(), agent_id, seed, "envelope0", paths, horizon
         )
         p0z_paths = fee.fee_paths(agent_id, theta0)
         p0z, p0z_se = _mean_se(p0z_paths)
@@ -383,23 +386,14 @@ def audit_ic(
         devs = deviations if deviations is not None else default_deviations(env, i)
         for theta_i in pts:
             theta = _pinned_types(env, i, theta_i)
-            truthful = [Truthful()] * env.k
-            u_truth = _utility_paths(
-                env, runtime, theta, truthful, i, seed, "ic", paths, horizon
-            )
+            u_truth = _utility_paths(env, runtime, theta, Truthful(), i, seed, "ic", paths, horizon)
             fee_truth = fee.fee_paths(i, theta)
             for name, dev in devs:
-                strategies = list(truthful)
-                strategies[i] = dev
-                theta_hat0 = [
-                    strategies[j]
-                    .report(0, theta[j], 0, env.agents[j].distribution.theta_bar)
-                    .theta_hat
-                    for j in range(env.k)
-                ]
-                u_dev = _utility_paths(
-                    env, runtime, theta, strategies, i, seed, "ic", paths, horizon
-                )
+                theta_hat0 = list(theta)
+                theta_hat0[i] = dev.report(
+                    0, theta[i], 0, env.agents[i].distribution.theta_bar
+                ).theta_hat
+                u_dev = _utility_paths(env, runtime, theta, dev, i, seed, "ic", paths, horizon)
                 core = u_truth - u_dev
                 if tuple(theta_hat0) == tuple(theta):
                     fee_part = np.zeros_like(fee_truth)
@@ -466,9 +460,7 @@ def audit_ir(
         pts = grid if grid is not None else theta_grid(env, i)
         for theta_i in pts:
             theta = _pinned_types(env, i, theta_i)
-            core = _utility_paths(
-                env, runtime, theta, [Truthful()] * env.k, i, seed, "ir", paths, horizon
-            )
+            core = _utility_paths(env, runtime, theta, Truthful(), i, seed, "ir", paths, horizon)
             fee_p = fee.fee_paths(i, theta)
             core_mean, core_se = _mean_se(core)
             fee_mean, fee_se = _mean_se(fee_p)
@@ -530,7 +522,7 @@ def audit_monotone_allocation(
     passed = True
     for i in range(env.k):
         tb = env.agents[i].distribution.theta_bar
-        z = dormancy_threshold(env, i)
+        z = runtime.threshold(i)
         lo = min(z + 1e-6 * tb, tb)
         rs = sorted(set(np.linspace(lo, tb, r_points)) | ({z / 2} if z > 0 else set()))
         thetas = np.linspace(tb / theta_points, tb, theta_points)
@@ -597,11 +589,6 @@ def audit_monotone_allocation(
 # ---------------------------------------------------------------------------
 
 
-def _alloc_times(res, agent_id: int) -> list[int]:
-    """Rounds (from 1) at which ``agent_id`` won in a ``_run_rounds`` result."""
-    return [t for t, w in enumerate(res.winners, 1) if w == agent_id + 1]
-
-
 def audit_allocation_time_coupling(
     env: Environment,
     theta,
@@ -614,7 +601,9 @@ def audit_allocation_time_coupling(
     runtime: MechanismRuntime | None = None,
 ) -> AuditResult:
     """Under common experience streams, a higher period-0 report of one
-    agent makes each of its allocation times weakly earlier."""
+    agent makes each of its allocation times weakly earlier.  Both runs
+    are ``mechanism._Deviator`` merges against the same cached levels of
+    the truthful others."""
     runtime = runtime or MechanismRuntime(env)
     theta = [float(t) for t in theta]
     theta_prime = [float(t) for t in theta_prime]
@@ -626,38 +615,20 @@ def audit_allocation_time_coupling(
     if horizon is None:
         horizon = tail_horizon(env.delta, env.k, env.v_max, tail_eps)
     offset = theta_prime[agent_id] - theta[agent_id]
-    truthful = [Truthful()] * env.k
-    shaded = list(truthful)
-    shaded[agent_id] = MisreportTheta0(offset)
-    transforms_hi = _active_transforms(env, runtime, theta)
     th0_lo = list(theta)
     th0_lo[agent_id] = theta_prime[agent_id]
-    transforms_lo = _active_transforms(env, runtime, th0_lo)
+    runs = [
+        _Deviator(
+            env, runtime, _active_transforms(env, runtime, th0), theta, agent_id, strategy, horizon,
+            track_prices=False,
+        )
+        for th0, strategy in ((theta, Truthful()), (th0_lo, MisreportTheta0(offset)))
+    ]
     violations = 0
     checked = 0
     detail = ""
     for s in seeds:
-        res_hi = _run_rounds(
-            env,
-            runtime,
-            transforms_hi,
-            theta,
-            truthful,
-            ExperienceStreams(s, 0, "coupling"),
-            horizon,
-            track_prices=False,
-        )
-        res_lo = _run_rounds(
-            env,
-            runtime,
-            transforms_lo,
-            theta,
-            shaded,
-            ExperienceStreams(s, 0, "coupling"),
-            horizon,
-            track_prices=False,
-        )
-        hi_times, lo_times = _alloc_times(res_hi, agent_id), _alloc_times(res_lo, agent_id)
+        hi_times, lo_times = (run.run(ExperienceStreams(s, 0, "coupling")).times for run in runs)
         checked += 1
         ok = len(hi_times) >= len(lo_times) and all(
             hi_times[k] <= lo_times[k] for k in range(len(lo_times))

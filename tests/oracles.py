@@ -1,9 +1,10 @@
 """Oracles kept for tests: the exact value of an allocation policy over
 the product of the active arms' state spaces, next to the joint
 value-iteration optimum (the library prices by Whittle's retirement
-formula and never builds the joint space), and the per-entry loop that
+formula and never builds the joint space), the per-entry loop that
 built an agent's flat transition matrix before ``AgentModel.transition``
-built it vectorised.
+built it vectorised, and an agent's allocation times read off a
+``_run_rounds`` result's winners.
 """
 
 from __future__ import annotations
@@ -97,3 +98,8 @@ def loop_transition(agent: AgentModel) -> sp.csr_matrix:
                     cols.append(int(e2) * n_rho + int(r2))
                     vals.append(pe * g_row[r2])
     return sp.csr_matrix((vals, (rows, cols)), shape=(n_e * n_rho, n_e * n_rho))
+
+
+def alloc_times(res, agent_id: int) -> list[int]:
+    """Rounds (from 1) at which ``agent_id`` won in a ``_run_rounds`` result."""
+    return [t for t, w in enumerate(res.winners, 1) if w == agent_id + 1]

@@ -26,6 +26,7 @@ from dynamech.rng import substream
 from dynamech.virtual import VirtualTransform, affine_coefficients
 
 from conftest import constant_arm_env, posted_price_env, two_state_env
+from oracles import alloc_times
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -238,7 +239,7 @@ def test_criterion_09_allocation_time_coupling(sponsored2, sponsored2_runtime):
     )
     paired_zero = (
         res_a.winners == res_b.winners
-        and ver._alloc_times(res_a, 0) == ver._alloc_times(res_b, 0)
+        and alloc_times(res_a, 0) == alloc_times(res_b, 0)
         and (res_a.values[0] - res_a.prices[0]) - (res_b.values[0] - res_b.prices[0]) == 0.0
     )
     _report(

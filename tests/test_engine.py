@@ -1,6 +1,6 @@
-"""The trajectory-merge episode engine and fee walk against plain
-per-round references (``engine_reference``), and the runtime's bounded
-trajectory cache."""
+"""The trajectory-merge episode engine, the one-deviator merge and the
+fee walk against plain per-round references (``engine_reference``), and
+the runtime's bounded trajectory cache with the levels it carries."""
 
 from collections import deque
 
@@ -43,6 +43,7 @@ def _strategy(kind: int, offset: float, round_t: int, n_e: int):
         mech.MisreportThetaAlways(offset),
         mech.CorrectingDeviation(offset, round_t),
         mech.MisreportExperience(round_t, (round_t * 7) % n_e),
+        mech.MisreportTheta0(offset),
     )[kind]
 
 
@@ -215,6 +216,153 @@ def test_trajectory_cache_stays_within_its_cap(sponsored_small):
         assert len(rt._paths) <= cap
     assert len(rt._paths) == cap
     assert (7, "bounded", 0) not in rt._paths  # the least recently used went first
+    fresh = mech.MechanismRuntime(env)
+    for j in (0, 1, cap // 2, cap + 39):
+        assert run(fresh, j) == filled[j] == run(rt, j)
+
+
+# ---------------------------------------------------------------------------
+# One deviator against truthful others
+# ---------------------------------------------------------------------------
+
+
+def _transforms(env, runtime, theta, i, strategy):
+    theta_hat0 = list(theta)
+    theta_hat0[i] = strategy.report(0, theta[i], 0, env.agents[i].distribution.theta_bar).theta_hat
+    return mech._active_transforms(env, runtime, theta_hat0)
+
+
+def _deviator_and_reference(env, runtime, theta, i, strategy, streams, horizon):
+    """Agent i's (value, price, win times) from the deviator merge and from
+    the per-round reference with every other agent truthful."""
+    transforms = _transforms(env, runtime, theta, i, strategy)
+    got = mech._Deviator(env, runtime, transforms, theta, i, strategy, horizon).run(streams)
+    strategies = [mech.Truthful()] * env.k
+    strategies[i] = strategy
+    want = ref.reference_run_rounds(
+        env, runtime, transforms, theta, strategies, streams.replay(), horizon
+    )
+    times = [t for t, w in enumerate(want.winners, 1) if w == i + 1]
+    return got, (want.values[i], want.prices[i], times), want.winners
+
+
+def _assert_run(got, want):
+    assert got.value == want[0]
+    assert got.price == want[1]
+    assert got.times == want[2]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    world=st.sampled_from(["sponsored", "multiplicative", "additive"]),
+    chain_seed=st.integers(0, 10_000),
+    k=st.integers(1, 3),
+    agent=st.integers(0, 2),
+    kind=st.integers(0, 4),
+    offset=st.sampled_from([-0.25, -0.05, 0.1]),
+    round_t=st.integers(1, 4),
+    thetas=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+    tie=st.booleans(),
+    path=st.integers(0, 3),
+)
+def test_deviator_matches_per_round_reference(
+    sponsored_small, sponsored_small_runtime, world, chain_seed, k, agent, kind, offset, round_t,
+    thetas, tie, path,
+):
+    if world == "sponsored":
+        env, rt, k = sponsored_small, sponsored_small_runtime, 2
+    else:
+        env = _random_chain(chain_seed, k, world == "additive")
+        rt = mech.MechanismRuntime(env)
+    i = agent % k
+    # identical arms at equal types tie at equal states, against lower and higher ids
+    theta = [float(thetas[0])] * k if tie else [float(x) for x in thetas[:k]]
+    streams = ExperienceStreams(chain_seed, path, "deviator-ref")
+    horizon = 30
+    # truthful first, then the deviation on the same (now cached) levels
+    for strategy in (mech.Truthful(), _strategy(kind, offset, round_t, env.agents[i].private.n)):
+        got, want, _ = _deviator_and_reference(env, rt, theta, i, strategy, streams, horizon)
+        _assert_run(got, want)
+
+
+def _posted_copies(k: int, c: float = 0.0) -> envs.Environment:
+    val = envs.MultiplicativeValue(a=lambda t: t, da=lambda t: 1.0, b=np.ones((1, 1)), c=np.array([c]))
+    return envs.finite_chain(0.5, k=k, g=[[1.0]], h=[[1.0]], value=val)
+
+
+@pytest.mark.parametrize("i", range(3))
+def test_deviator_ties_go_to_the_lower_id(i):
+    # three identical one-state arms at one type tie in every round, and
+    # allocate gives each round to agent 0
+    env = _posted_copies(3)
+    rt = mech.MechanismRuntime(env)
+    for strategy in (mech.Truthful(), mech.MisreportThetaAlways(0.0)):
+        got, want, winners = _deviator_and_reference(
+            env, rt, [0.8] * 3, i, strategy, ExperienceStreams(1, 0, "ties"), 12
+        )
+        assert winners == [1] * 12
+        _assert_run(got, want)
+        assert got.times == (list(range(1, 13)) if i == 0 else [])
+
+
+def test_deviator_plays_on_after_a_zero_arm_round_while_strategic():
+    # shaded to 0.6 the index alpha(0.6) * 0.6 - c is negative, so the zero
+    # arm takes rounds 1 and 2; corrected to 0.95 it is positive
+    for k in (1, 2):
+        env = _posted_copies(k, c=0.3)
+        rt = mech.MechanismRuntime(env)
+        theta = [0.95] + [0.1] * (k - 1)  # a second agent is a dormant opponent
+        got, want, winners = _deviator_and_reference(
+            env, rt, theta, 0, mech.CorrectingDeviation(-0.35, 3), ExperienceStreams(2, 0, "zero"), 8
+        )
+        assert winners == [0, 0] + [1] * 6
+        _assert_run(got, want)
+
+
+@pytest.mark.parametrize("world", ["sponsored5", "additive"])
+def test_fee_value_runs_match_per_round_reference(sponsored2, sponsored2_runtime, world):
+    if world == "sponsored5":
+        env, rt, theta = sponsored2, sponsored2_runtime, [0.9, 0.7]
+    else:
+        env = _random_chain(11, 2, additive=True)
+        rt = mech.MechanismRuntime(env)
+        theta = [0.85, 0.7]
+    horizon = tail_horizon(env.delta, env.k, env.v_max, 1e-3)
+    transforms = mech._active_transforms(env, rt, theta)
+    for i in range(env.k):
+        data = mech.fee_quadrature(env, theta, i, paths=6, seed=3, horizon=horizon, runtime=rt)
+        for j in range(6):
+            want = ref.reference_run_rounds(
+                env, rt, transforms, theta, [mech.Truthful()] * env.k,
+                ExperienceStreams(3, j, "fee"), horizon,
+            )
+            assert data.values[j] == want.values[i]
+            assert data.payments[j] == want.prices[i]
+
+
+def test_levels_leave_the_runtime_with_their_address(sponsored_small):
+    env = sponsored_small
+    cap = mech._TRAJECTORY_PATHS
+    theta = [0.9, 0.7]
+    horizon = 20
+    deviation = mech.MisreportThetaAlways(-0.05)
+
+    def run(rt, j):
+        streams = ExperienceStreams(7, j, "bounded")
+        return [
+            mech._Deviator(
+                env, rt, _transforms(env, rt, theta, i, deviation), theta, i, deviation, horizon
+            ).run(streams)
+            for i in range(2)
+        ]
+
+    rt = mech.MechanismRuntime(env)
+    filled = {j: run(rt, j) for j in range(cap + 40)}
+    assert len(rt._paths) == cap
+    # one opponent profile per deviating agent on every kept address
+    assert all(len(paths._levels) == 2 for paths in rt._paths.values())
+    assert (7, "bounded", 0) not in rt._paths  # the least recently used went, levels and all
+    assert not rt.trajectories(ExperienceStreams(7, 0, "bounded"))._levels
     fresh = mech.MechanismRuntime(env)
     for j in (0, 1, cap // 2, cap + 39):
         assert run(fresh, j) == filled[j] == run(rt, j)

@@ -145,24 +145,45 @@ def test_fee_walk_matches_dense_midpoint_sum(sponsored_small, sponsored_small_ru
 
 
 def test_fee_walk_costs_one_replay_per_piece(sponsored2, sponsored2_runtime, monkeypatch):
-    # scale-homogeneous arms: one value run per path and one merge per
-    # piece, no replays, breakpoints exact to float precision, and no
-    # probe tables cached
+    # scale-homogeneous arms: one value run (a truthful deviator merge)
+    # per path and one merge per piece, no replays, breakpoints exact to
+    # float precision, and no probe tables cached
     env, rt = sponsored2, sponsored2_runtime
     rt.index_flat(0, rt.transform(0, 0.9), 0.9)
     rt.index_flat(1, rt.transform(1, 0.7), 0.7)
     tables = dict(rt._tables)
-    calls = []
-    run_rounds = mech._run_rounds
+    calls, value_runs = [], []
+    run_rounds, run = mech._run_rounds, mech._Deviator.run
     monkeypatch.setattr(mech, "_run_rounds", lambda *a, **kw: calls.append(1) or run_rounds(*a, **kw))
+    monkeypatch.setattr(mech._Deviator, "run", lambda *a: value_runs.append(1) or run(*a))
     data = mech.fee_quadrature(env, [0.9, 0.7], 0, paths=6, seed=1, runtime=rt)
-    assert len(calls) == 6
+    assert len(value_runs) == 6 and not calls
     assert data.pieces.max() > 2  # the path crosses breakpoints
     assert data.quad_error() <= 1e-9
     assert rt._tables.keys() == tables.keys()
     posted = posted_price_env()
     one = mech.fee_quadrature(posted, [0.8], 0, paths=4, runtime=mech.MechanismRuntime(posted))
     assert list(one.pieces) == [1, 1, 1, 1] and one.quad_error() == 0.0
+
+
+def test_threshold_is_cached_per_agent_and_bit_exact(monkeypatch):
+    from dynamech import verification as ver
+
+    env = envs.sponsored_search(k=2, cap=2, delta=0.8)
+    posted = posted_price_env()
+    for e in (env, posted):
+        rt = mech.MechanismRuntime(e)
+        for i in range(e.k):
+            assert rt.threshold(i).hex() == dormancy_threshold(e, i).hex()
+    rt = mech.MechanismRuntime(env)
+    calls = []
+    threshold = mech.dormancy_threshold
+    monkeypatch.setattr(mech, "dormancy_threshold", lambda *a: calls.append(a[1]) or threshold(*a))
+    for i in range(env.k):
+        mech.fee_quadrature(env, [0.9, 0.7], i, paths=2, horizon=10, runtime=rt)
+        mech.fee_quadrature(env, [0.8, 0.8], i, paths=2, horizon=10, runtime=rt)
+    ver.audit_monotone_allocation(env, r_points=3, theta_points=2, runtime=rt)
+    assert sorted(calls) == [0, 1]  # once per agent for this runtime
 
 
 def test_fee_walk_fails_loudly_past_its_piece_bound(sponsored_small, sponsored_small_runtime):

@@ -7,7 +7,7 @@ from dynamech import verification as ver
 from dynamech.environments import DomainError
 
 from conftest import constant_arm_env
-from oracles import exact_dp_policy_value
+from oracles import alloc_times, exact_dp_policy_value
 
 
 @pytest.fixture(scope="module")
@@ -237,7 +237,7 @@ def test_coupling_equal_reports_identical_times(sponsored_small, sponsored_small
         env, rt, transforms, [0.9, 0.65], [Truthful()] * 2,
         ExperienceStreams(3, 0, "coupling"), 30, track_prices=False,
     )
-    assert ver._alloc_times(a, 0) == ver._alloc_times(b, 0)
+    assert alloc_times(a, 0) == alloc_times(b, 0)
     assert a.winners == b.winners
 
 

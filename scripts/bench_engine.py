@@ -17,8 +17,15 @@ tree goes first.  Recorded per tree:
   the same environment at types (0.9, 0.8), mean over 200 seeds;
 - ``posted_audit_ic_s``: ``audit_ic`` on the posted-price arm with 64
   paths and 32 fee paths (criterion 6's first half);
+- ``additive_fee_ms_per_path``: ``fee_quadrature`` on the additive
+  AR(1) environment of the ``ar1-bound`` benchmark (k=2, 35-state arms)
+  at reports (0.8, 0.7) for agent 0, per path, over 16 paths (the index
+  tables at the reports are built beforehand; the walk's tables at
+  other z are not);
 - ``draw_pair_calls``: ``ExperienceStreams.draw_pair`` calls made by
-  one operation of each kind above.
+  one operation of each kind above;
+- ``additive_table_builds_per_path``: ``MechanismRuntime.build_table``
+  calls of the additive fee call, per path.
 
 Times are medians over ``--repeats`` repetitions (each repetition's
 value is kept under ``runs``).  Every repetition runs the same
@@ -41,7 +48,9 @@ ROOT = Path(__file__).resolve().parents[1]
 FEE_PATHS = 16
 EPISODES = 200
 WARM_UP = 10**6  # stream seed of the untimed calls
-TIMES = ("fee_ms_per_path", "episode_ms", "posted_audit_ic_s")
+TIMES = ("fee_ms_per_path", "episode_ms", "posted_audit_ic_s", "additive_fee_ms_per_path")
+COUNTS = ("draw_pair_calls", "additive_table_builds_per_path")  # identical in every repetition
+AR1_PARAMS = {"k": 2, "coeff": 0.5, "shock": [[0.2]], "grid_step": 0.1, "alloc_cap": 6}
 
 
 def _measure() -> dict:
@@ -50,6 +59,7 @@ def _measure() -> dict:
 
     from dynamech import environments as envs
     from dynamech import verification as ver
+    from dynamech.config import build_environment, parse_config_text
     from dynamech.mechanism import MechanismRuntime, Truthful, fee_quadrature, run_episode
     from dynamech.rng import ExperienceStreams
 
@@ -94,15 +104,33 @@ def _measure() -> dict:
     audit_s, audit_draws = timed(
         lambda: ver.audit_ic(posted, seeds=(31,), paths=64, fee_paths=32, runtime=MechanismRuntime(posted))
     )
+    ar1 = build_environment(
+        parse_config_text(json.dumps({"environment": {"name": "ar1", "params": AR1_PARAMS}, "delta": 0.8}))
+    )
+    ar1_rt = MechanismRuntime(ar1)
+    fee_quadrature(ar1, [0.8, 0.7], 0, paths=1, seed=WARM_UP, runtime=ar1_rt)
+    builds = [0]
+    build_table = MechanismRuntime.build_table
+
+    def counted_build(self, *args):
+        builds[0] += 1
+        return build_table(self, *args)
+
+    MechanismRuntime.build_table = counted_build
+    additive_s, _ = timed(
+        lambda: fee_quadrature(ar1, [0.8, 0.7], 0, paths=FEE_PATHS, seed=1, runtime=ar1_rt)
+    )
     return {
         "fee_ms_per_path": 1e3 * fee_s / FEE_PATHS,
         "episode_ms": 1e3 * episode_s / EPISODES,
         "posted_audit_ic_s": audit_s,
+        "additive_fee_ms_per_path": 1e3 * additive_s / FEE_PATHS,
         "draw_pair_calls": {
             f"fee_quadrature ({FEE_PATHS} paths)": fee_draws,
             "run_episode (51 rounds)": episode_draws / EPISODES,
             "audit_ic (posted price)": audit_draws,
         },
+        "additive_table_builds_per_path": builds[0] / FEE_PATHS,
     }
 
 
@@ -132,7 +160,7 @@ def _run_tree(tree: Path) -> dict:
 
 def _summary(runs: list[dict]) -> dict:
     out = {key: statistics.median(r[key] for r in runs) for key in TIMES}
-    out["draw_pair_calls"] = runs[0]["draw_pair_calls"]  # identical in every repetition
+    out.update({key: runs[0][key] for key in COUNTS})
     out["runs"] = {key: [r[key] for r in runs] for key in TIMES}
     return out
 

@@ -1,20 +1,23 @@
 """Run configuration: file parsing, validation, environment construction.
 
-Config files are YAML (JSON is accepted since it is a YAML subset).
-Unknown keys are rejected by name; serialization round-trips losslessly
-through JSON, and the canonical dump's SHA-256 is embedded in every
-output file.
+Config files are JSON or YAML.  A text that parses as JSON is read as
+JSON, strictly: NaN and infinities are rejected, and exponents need no
+dot (``2e-1`` is a number, where YAML 1.1 reads a string).  Any other
+text is read as YAML, whose parser is imported only then.  Unknown keys
+are rejected by name; serialization round-trips losslessly through
+JSON, and the canonical dump's SHA-256 is embedded in every output
+file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import environments as envs
 
@@ -99,11 +102,33 @@ def _reject_unknown(mapping: dict, allowed, where: str) -> None:
             raise ConfigError(f"unknown key {key!r} in {where}")
 
 
-def parse_config_text(text: str) -> RunConfig:
+def _not_finite(token: str):
+    raise ConfigError(f"cannot parse config: {token} is not a finite number")
+
+
+def _finite_float(token: str) -> float:
+    x = float(token)
+    if not math.isfinite(x):
+        _not_finite(token)
+    return x
+
+
+def _load(text: str):
+    """The config text as JSON, or as YAML when it is not JSON."""
     try:
-        raw = yaml.safe_load(text)
+        return json.loads(text, parse_float=_finite_float, parse_constant=_not_finite)
+    except json.JSONDecodeError:
+        pass
+    import yaml  # only non-JSON configs pay for the YAML parser
+
+    try:
+        return yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
+
+
+def parse_config_text(text: str) -> RunConfig:
+    raw = _load(text)
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
     allowed = set(RunConfig.__dataclass_fields__)

@@ -869,10 +869,13 @@ class FeeQuadData:
     trajectories at every z and in the value run (the j-th allocation
     consumes the j-th draw everywhere).  Computed by ``_RentWalk``.
     error[j]: bound on integral[j]'s error from locating breakpoints.
-    pieces[j]: the walk's merges on path j, one per constant piece of
-    the integrand on scale-homogeneous arms (plus the bisection probes
-    on other arms), each O(horizon) over the path's trajectories; the
-    path's one value run (a truthful ``_Deviator`` merge) comes on top.
+    pieces[j]: the walk's merges on path j, each O(horizon) over the
+    path's trajectories, plus its root-finder's margin evaluations (an
+    index table at z and a lookup per won round each): one merge per
+    constant piece of the integrand on scale-homogeneous arms; on other
+    arms, per breakpoint, the evaluations and two merges (see
+    ``_RentWalk``).  The path's one value run (a truthful ``_Deviator``
+    merge) comes on top.
     """
 
     lower: float
@@ -893,11 +896,12 @@ class FeeQuadData:
         return float(np.mean(self.error)) if len(self.error) else 0.0
 
 
-_BISECT_LEVELS = 40  # halvings of [lower, report] per breakpoint (non-homogeneous arms)
-_PROBE_TABLES = 4096  # index tables a walk keeps for bisection probes
+_BRACKET_LEVELS = 40  # breakpoints of non-homogeneous arms are bracketed to (report - lower) * 2**-40
+_PROBE_TABLES = 4096  # index tables a walk keeps for margin evaluations
 _ROOT_XTOL = 1e-15
 _ROOT_RTOL = 4.0 * float(np.finfo(float).eps)  # the smallest rtol _brentq accepts
 _ROOT_MAXITER = 100
+_TIE = math.ulp(0.0)  # a zero margin, moved to the losing side
 
 
 def _brentq(f, xa: float, xb: float, *, xtol: float, rtol: float) -> float:
@@ -925,6 +929,18 @@ def _brentq(f, xa: float, xb: float, *, xtol: float, rtol: float) -> float:
         return xcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
+    return _brent_steps(at, xpre, fpre, xcur, fcur, xtol, rtol)[0]
+
+
+def _brent_steps(
+    at, xpre: float, fpre: float, xcur: float, fcur: float, xtol: float, rtol: float
+) -> tuple[float, float, float, float]:
+    """``_brentq``'s iterations from the bracket [xpre, xcur], whose
+    values ``fpre``, ``fcur`` are nonzero and of opposite signs.  Returns
+    (x, f(x), y, f(y)): x is the best point, and on a stop by width f(y)
+    has the other sign and |y - x| < xtol + rtol * |x| (f(x) == 0 stops
+    at once).  rtol may be 0 here; then xtol must be at least twice the
+    spacing of floats in the bracket, so that every step moves."""
     xblk = fblk = spre = scur = 0.0
     for _ in range(_ROOT_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
@@ -936,7 +952,7 @@ def _brentq(f, xa: float, xb: float, *, xtol: float, rtol: float) -> float:
         tol = (xtol + rtol * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         if fcur == 0.0 or abs(sbis) < tol:
-            return xcur
+            return xcur, fcur, xblk, fblk
         step = None
         if abs(spre) > tol and abs(fcur) < abs(fpre):
             if xpre == xblk:  # secant
@@ -970,6 +986,8 @@ class _Piece(NamedTuple):
     sums: list[float]  # discounted rent weight per public state over its rounds
     times: list[int]  # the rounds it wins
     crit: float  # largest critical scale among them (scale walk)
+    states: list[int]  # i's flat state at each of them (table walk)
+    beaten: list[float]  # the level i beat at each of them (table walk)
 
 
 class _RentWalk:
@@ -1008,10 +1026,21 @@ class _RentWalk:
     runs at that scale.  No index table is built.  The error bound is
     the root's bracket times the jump.
 
-    Other arms bisect z between merges (on the index table at z) that
-    differ in i's win times, halving [threshold, report]
-    ``_BISECT_LEVELS`` times per breakpoint; the bracket width times the
-    jump bounds the error (one breakpoint per bracket).
+    Other arms merge on the index table at z (``_table_walk``).  A
+    piece's merge records, per round i won, its state s and the level it
+    beat; the margin F(z) = min over them of table_z[s] - level is
+    continuous and nondecreasing in z under the precondition, and the
+    piece ends where F reaches 0 (F <= 0 loses: ties go against i).
+    Brent's steps (``_brent_steps``) on F, one index table and a few
+    lookups each, bracket that point to [a, b] with F(a) <= 0 < F(b)
+    and b - a below (report - threshold) * 2**-``_BRACKET_LEVELS``; the
+    width times the jump bounds the error.  The merge at a gives the
+    next piece.  The merge at b, and at the threshold when F stays
+    positive there, must reproduce the piece's win times, else
+    RuntimeError: a broken monotonicity fails loudly.  A breakpoint
+    takes about 6 tables on the ``ar1-bound`` benchmark's AR(1) arms,
+    and at most ``_ROOT_MAXITER`` (Brent's rule bisects when
+    interpolation stalls; past that it raises RuntimeError).
 
     Each step lowers the walk's variable (the scale, or z) strictly, and
     a chain of win-time vectors that only move later has at most
@@ -1042,7 +1071,9 @@ class _RentWalk:
             self.base = runtime._base(i)[0].tolist()
             self.scale_lo = self._scale(self.lo)
         else:
-            self.tol = (self.hi - self.lo) * 2.0**-_BISECT_LEVELS
+            self.tol = (self.hi - self.lo) * 2.0**-_BRACKET_LEVELS
+            # Brent's smallest step is xtol / 2, which must move z
+            self.xtol = max(self.tol, 2.0 * math.ulp(self.hi))
             self.tables = {self.hi: runtime.index_flat(i, transforms[i], self.hi).tolist()}
 
     def _a(self, z: float) -> np.ndarray:
@@ -1066,6 +1097,7 @@ class _RentWalk:
         seen = levels.values
         sums = [0.0] * n_rho
         times: list[int] = []
+        beaten: list[float] = []
         crit = -math.inf
         n = m = 0
         s = traj[0]
@@ -1074,6 +1106,8 @@ class _RentWalk:
             level = seen[m] if m < len(seen) else levels.grow(paths)
             if scale is None:
                 win = b > level
+                if win:
+                    beaten.append(level)
             else:
                 c = level / b if b > 0.0 else math.inf
                 win = c < scale
@@ -1091,7 +1125,8 @@ class _RentWalk:
                 m += 1
             else:
                 break  # the zero arm takes this round and, with nothing moving, every later one
-        return _Piece(sums, times, crit)
+        # the j-th win is at the j-th state of the trajectory
+        return _Piece(sums, times, crit, traj[: len(beaten)], beaten)
 
     def integrate(self, streams: ExperienceStreams) -> tuple[float, float, int]:
         """(integral, error bound, pieces) on the path at ``streams``' address."""
@@ -1099,7 +1134,7 @@ class _RentWalk:
         levels = paths.levels(self.opponents)
         if self.scale_hi is not None:
             return self._scale_walk(paths, levels)
-        return self._bisect_walk(paths, levels)
+        return self._table_walk(paths, levels)
 
     def _too_many_pieces(self):
         return RuntimeError(
@@ -1142,40 +1177,61 @@ class _RentWalk:
             z_top, scale = z_bot, crit
         raise self._too_many_pieces()
 
-    def _at(self, z: float, paths: _Trajectories, levels: _Levels) -> _Piece:
+    def _table(self, z: float) -> list:
         table = self.tables.get(z)
         if table is None:
             tr = transform_or_dormant(self.env, self.i, z)
             table = self.runtime.build_table(self.i, tr, z).tolist()
             if len(self.tables) < _PROBE_TABLES:
                 self.tables[z] = table
-        return self._merge(paths, levels, table, None)
+        return table
 
-    def _bisect_walk(self, paths: _Trajectories, levels: _Levels) -> tuple[float, float, int]:
+    def _at(self, z: float, paths: _Trajectories, levels: _Levels) -> _Piece:
+        return self._merge(paths, levels, self._table(z), None)
+
+    def _margin(self, piece: _Piece, z: float) -> float:
+        """The piece's margin F(z), with F = 0 moved just below 0 (a tie
+        loses), so that Brent's steps see a strict sign change."""
+        table = self._table(z)
+        f = min([table[s] - level for s, level in zip(piece.states, piece.beaten)])
+        return f if f != 0.0 else -_TIE
+
+    def _reproduces(self, piece: _Piece, z: float, paths: _Trajectories, levels: _Levels) -> None:
+        if self._at(z, paths, levels).times != piece.times:
+            raise RuntimeError(
+                f"fee walk for agent {self.i}: the merge at z={z!r} does not reproduce its "
+                f"piece's win times although their margin is positive; allocation is not "
+                f"monotone in the report"
+            )
+
+    def _table_walk(self, paths: _Trajectories, levels: _Levels) -> tuple[float, float, int]:
         total = err = 0.0
         top = self._at(self.hi, paths, levels)
         z_top = c_top = self.hi  # merge point and integration bound of the piece
-        bottom = None
-        pieces = 1
+        pieces = 1  # merges and margin evaluations
         for _ in range(self.max_pieces):
             if not top.times:
                 return total, err, pieces
-            if bottom is None:
-                bottom = self._at(self.lo, paths, levels)
-                pieces += 1
             sums = np.array(top.sums)
-            if bottom.times == top.times:
+            f_lo = self._margin(top, self.lo)
+            pieces += 1
+            if f_lo > 0.0:  # the piece reaches the threshold
+                self._reproduces(top, self.lo, paths, levels)
                 total += float(sums @ (self._a(c_top) - self._a(self.lo)))
-                return total, err, pieces
-            a, b, below = self.lo, z_top, bottom
-            while b - a > self.tol:
-                mid = 0.5 * (a + b)
-                piece = self._at(mid, paths, levels)
-                pieces += 1
-                if piece.times == top.times:
-                    b = mid
-                else:
-                    a, below = mid, piece
+                return total, err, pieces + 1
+            evals = [0]
+
+            def margin(z: float) -> float:
+                evals[0] += 1
+                return self._margin(top, z)
+
+            x, fx, y, _ = _brent_steps(
+                margin, self.lo, f_lo, z_top, margin(z_top), self.xtol, 0.0
+            )
+            a, b = (x, y) if fx < 0.0 else (y, x)
+            below = self._at(a, paths, levels)
+            self._reproduces(top, b, paths, levels)
+            pieces += evals[0] + 2
             c = 0.5 * (a + b)
             total += float(sums @ (self._a(c_top) - self._a(c)))
             err += abs(float((sums - np.array(below.sums)) @ (self._a(b) - self._a(a))))

@@ -31,6 +31,7 @@ from .mechanism import (
     _active_transforms,
     _Deviator,
     _mean_se,
+    _RentWalk,
     _run_rounds,
     fee_quadrature,
 )
@@ -297,8 +298,10 @@ def audit_revenue_bound(
     surplus under the index policy, with types drawn fresh per episode
     and every estimator sharing the episode's experience streams.
 
-    Revenue per episode is the sum of target payments, each from
-    ``fee_quadrature`` on one path that is the episode's own streams:
+    Revenue per episode is the sum of target payments, each agent's
+    value on the episode less its information rent, integrated by
+    ``_RentWalk`` on the episode's own streams (``fee_quadrature`` on
+    one path, without its value run: the episode already has the value):
     the period-0 charge's offset term is estimated by the episode's
     realized payments, which cancels them exactly.  The threshold
     charges the rent walks' mean breakpoint error.
@@ -330,12 +333,10 @@ def audit_revenue_bound(
         )
         rev = 0.0
         for i in transforms:
-            data = fee_quadrature(
-                env, theta, i, paths=1, seed=seed, horizon=horizon, runtime=runtime,
-                stream_purpose=purpose, path_offset=s,
-            )
-            rev += float(data.price_paths()[0])
-            errors[s] += float(data.error[0])
+            walk = _RentWalk(env, runtime, transforms, theta, i, runtime.threshold(i), horizon)
+            integral, error, _ = walk.integrate(streams)
+            rev += main.values[i] - integral
+            errors[s] += error
         diffs[s] = rev - main.virtual
     mean, se = _mean_se(diffs)
     quad_error = float(np.mean(errors)) if episodes else 0.0

@@ -8,8 +8,10 @@ allocation's move when it happens, one ``draw_pair`` and one
 given.  With a ``probe`` it also runs one replay of the fee walk: the
 other agents are allocated as usual and the probed agent takes the
 round when ``RentProbe.wins`` says so.  ``ReplayRentWalk`` integrates the
-information rent by replaying the path once per piece (or per bisection
-probe) on fresh streams.
+information rent by replaying the path on fresh streams once per merge
+of the walk, with the same root-finding steps on margins read from the
+replays.  ``BisectRentWalk`` locates the same breakpoints independently,
+by 40 halvings of [threshold, report] each, one merge per halving.
 """
 
 from __future__ import annotations
@@ -113,7 +115,8 @@ class RentProbe:
     index beats ``level`` (the others' best, 0 if none beats the zero
     arm), or with a ``scale`` iff ``level / b < scale`` on the base
     table; ties go against it.  Records the rounds won, the discounted
-    rent weight per public state and the largest critical scale."""
+    rent weight per public state and the largest critical scale, and
+    without a scale the state and the level beaten at each round won."""
 
     def __init__(self, agent, table, scale, weights, n_rho):
         self.agent = agent
@@ -123,12 +126,16 @@ class RentProbe:
         self.sums = [0.0] * n_rho
         self.times = []
         self.crit = -math.inf
+        self.states = []
+        self.beaten = []
 
     def wins(self, level, s, t, disc):
         b = self.table[s]
         if self.scale is None:
             if not b > level:
                 return False
+            self.states.append(s)
+            self.beaten.append(level)
         else:
             if not b > 0.0:
                 return False
@@ -143,8 +150,9 @@ class RentProbe:
 
 
 class ReplayRentWalk(mech._RentWalk):
-    """The rent walk by replays: every piece (and every bisection probe)
-    replays the whole path on fresh streams with ``reference_run_rounds``."""
+    """The rent walk by replays: every merge of the walk replays the whole
+    path on fresh streams with ``reference_run_rounds``; a piece's margin
+    reads the states and levels its replay recorded."""
 
     def __init__(self, env, runtime, transforms, theta_hat, i, lo, horizon):
         super().__init__(env, runtime, transforms, theta_hat, i, lo, horizon)
@@ -157,7 +165,7 @@ class ReplayRentWalk(mech._RentWalk):
 
         if self.scale_hi is not None:
             return self._replay_scale_walk(streams_of)
-        return self._replay_bisect_walk(streams_of)
+        return self._replay_table_walk(streams_of)
 
     def _replay(self, z, table, scale, streams):
         probe = RentProbe(self.i, table, scale, self.weights, self.n_rho)
@@ -191,38 +199,93 @@ class ReplayRentWalk(mech._RentWalk):
             z_top, scale = z_bot, crit
         raise self._too_many_pieces()
 
-    def _probe_at(self, z, streams):
+    def _probe_table(self, z):
         table = self.probe_tables.get(z)
         if table is None:
             tr = transform_or_dormant(self.env, self.i, z)
             table = self.probe_tables[z] = self.runtime.build_table(self.i, tr, z).tolist()
-        return self._replay(z, table, None, streams)
+        return table
 
-    def _replay_bisect_walk(self, streams_of):
+    def _probe_at(self, z, streams):
+        return self._replay(z, self._probe_table(z), None, streams)
+
+    def _probe_margin(self, probe, z):
+        table = self._probe_table(z)
+        f = min(table[s] - level for s, level in zip(probe.states, probe.beaten))
+        return f if f != 0.0 else -math.ulp(0.0)
+
+    def _replay_table_walk(self, streams_of):
         total = err = 0.0
         top = self._probe_at(self.hi, streams_of())
         z_top = c_top = self.hi
-        bottom = None
-        replays = 1
+        count = 1
         for _ in range(self.max_pieces):
             if not top.times:
-                return total, err, replays
+                return total, err, count
+            sums = np.array(top.sums)
+            f_lo = self._probe_margin(top, self.lo)
+            count += 1
+            if f_lo > 0.0:
+                if self._probe_at(self.lo, streams_of()).times != top.times:
+                    raise RuntimeError("the replay at the threshold left the piece")
+                total += float(sums @ (self._a(c_top) - self._a(self.lo)))
+                return total, err, count + 1
+            evals = []
+            x, fx, y, _ = mech._brent_steps(
+                lambda z: evals.append(z) or self._probe_margin(top, z),
+                self.lo, f_lo, z_top, self._probe_margin(top, z_top), self.xtol, 0.0,
+            )
+            count += len(evals) + 3
+            a, b = (x, y) if fx < 0.0 else (y, x)
+            assert b - a < self.xtol and self._probe_margin(top, a) < 0.0 < self._probe_margin(top, b)
+            below = self._probe_at(a, streams_of())
+            if self._probe_at(b, streams_of()).times != top.times:
+                raise RuntimeError("the replay at the bracket's top left the piece")
+            c = 0.5 * (a + b)
+            total += float(sums @ (self._a(c_top) - self._a(c)))
+            err += abs(float((sums - np.array(below.sums)) @ (self._a(b) - self._a(a))))
+            top, z_top, c_top = below, a, c
+        raise self._too_many_pieces()
+
+
+class BisectRentWalk(mech._RentWalk):
+    """The table walk by bisection: 40 halvings of [threshold, report]
+    per breakpoint, each a merge on the index table at its midpoint,
+    until the bracket is within ``tol``.  An independent oracle for the
+    breakpoints Brent's steps find (scale-homogeneous arms keep the
+    scale walk)."""
+
+    def integrate(self, streams):
+        if self.scale_hi is not None:
+            return super().integrate(streams)
+        paths = self.runtime.trajectories(streams)
+        return self._bisect_walk(paths, paths.levels(self.opponents))
+
+    def _bisect_walk(self, paths, levels):
+        total = err = 0.0
+        top = self._at(self.hi, paths, levels)
+        z_top = c_top = self.hi  # merge point and integration bound of the piece
+        bottom = None
+        merges = 1
+        for _ in range(self.max_pieces):
+            if not top.times:
+                return total, err, merges
             if bottom is None:
-                bottom = self._probe_at(self.lo, streams_of())
-                replays += 1
+                bottom = self._at(self.lo, paths, levels)
+                merges += 1
             sums = np.array(top.sums)
             if bottom.times == top.times:
                 total += float(sums @ (self._a(c_top) - self._a(self.lo)))
-                return total, err, replays
+                return total, err, merges
             a, b, below = self.lo, z_top, bottom
             while b - a > self.tol:
                 mid = 0.5 * (a + b)
-                probe = self._probe_at(mid, streams_of())
-                replays += 1
-                if probe.times == top.times:
+                piece = self._at(mid, paths, levels)
+                merges += 1
+                if piece.times == top.times:
                     b = mid
                 else:
-                    a, below = mid, probe
+                    a, below = mid, piece
             c = 0.5 * (a + b)
             total += float(sums @ (self._a(c_top) - self._a(c)))
             err += abs(float((sums - np.array(below.sums)) @ (self._a(b) - self._a(a))))

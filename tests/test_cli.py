@@ -67,6 +67,51 @@ def test_config_round_trip():
     assert config_hash(again) == config_hash(cfg)
 
 
+_YAML_POSTED = """
+# configs/posted_price.cfg in block style
+environment:
+  name: finite_chain
+  params:
+    k: 1
+    g: [[1.0]]
+    h: [[1.0]]
+    value: {variant: multiplicative, a: {form: linear}, b: [[1.0]], c: [0.0]}
+    distribution: {name: uniform}
+delta: 0.5
+tail_eps: 1e-8  # YAML 1.1 reads this as a string; the float fields convert it
+fee_rollouts: 64
+audit_paths: 64
+audit_fee_paths: 32
+audit_episodes: 800
+master_seed: 7
+output_dir: out/posted_price
+"""
+
+
+def test_yaml_config_text_parses_like_its_json_twin():
+    cfg = parse_config_text(_YAML_POSTED)
+    assert cfg == parse_config(POSTED)
+    assert config_hash(cfg) == config_hash(parse_config(POSTED))
+
+
+def test_json_config_reads_dotless_exponents_as_numbers():
+    # YAML 1.1 read 2e-1 as the string "2e-1"; JSON reads the number
+    text = '{"environment": {"name": "sponsored_search", "params": {"k": 1, "theta_bar": 2e-1}}, "delta": 8e-1}'
+    cfg = parse_config_text(text)
+    assert cfg.delta == 0.8 and cfg.environment["params"]["theta_bar"] == 0.2
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_json_config_rejects_non_finite_numbers(tmp_path, capsys, token):
+    with pytest.raises(ConfigError, match="not a finite number"):
+        parse_config_text(f'{{"environment": {{"name": "finite_chain"}}, "delta": {token}}}')
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f'{{"environment": {{"name": "sponsored_search", "params": {{"k": 1}}}}, "delta": {token}}}')
+    assert main(["--config", str(bad), "--out", str(tmp_path), "simulate"]) == 2
+    err = capsys.readouterr().err
+    assert "not a finite number" in err and "Traceback" not in err
+
+
 def test_missing_required_keys():
     with pytest.raises(ConfigError, match="environment"):
         parse_config_text('{"delta": 0.5}')
@@ -202,11 +247,13 @@ import json, sys
 from dynamech.cli import main
 
 status = [main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"status": status, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "yaml"))
+print(json.dumps({"status": status, "loaded": loaded}))
 """
 
 
 def test_no_cli_command_loads_scipy(tmp_path):
+    # nor, on JSON configs, the YAML parser
     ar1 = tmp_path / "ar1.cfg"
     ar1.write_text(
         json.dumps(
@@ -244,7 +291,7 @@ def test_no_cli_command_loads_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["status"] == [0] * len(runs)
-    assert result["scipy"] == []
+    assert result["loaded"] == []
 
 
 def _finite_chain_config(params: dict, **extra) -> str:

@@ -192,7 +192,62 @@ def test_bisect_walk_matches_replay_oracle(theta):
         assert got == oracle
         pieces += data.pieces.tolist()
     if theta[0] != theta[1]:
-        assert max(pieces) > 2  # the walk bisected for a breakpoint
+        assert max(pieces) > 2  # the walk found a breakpoint
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    chain_seed=st.integers(0, 10_000),
+    k=st.integers(1, 3),
+    thetas=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+    path=st.integers(0, 3),
+)
+def test_table_walk_agrees_with_bisection_oracle(chain_seed, k, thetas, path):
+    # breakpoints by Brent's steps on the margins against 40 halvings
+    # with a merge each: the integrals differ by at most the sum of the
+    # two walks' reported errors
+    env = _random_chain(chain_seed, k, additive=True)
+    rt = mech.MechanismRuntime(env)
+    theta = [float(x) for x in thetas[:k]]
+    transforms = mech._active_transforms(env, rt, theta)
+    streams = ExperienceStreams(chain_seed, path, "bisect-ref")
+    for i in transforms:
+        args = (env, rt, transforms, theta, i, rt.threshold(i), 30)
+        got, err, _ = mech._RentWalk(*args).integrate(streams)
+        want, want_err, _ = ref.BisectRentWalk(*args).integrate(streams)
+        assert abs(got - want) <= err + want_err
+
+
+@pytest.mark.parametrize("raised", ["every state", "states it never wins at"])
+def test_table_walk_fails_loudly_on_a_table_that_rises_as_z_falls(monkeypatch, raised):
+    # below the report the table gains 10 on the raised states, so lower
+    # z win rounds lost at the report.  Raised everywhere, the margin
+    # stays positive down to the threshold, whose check merge gains
+    # rounds; raised only where agent 0 never wins, the margin is the
+    # true one and the check merge at the bracket's top gains rounds
+    env = _random_chain(27, 2, additive=True)
+    rt = mech.MechanismRuntime(env)
+    theta = [0.7, 0.8]
+    args = (env, rt, mech._active_transforms(env, rt, theta), theta, 0, rt.threshold(0), 30)
+    probe = mech._RentWalk(*args)
+    streams = ExperienceStreams(2, 1, "fee")
+    paths = rt.trajectories(streams)
+    top = probe._at(probe.hi, paths, paths.levels(probe.opponents))
+    assert top.times and probe._margin(top, probe.lo) < 0.0  # a breakpoint lies below the report
+    mask = np.ones(env.agents[0].n_states)
+    if raised != "every state":
+        mask[top.states] = 0.0
+    build = mech.MechanismRuntime.build_table
+    monkeypatch.setattr(
+        mech.MechanismRuntime, "build_table",
+        lambda self, j, tr, z: build(self, j, tr, z) + 10.0 * (z < probe.hi) * mask,
+    )
+    walk = mech._RentWalk(*args)  # no tables cached before the patch
+    check = "the threshold" if raised == "every state" else "the bracket's top"
+    with pytest.raises(RuntimeError, match="does not reproduce") as failure:
+        walk.integrate(streams)
+    z = float(str(failure.value).split("z=")[1].split(" ")[0])
+    assert (z == walk.lo) == (check == "the threshold"), check
 
 
 def test_trajectory_cache_stays_within_its_cap(sponsored_small):

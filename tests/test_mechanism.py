@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -164,6 +165,40 @@ def test_fee_walk_costs_one_replay_per_piece(sponsored2, sponsored2_runtime, mon
     posted = posted_price_env()
     one = mech.fee_quadrature(posted, [0.8], 0, paths=4, runtime=mech.MechanismRuntime(posted))
     assert list(one.pieces) == [1, 1, 1, 1] and one.quad_error() == 0.0
+
+
+def test_table_walk_builds_few_tables_per_breakpoint(monkeypatch):
+    # the bound audit on additive AR(1) values at the 16 stream seeds
+    # 400..415 (the config of the ar1-bound benchmark): each breakpoint
+    # is bracketed by Brent's steps on the won rounds' margins, one index
+    # table per step, instead of 40 halvings with a table each
+    from dynamech import verification as ver
+    from dynamech.config import build_environment, parse_config_text
+
+    params = {"k": 2, "coeff": 0.5, "shock": [[0.2]], "grid_step": 0.1, "alloc_cap": 6}
+    env = build_environment(
+        parse_config_text(json.dumps({"environment": {"name": "ar1", "params": params}, "delta": 0.8}))
+    )
+    builds, per_breakpoint = [0], []
+    build, steps = mech.MechanismRuntime.build_table, mech._brent_steps
+
+    def counted_build(*a):
+        builds[0] += 1
+        return build(*a)
+
+    def counted_steps(*a):
+        before = builds[0]
+        out = steps(*a)
+        per_breakpoint.append(builds[0] - before)
+        return out
+
+    monkeypatch.setattr(mech.MechanismRuntime, "build_table", counted_build)
+    monkeypatch.setattr(mech, "_brent_steps", counted_steps)
+    for seed in range(400, 416):
+        ver.audit_revenue_bound(env, episodes=2, seeds=(seed,))
+    assert len(per_breakpoint) >= 32
+    assert builds[0] / len(per_breakpoint) <= 10.0  # the threshold tables included
+    assert max(per_breakpoint) <= mech._ROOT_MAXITER  # the documented worst case
 
 
 def test_threshold_is_cached_per_agent_and_bit_exact(monkeypatch):

@@ -94,6 +94,48 @@ def test_revenue_equals_virtual_surplus_posted_price(posted_price, posted_price_
     assert r.std_error > 0.0
 
 
+def test_revenue_audit_reads_each_value_once(monkeypatch):
+    # each agent's value comes from the episode's own round loop and its
+    # rent from the walk alone: no one-deviator value run and no price
+    # of any win, and the same bits as one-path fee_quadrature calls
+    env = envs.sponsored_search(k=2, cap=3, delta=0.8)
+    rt = mech.MechanismRuntime(env)
+    calls = []
+    run, w_minus = mech._Deviator.run, mech.MechanismRuntime.w_minus
+    monkeypatch.setattr(mech._Deviator, "run", lambda *a: calls.append("run") or run(*a))
+    monkeypatch.setattr(
+        mech.MechanismRuntime, "w_minus", lambda *a: calls.append("w_minus") or w_minus(*a)
+    )
+    episodes, seed = 40, 5
+    r = ver.audit_revenue_bound(env, episodes=episodes, seeds=(seed,), runtime=rt)
+    assert calls == []
+    horizon = mech.tail_horizon(env.delta, env.k, env.v_max, 1e-6)
+    diffs, errors = np.zeros(episodes), np.zeros(episodes)
+    for s in range(episodes):
+        theta = [
+            env.agents[i].distribution.sample(ver.substream(seed, "rev-types", s, i))
+            for i in range(env.k)
+        ]
+        transforms = mech._active_transforms(env, rt, theta)
+        main = mech._run_rounds(
+            env, rt, transforms, theta, [mech.Truthful()] * env.k,
+            mech.ExperienceStreams(seed, s, "revenue"), horizon,
+            track_prices=False, track_virtual=True,
+        )
+        rev = 0.0
+        for i in transforms:
+            data = mech.fee_quadrature(
+                env, theta, i, paths=1, seed=seed, horizon=horizon, runtime=rt,
+                stream_purpose="revenue", path_offset=s,
+            )
+            rev += float(data.price_paths()[0])
+            errors[s] += float(data.error[0])
+        diffs[s] = rev - main.virtual
+    assert "run" in calls  # the one-path fee passes do make value runs
+    assert (r.observed, r.std_error) == mech._mean_se(diffs)
+    assert f"quad_error={float(np.mean(errors)):.3g}" in r.detail
+
+
 def test_revenue_degenerate_all_virtual_values_nonpositive():
     # the per-display cost exceeds the best virtual value, so the zero
     # arm always wins: no allocations, both sides exactly zero

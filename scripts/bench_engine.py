@@ -17,6 +17,10 @@ tree goes first.  Recorded per tree:
   the same environment at types (0.9, 0.8), mean over 200 seeds;
 - ``posted_audit_ic_s``: ``audit_ic`` on the posted-price arm with 64
   paths and 32 fee paths (criterion 6's first half);
+- ``strategic_run_us``: one ``_Deviator.run`` of agent 0 on the same
+  sponsored-search environment at types (0.9, 0.7), mean over every
+  strategy of ``default_deviations`` and 64 paths whose trajectories and
+  levels an untimed pass has already drawn (the IC audit's horizon);
 - ``additive_fee_ms_per_path``: ``fee_quadrature`` on the additive
   AR(1) environment of the ``ar1-bound`` benchmark (k=2, 35-state arms)
   at reports (0.8, 0.7) for agent 0, per path, over 16 paths (the index
@@ -48,7 +52,10 @@ ROOT = Path(__file__).resolve().parents[1]
 FEE_PATHS = 16
 EPISODES = 200
 WARM_UP = 10**6  # stream seed of the untimed calls
-TIMES = ("fee_ms_per_path", "episode_ms", "posted_audit_ic_s", "additive_fee_ms_per_path")
+STRATEGIC_PATHS = 64
+TIMES = (
+    "fee_ms_per_path", "episode_ms", "posted_audit_ic_s", "additive_fee_ms_per_path", "strategic_run_us",
+)
 COUNTS = ("draw_pair_calls", "additive_table_builds_per_path")  # identical in every repetition
 AR1_PARAMS = {"k": 2, "coeff": 0.5, "shock": [[0.2]], "grid_step": 0.1, "alloc_cap": 6}
 
@@ -58,8 +65,10 @@ def _measure() -> dict:
     import numpy as np
 
     from dynamech import environments as envs
+    from dynamech import mechanism as mech
     from dynamech import verification as ver
     from dynamech.config import build_environment, parse_config_text
+    from dynamech.gittins import tail_horizon
     from dynamech.mechanism import MechanismRuntime, Truthful, fee_quadrature, run_episode
     from dynamech.rng import ExperienceStreams
 
@@ -93,6 +102,22 @@ def _measure() -> dict:
             for s in seeds
         ]
     )
+    theta = [0.9, 0.7]
+    horizon = tail_horizon(env.delta, env.k, env.v_max, 1e-6)
+    deviators = []
+    for _, strategy in ver.default_deviations(env, 0):
+        theta_hat0 = [strategy.report(0, theta[0], 0, env.agents[0].distribution.theta_bar).theta_hat, theta[1]]
+        transforms = mech._active_transforms(env, rt, theta_hat0)
+        deviators.append(mech._Deviator(env, rt, transforms, theta, 0, strategy, horizon))
+    strategic_streams = [ExperienceStreams(1, j, "strategic") for j in range(STRATEGIC_PATHS)]
+
+    def strategic_runs():
+        for deviator in deviators:
+            for streams in strategic_streams:
+                deviator.run(streams)
+
+    strategic_runs()  # draws the trajectories and the others' levels
+    strategic_s, _ = timed(strategic_runs)
     posted = envs.finite_chain(
         0.5,
         g=[[1.0]],
@@ -125,6 +150,7 @@ def _measure() -> dict:
         "episode_ms": 1e3 * episode_s / EPISODES,
         "posted_audit_ic_s": audit_s,
         "additive_fee_ms_per_path": 1e3 * additive_s / FEE_PATHS,
+        "strategic_run_us": 1e6 * strategic_s / (len(deviators) * STRATEGIC_PATHS),
         "draw_pair_calls": {
             f"fee_quadrature ({FEE_PATHS} paths)": fee_draws,
             "run_episode (51 rounds)": episode_draws / EPISODES,

@@ -45,6 +45,8 @@ from .mechanism import (
     MisreportTheta0,
     MisreportThetaAlways,
     Report,
+    ReportSchedule,
+    Strategy,
     Transcript,
     Truthful,
     entry_fee_p0,

@@ -54,6 +54,8 @@ from .virtual import (
 
 __all__ = [
     "Report",
+    "ReportSchedule",
+    "Strategy",
     "Truthful",
     "MisreportTheta0",
     "MisreportThetaAlways",
@@ -85,61 +87,99 @@ class Report:
     e_hat: int | None = None
 
 
+class ReportSchedule(NamedTuple):
+    """A strategy's reports for one true type, as a function of the round.
+
+    ``theta_hat0`` is the period-0 type report.  ``segments`` lists
+    ``(from_round, theta_hat)`` in ascending rounds, the first from
+    round 1: the type reported from that round on until the next
+    segment starts.  ``overrides`` maps a round t >= 1 to the experience
+    index reported there in place of the true one; every other round
+    reports the true experience."""
+
+    theta_hat0: float
+    segments: tuple[tuple[int, float], ...]
+    overrides: dict[int, int]
+
+    def theta_hat(self, t: int) -> float:
+        """The type reported at round t >= 1."""
+        return next(theta_hat for start, theta_hat in reversed(self.segments) if start <= t)
+
+
 def _clamp(x: float, theta_bar: float) -> float:
     return min(max(x, 0.0), theta_bar)
 
 
-class Truthful:
-    """Report the true type and the true private experience every round."""
+class Strategy:
+    """A reporting strategy, given by its report schedule for a true type
+    (``schedule(theta, theta_bar)``); ``report`` is derived from it.  The
+    episode engine (``run_episode``) asks ``report`` round by round, so
+    any object with a ``report`` method plays there; the one-deviator
+    merge behind the audits (``_Deviator``) plays the schedule itself and
+    raises TypeError on an object without one."""
+
+    def schedule(self, theta: float, theta_bar: float) -> ReportSchedule:
+        raise NotImplementedError
 
     def report(self, t: int, theta: float, e: int, theta_bar: float) -> Report:
-        return Report(theta_hat=theta, e_hat=None if t == 0 else e)
+        schedule = self.schedule(theta, theta_bar)
+        if t == 0:
+            return Report(theta_hat=schedule.theta_hat0)
+        return Report(theta_hat=schedule.theta_hat(t), e_hat=schedule.overrides.get(t, e))
 
 
-class MisreportTheta0:
+class Truthful(Strategy):
+    """Report the true type and the true private experience every round."""
+
+    def schedule(self, theta: float, theta_bar: float) -> ReportSchedule:
+        return ReportSchedule(theta, ((1, theta),), {})
+
+
+class MisreportTheta0(Strategy):
     """Shade the period-0 type report only; truthful from t = 1 on."""
 
     def __init__(self, offset: float):
         self.offset = offset
 
-    def report(self, t: int, theta: float, e: int, theta_bar: float) -> Report:
-        th = _clamp(theta + self.offset, theta_bar) if t == 0 else theta
-        return Report(theta_hat=th, e_hat=None if t == 0 else e)
+    def schedule(self, theta: float, theta_bar: float) -> ReportSchedule:
+        return ReportSchedule(_clamp(theta + self.offset, theta_bar), ((1, theta),), {})
 
 
-class MisreportThetaAlways:
+class MisreportThetaAlways(Strategy):
     """Shade the type report in every round, period 0 included."""
 
     def __init__(self, offset: float):
         self.offset = offset
 
-    def report(self, t: int, theta: float, e: int, theta_bar: float) -> Report:
+    def schedule(self, theta: float, theta_bar: float) -> ReportSchedule:
         th = _clamp(theta + self.offset, theta_bar)
-        return Report(theta_hat=th, e_hat=None if t == 0 else e)
+        return ReportSchedule(th, ((1, th),), {})
 
 
-class MisreportExperience:
+class MisreportExperience(Strategy):
     """Truthful except the private-experience report at one round."""
 
     def __init__(self, round_t: int, fake_e: int):
         self.round_t = round_t
         self.fake_e = fake_e
 
-    def report(self, t: int, theta: float, e: int, theta_bar: float) -> Report:
-        e_hat = self.fake_e if t == self.round_t else e
-        return Report(theta_hat=theta, e_hat=None if t == 0 else e_hat)
+    def schedule(self, theta: float, theta_bar: float) -> ReportSchedule:
+        overrides = {self.round_t: self.fake_e} if self.round_t >= 1 else {}
+        return ReportSchedule(theta, ((1, theta),), overrides)
 
 
-class CorrectingDeviation:
+class CorrectingDeviation(Strategy):
     """Shade the type for rounds t < correct_round, then report truth."""
 
     def __init__(self, offset: float, correct_round: int = 3):
         self.offset = offset
         self.correct_round = correct_round
 
-    def report(self, t: int, theta: float, e: int, theta_bar: float) -> Report:
-        th = _clamp(theta + self.offset, theta_bar) if t < self.correct_round else theta
-        return Report(theta_hat=th, e_hat=None if t == 0 else e)
+    def schedule(self, theta: float, theta_bar: float) -> ReportSchedule:
+        c = self.correct_round
+        th = _clamp(theta + self.offset, theta_bar)
+        segments = ((1, th), (c, theta)) if c > 1 else ((1, theta),)
+        return ReportSchedule(th if c > 0 else theta, segments, {})
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +188,7 @@ class CorrectingDeviation:
 
 
 _TRAJECTORY_PATHS = 1024  # stream addresses whose trajectories a runtime keeps
+_TABLE_KEYS = 64  # (agent, report, theta) keys whose index tables and hit discounts a runtime keeps
 
 
 class _Trajectories:
@@ -198,7 +239,9 @@ class MechanismRuntime:
     """Compiled, cached machinery shared across episodes of one environment.
 
     Index tables and hit discounts (with the lone-arm values they give)
-    are cached per (agent, pegged report, current theta).  Multiplicative
+    are cached per (agent, pegged report, current theta), for the
+    ``_TABLE_KEYS`` most recently used keys; a key leaves with both its
+    table and its hits, and comes back rebuilt to the same bits.  Multiplicative
     values with C = 0 use the positive-homogeneity of the index in the
     rewards: one sweep of the experience process's base arm gives the
     base index table and hit discounts, and these serve every
@@ -221,6 +264,7 @@ class MechanismRuntime:
         self._transforms: dict[tuple[int, float], VirtualTransform | None] = {}
         self._tables: dict[tuple[int, float, float], np.ndarray] = {}
         self._hits: dict[tuple[int, float, float], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._recent: dict[tuple[int, float, float], None] = {}  # keys of both, least recently used first
         self._bases: dict[int, tuple[np.ndarray, np.ndarray | None, np.ndarray | None]] = {}
         self._paths: dict[tuple[int, str, int], _Trajectories] = {}
         self._thresholds: dict[int, float] = {}
@@ -260,6 +304,18 @@ class MechanismRuntime:
         return paths
 
     # -- per-agent tables -------------------------------------------------
+
+    def _use(self, key: tuple[int, float, float]) -> None:
+        """Mark ``key`` most recently used; past ``_TABLE_KEYS`` keys, the
+        least recently used one leaves ``_tables`` and ``_hits``."""
+        recent = self._recent
+        recent.pop(key, None)
+        recent[key] = None
+        if len(recent) > _TABLE_KEYS:
+            old = next(iter(recent))
+            del recent[old]
+            self._tables.pop(old, None)
+            self._hits.pop(old, None)
 
     def _homogeneous_scale(self, agent_id: int, transform: VirtualTransform, theta: float):
         """scale s.t. xi = scale * B, or None when the shortcut is invalid."""
@@ -305,6 +361,7 @@ class MechanismRuntime:
         not scale-homogeneous takes one ``hit_discounts`` sweep for both
         its index table and its hit discounts (``hits_flat``)."""
         key = (agent_id, transform.pegged_report, theta)
+        self._use(key)
         out = self._tables.get(key)
         if out is None:
             if (
@@ -335,6 +392,7 @@ class MechanismRuntime:
         sum_k (levels[k] - levels[k+1]) (1 - hits[k]) / (1 - delta) with
         levels[K] = 0, summed as levels[0] - gaps @ hits."""
         key = (agent_id, transform.pegged_report, theta)
+        self._use(key)
         out = self._hits.get(key)
         if out is not None:
             return out
@@ -535,7 +593,9 @@ def _run_rounds(
     start.  Each agent has a position on its trajectory, and only the
     winner's advances.  A truthful agent presents its table at its
     state; a strategic agent's index goes through its report of the
-    round, on the same trajectory.  Prices are memoized within the path
+    round (any object with a ``report`` method), on the same trajectory,
+    and an experience report outside its private states raises
+    DomainError.  Prices are memoized within the path
     by the winner, its public state and the others' reports.  With every
     agent truthful, a round the zero arm wins changes nothing, so every
     later round repeats it.
@@ -551,6 +611,7 @@ def _run_rounds(
     truthful = [isinstance(strategies[i], Truthful) for i in range(k)]
     strategic = [i for i in range(k) if not truthful[i]]
     theta_bars = [env.agents[i].distribution.theta_bar for i in range(k)]
+    n_e = [agent.private.n for agent in env.agents]
     state = [0] * k  # true flat states, e * n_rho + rho
     pos = [0] * k  # allocations so far: state[i] == traj[i][pos[i]]
     # reported flat states: a strategic agent's e_hat with its true rho
@@ -574,7 +635,9 @@ def _run_rounds(
             n = n_rho[i]
             rep = strategies[i].report(t, theta[i], state[i] // n, theta_bars[i])
             th = theta_hats[i] = rep.theta_hat
-            e_hats[i] = int(rep.e_hat)
+            e_i = e_hats[i] = int(rep.e_hat)
+            if not 0 <= e_i < n_e[i]:
+                raise _experience_error(i, t, e_i, n_e[i])
             if reported is not state:
                 reported[i] = e_hats[i] * n + state[i] % n
             if p is not None:
@@ -643,6 +706,12 @@ def _run_rounds(
             break
         disc *= env.delta
     return res
+
+
+def _experience_error(i: int, t: int, e_hat: int, n_e: int) -> DomainError:
+    return DomainError(
+        f"agent {i} reports experience {e_hat} at round {t}; its private states are 0..{n_e - 1}"
+    )
 
 
 def _value_flat(env: Environment, agent_id: int, theta: float) -> np.ndarray:
@@ -755,16 +824,24 @@ class _Deviator:
     path at a time: the episode engine's rounds, seen from agent i.
 
     The others' levels on the path (``_Levels``) do not depend on what i
-    does, so a run is one merge of i's trajectory against them.  At each
-    round i presents its index: its table at its state when truthful,
-    else through its report of the round (the table at the reported
-    type, at the reported experience and true public state).  Agent i
-    wins iff that index b is positive and either b > level or b == level
-    with i below the level's holder, which is ``allocate``'s rule; on a
-    win i moves on, on a loss to a positive level the others' winner
-    does (the next level), and a zero-arm round moves nothing.  A
-    truthful i then repeats that round forever, so the merge stops; a
-    strategic one may report differently later and plays on.
+    does, so a run is one merge of i's trajectory against them.  Agent i
+    plays its strategy's report schedule (``Strategy.schedule``), built
+    once here for its type and resolved into the rounds where what i
+    presents changes (``changes``): each segment's start, with the index
+    table at its reported type (``_table``), and each experience
+    override's round and the round after it.  Between them i presents
+    that table at its state (the override's experience and its true
+    public state at an override round), re-read only when i moves; no
+    ``report`` is called.  A strategy without a schedule raises
+    TypeError, and an experience override outside the agent's private
+    states DomainError.
+
+    Agent i wins iff its index b is positive and either b > level or
+    b == level with i below the level's holder, which is ``allocate``'s
+    rule; on a win i moves on, on a loss to a positive level the others'
+    winner does (the next level), and a zero-arm round moves nothing.
+    Once no change is ahead (the last segment, no override to come), a
+    zero-arm round repeats forever, so the merge stops there.
 
     A win at level m is priced ((1 - delta) W(others at states[m]) -
     beta[rho_i]) / alpha, ``per_round_price``'s formula, with W memoized
@@ -777,12 +854,21 @@ class _Deviator:
         self, env, runtime, transforms, theta, i: int, strategy, horizon: int, *,
         track_prices: bool = True,
     ):
+        build = getattr(strategy, "schedule", None)
+        if build is None:
+            raise TypeError(
+                f"{type(strategy).__name__} has no report schedule: a one-deviator run needs "
+                f"a schedule(theta, theta_bar) method returning a ReportSchedule"
+            )
         self.runtime = runtime
         self.i = i
         self.theta = float(theta[i])
-        self.theta_bar = env.agents[i].distribution.theta_bar
-        self.strategy = strategy
-        self.truthful = isinstance(strategy, Truthful)
+        schedule = build(self.theta, env.agents[i].distribution.theta_bar)
+        n_e = env.agents[i].private.n
+        overrides = {t: int(e_hat) for t, e_hat in schedule.overrides.items()}
+        for t, e_hat in overrides.items():
+            if not 0 <= e_hat < n_e:
+                raise _experience_error(i, t, e_hat, n_e)
         self.track_prices = track_prices
         self.transform = transforms.get(i)
         self.opponents = _opponents(runtime, transforms, theta, i)
@@ -793,6 +879,7 @@ class _Deviator:
         if self.transform is not None:
             self.values = _value_flat(env, i, self.theta).tolist()
             self.beta = self.transform.beta.tolist()
+            self.changes = self._changes(schedule._replace(overrides=overrides), horizon)
 
     def _table(self, theta_hat: float) -> list[float]:
         table = self.tables.get(theta_hat)
@@ -800,6 +887,18 @@ class _Deviator:
             table = self.runtime.index_flat(self.i, self.transform, theta_hat).tolist()
             self.tables[theta_hat] = table
         return table
+
+    def _changes(self, schedule: ReportSchedule, horizon: int) -> list[tuple[int, list[float], int | None]]:
+        """(round, table, experience override or None) at round 1 and at
+        every later round up to ``horizon`` where what i presents changes."""
+        rounds = {1} | {start for start, _ in schedule.segments}
+        for t in schedule.overrides:
+            rounds.update((t, t + 1))
+        return [
+            (t, self._table(schedule.theta_hat(t)), schedule.overrides.get(t))
+            for t in sorted(rounds)
+            if 1 <= t <= horizon
+        ]
 
     def run(self, streams: ExperienceStreams) -> _Run:
         """Agent i's value, payments and win times on ``streams``' address."""
@@ -812,24 +911,19 @@ class _Deviator:
         seen, holders, w_memo = levels.values, levels.holders, levels.w_memo
         arms = self.opponents.arms
         traj = paths.states[i]
-        truthful, report, theta, theta_bar = (
-            self.truthful, self.strategy.report, self.theta, self.theta_bar
-        )
-        alpha, beta, weight, tables = self.transform.alpha, self.beta, self.w_weight, self.tables
+        alpha, beta, weight = self.transform.alpha, self.beta, self.w_weight
         track_prices = self.track_prices
+        changes = self.changes
         value = price = 0.0
         n = m = 0
         s = traj[0]
-        if truthful:
-            table = self._table(theta)
-            b = table[s]
+        c, ahead = 0, 1  # changes applied, and the round of the next one (0: none left)
         for t, disc in enumerate(self.discs, 1):
-            if not truthful:
-                rep = report(t, theta, s // n_rho, theta_bar)
-                table = tables.get(rep.theta_hat)
-                if table is None:
-                    table = self._table(rep.theta_hat)
-                b = table[rep.e_hat * n_rho + s % n_rho]
+            if t == ahead:
+                _, table, e_hat = changes[c]
+                c += 1
+                ahead = changes[c][0] if c < len(changes) else 0
+                b = table[s if e_hat is None else e_hat * n_rho + s % n_rho]
             level = seen[m] if m < len(seen) else levels.grow(paths)
             if b > 0.0 and (b > level or (b == level and i < holders[m])):
                 value += disc * values[s]
@@ -843,11 +937,10 @@ class _Deviator:
                 if n == len(traj):
                     paths.extend(i)
                 s = traj[n]
-                if truthful:
-                    b = table[s]
+                b = table[s]  # an override round is followed by a change
             elif level > 0.0:
                 m += 1
-            elif truthful:
+            elif not ahead:
                 break  # the zero arm takes this round and, with nothing moving, every later one
         return _Run(value, price, times)
 

@@ -17,6 +17,8 @@ import numpy as np
 
 __all__ = ["substream", "ExperienceStreams"]
 
+_DRAW_BLOCK = 32  # draw pairs an agent's stream yields per generator call
+
 
 def _key_words(part) -> tuple[int, ...]:
     """Map a key part (int or str) to a stable tuple of uint32 words."""
@@ -70,6 +72,10 @@ class ExperienceStreams:
     once, one ``draw_pair`` per move the first time a run needs it, and
     every later run, fee-walk piece or audit cell on the address reads
     the cached states instead of drawing again.
+
+    Pairs come from a per-agent block of ``_DRAW_BLOCK`` pairs, one
+    ``random(2 * _DRAW_BLOCK)`` call per block; on a Philox stream that
+    yields the same numbers as one ``random(2)`` call per pair.
     """
 
     def __init__(self, master_seed: int, path_id: int, purpose: str = "experience"):
@@ -77,6 +83,7 @@ class ExperienceStreams:
         self.path_id = path_id
         self.purpose = purpose
         self._gens: dict[int, np.random.Generator] = {}
+        self._blocks: dict[int, list[float]] = {}  # undrawn uniforms, next one last
 
     def _gen(self, agent_id: int) -> np.random.Generator:
         g = self._gens.get(agent_id)
@@ -87,9 +94,10 @@ class ExperienceStreams:
 
     def draw_pair(self, agent_id: int) -> tuple[float, float]:
         """Uniforms for one allocation: (public transition, private transition)."""
-        g = self._gen(agent_id)
-        u = g.random(2)
-        return float(u[0]), float(u[1])
+        block = self._blocks.get(agent_id)
+        if not block:
+            block = self._blocks[agent_id] = self._gen(agent_id).random(2 * _DRAW_BLOCK).tolist()[::-1]
+        return block.pop(), block.pop()
 
     def replay(self) -> "ExperienceStreams":
         """Fresh streams with the same address (replays identical draws)."""

@@ -12,6 +12,10 @@ information rent by replaying the path on fresh streams once per merge
 of the walk, with the same root-finding steps on margins read from the
 replays.  ``BisectRentWalk`` locates the same breakpoints independently,
 by 40 halvings of [threshold, report] each, one merge per halving.
+
+``REFERENCE_STRATEGIES`` are the five built-in strategy families written
+as plain per-round ``report`` methods, the oracles of the report
+schedules (``Strategy.schedule``) the library's strategies declare.
 """
 
 from __future__ import annotations
@@ -302,3 +306,64 @@ def replay_fee_walk(env, theta_hat, i, paths, seed, horizon, runtime, purpose="f
         env, runtime, transforms, theta_hat, i, dormancy_threshold(env, i), horizon
     )
     return [walk.integrate(ExperienceStreams(seed, j, purpose)) for j in range(paths)]
+
+
+# ---------------------------------------------------------------------------
+# Strategies as per-round reports
+# ---------------------------------------------------------------------------
+
+
+def _clamp(x, theta_bar):
+    return min(max(x, 0.0), theta_bar)
+
+
+class Truthful:
+    def report(self, t, theta, e, theta_bar):
+        return mech.Report(theta_hat=theta, e_hat=None if t == 0 else e)
+
+
+class MisreportTheta0:
+    def __init__(self, offset):
+        self.offset = offset
+
+    def report(self, t, theta, e, theta_bar):
+        th = _clamp(theta + self.offset, theta_bar) if t == 0 else theta
+        return mech.Report(theta_hat=th, e_hat=None if t == 0 else e)
+
+
+class MisreportThetaAlways:
+    def __init__(self, offset):
+        self.offset = offset
+
+    def report(self, t, theta, e, theta_bar):
+        th = _clamp(theta + self.offset, theta_bar)
+        return mech.Report(theta_hat=th, e_hat=None if t == 0 else e)
+
+
+class MisreportExperience:
+    def __init__(self, round_t, fake_e):
+        self.round_t = round_t
+        self.fake_e = fake_e
+
+    def report(self, t, theta, e, theta_bar):
+        e_hat = self.fake_e if t == self.round_t else e
+        return mech.Report(theta_hat=theta, e_hat=None if t == 0 else e_hat)
+
+
+class CorrectingDeviation:
+    def __init__(self, offset, correct_round=3):
+        self.offset = offset
+        self.correct_round = correct_round
+
+    def report(self, t, theta, e, theta_bar):
+        th = _clamp(theta + self.offset, theta_bar) if t < self.correct_round else theta
+        return mech.Report(theta_hat=th, e_hat=None if t == 0 else e)
+
+
+REFERENCE_STRATEGIES = {
+    mech.Truthful: Truthful,
+    mech.MisreportTheta0: MisreportTheta0,
+    mech.MisreportThetaAlways: MisreportThetaAlways,
+    mech.MisreportExperience: MisreportExperience,
+    mech.CorrectingDeviation: CorrectingDeviation,
+}

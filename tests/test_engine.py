@@ -421,3 +421,98 @@ def test_levels_leave_the_runtime_with_their_address(sponsored_small):
     fresh = mech.MechanismRuntime(env)
     for j in (0, 1, cap // 2, cap + 39):
         assert run(fresh, j) == filled[j] == run(rt, j)
+
+
+# ---------------------------------------------------------------------------
+# Report schedules
+# ---------------------------------------------------------------------------
+
+
+def _families(n_e: int):
+    """Each built-in family, with offsets that clamp at 0 and at theta_bar
+    and experience overrides at rounds 1 to 3."""
+    return [
+        (mech.Truthful, ()),
+        (mech.MisreportTheta0, (-0.1,)),
+        (mech.MisreportTheta0, (0.25,)),
+        (mech.MisreportThetaAlways, (-0.05,)),
+        (mech.MisreportThetaAlways, (0.25,)),
+        (mech.MisreportThetaAlways, (-2.0,)),
+        (mech.CorrectingDeviation, (-0.1,)),
+        (mech.CorrectingDeviation, (0.3, 5)),
+        (mech.MisreportExperience, (1, 1)),
+        (mech.MisreportExperience, (3, n_e - 1)),
+        (mech.MisreportExperience, (2, 0)),
+    ]
+
+
+@pytest.mark.parametrize("world", ["cap2", "cap5"])
+def test_deviator_plays_every_schedule_like_the_per_round_oracle(
+    sponsored_small, sponsored_small_runtime, sponsored2, sponsored2_runtime, world, monkeypatch
+):
+    # the oracle is the per-round engine playing the per-round copies of
+    # the strategies; the deviator asks no report of any round
+    env, rt = (sponsored_small, sponsored_small_runtime) if world == "cap2" else (sponsored2, sponsored2_runtime)
+    horizon = tail_horizon(env.delta, env.k, env.v_max, 1e-3)
+    report_calls = []
+    report = mech.Strategy.report
+    monkeypatch.setattr(
+        mech.Strategy, "report", lambda self, *a: report_calls.append(a) or report(self, *a)
+    )
+    for theta in ([0.9, 0.7], [0.62, 0.95]):
+        for i in range(env.k):
+            for cls, args in _families(env.agents[i].private.n):
+                oracle = ref.REFERENCE_STRATEGIES[cls](*args)
+                transforms = _transforms(env, rt, theta, i, oracle)
+                strategies = [ref.Truthful()] * env.k
+                strategies[i] = oracle
+                run = mech._Deviator(env, rt, transforms, theta, i, cls(*args), horizon)
+                for path in range(4):
+                    streams = ExperienceStreams(5, path, "schedule-ref")
+                    got = run.run(streams)
+                    want = ref.reference_run_rounds(
+                        env, rt, transforms, theta, strategies, streams.replay(), horizon
+                    )
+                    times = [t for t, w in enumerate(want.winners, 1) if w == i + 1]
+                    _assert_run(got, (want.values[i], want.prices[i], times))
+    assert report_calls == []
+
+
+class _ReportOnly:
+    """A strategy with per-round reports and no schedule."""
+
+    def report(self, t, theta, e, theta_bar):
+        return mech.Report(theta_hat=theta, e_hat=None if t == 0 else e)
+
+
+def test_deviator_refuses_a_strategy_without_a_schedule(sponsored_small, sponsored_small_runtime):
+    env, rt, theta = sponsored_small, sponsored_small_runtime, [0.9, 0.7]
+    transforms = mech._active_transforms(env, rt, theta)
+    with pytest.raises(TypeError, match="_ReportOnly has no report schedule"):
+        mech._Deviator(env, rt, transforms, theta, 0, _ReportOnly(), 20)
+    # the episode engine still plays it round by round, as it plays Truthful
+    got, want = (
+        mech.run_episode(env, [s, mech.Truthful()], 3, 20, theta=theta, runtime=rt, fee_mode="skip")
+        for s in (_ReportOnly(), mech.Truthful())
+    )
+    assert got.rounds == want.rounds and got.values == want.values
+
+
+@pytest.mark.parametrize("fake_e", [-1, 99])
+def test_experience_reports_outside_the_private_states_are_refused(
+    sponsored_small, sponsored_small_runtime, fake_e
+):
+    env, rt, theta = sponsored_small, sponsored_small_runtime, [0.9, 0.7]
+    assert env.agents[0].private.n == 6
+    strategy = mech.MisreportExperience(1, fake_e)
+    transforms = mech._active_transforms(env, rt, theta)
+    with pytest.raises(envs.DomainError, match=f"reports experience {fake_e} at round 1"):
+        mech._Deviator(env, rt, transforms, theta, 0, strategy, 20)
+    with pytest.raises(envs.DomainError, match=f"reports experience {fake_e} at round 1"):
+        mech.run_episode(env, [strategy, mech.Truthful()], 3, 20, theta=theta, runtime=rt, fee_mode="skip")
+    # the edge states themselves are fine in both engines
+    for e_hat in (0, 5):
+        got, want, _ = _deviator_and_reference(
+            env, rt, theta, 0, mech.MisreportExperience(1, e_hat), ExperienceStreams(4, 0, "edge"), 20
+        )
+        _assert_run(got, want)

@@ -14,6 +14,7 @@ from dynamech.environments import DomainError
 from dynamech.gittins import compile_reward_arm, joint_optimal_value, retirement_surplus, tail_horizon
 from dynamech.virtual import affine_coefficients, dormancy_threshold, xi_table
 
+import engine_reference as ref
 from conftest import constant_arm_env, posted_price_env
 
 
@@ -519,6 +520,41 @@ def test_strategies_clamp_reports_to_support(theta, offset, t):
         assert 0.0 <= rep.theta_hat <= 1.0
         if t == 0:
             assert rep.e_hat is None
+
+
+_FAMILIES = (
+    mech.Truthful,
+    mech.MisreportTheta0,
+    mech.MisreportThetaAlways,
+    mech.MisreportExperience,
+    mech.CorrectingDeviation,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(_FAMILIES),
+    t=st.integers(0, 8),
+    theta_bar=st.sampled_from([1.0, 2.5]),
+    q=st.floats(0.0, 1.0),
+    e=st.integers(0, 5),
+    # offsets past either end clamp at 0 or at theta_bar
+    offset=st.one_of(st.floats(-0.3, 0.3), st.sampled_from([-3.0, 3.0, 0.0])),
+    round_t=st.integers(-1, 6),
+    fake_e=st.integers(0, 5),
+)
+def test_schedule_reports_equal_the_per_round_reports(family, t, theta_bar, q, e, offset, round_t, fake_e):
+    theta = q * theta_bar
+    args = {
+        mech.Truthful: (),
+        mech.MisreportTheta0: (offset,),
+        mech.MisreportThetaAlways: (offset,),
+        mech.MisreportExperience: (round_t, fake_e),
+        mech.CorrectingDeviation: (offset, round_t),
+    }[family]
+    got = family(*args).report(t, theta, e, theta_bar)
+    want = ref.REFERENCE_STRATEGIES[family](*args).report(t, theta, e, theta_bar)
+    assert got == want
 
 
 def test_misreport_experience_swaps_one_round():

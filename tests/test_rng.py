@@ -2,6 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynamech import rng
 from dynamech.rng import ExperienceStreams, substream
 
 
@@ -50,3 +51,16 @@ def test_negative_and_string_key_parts():
     a = substream(0, "tag", -5).random()
     b = substream(0, "tag", 5).random()
     assert a != b
+
+
+def test_draw_pairs_from_blocks_equal_one_draw_per_pair():
+    # across two block boundaries, for two agents drawn in turn
+    n = 2 * rng._DRAW_BLOCK + 5
+    streams = ExperienceStreams(9, 4, "blocks")
+    got = {0: [], 1: []}
+    for _ in range(n):
+        for agent in (1, 0):
+            got[agent].append(streams.draw_pair(agent))
+    for agent in (0, 1):
+        fresh = substream(9, "blocks", 4, agent)
+        assert got[agent] == [tuple(fresh.random(2).tolist()) for _ in range(n)]

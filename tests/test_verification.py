@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,38 @@ def test_ic_detects_profitable_shading_on_convex_control(convex_a_env):
 # ---------------------------------------------------------------------------
 # Individual rationality
 # ---------------------------------------------------------------------------
+
+
+def test_ic_audit_keeps_at_most_the_table_cap_and_the_same_bits(monkeypatch):
+    # additive AR(1) arms: every (agent, report, type) key sweeps its own
+    # index table and n x n hit table; an evicted key is rebuilt to the
+    # same bits
+    env = envs.ar1(2, 0.5, [[0.2]], 0.8, grid_step=0.1, alloc_cap=6)
+
+    def audit(cap):
+        monkeypatch.setattr(mech, "_TABLE_KEYS", cap)
+        rt = mech.MechanismRuntime(env)
+        result = ver.audit_ic(env, grid=[0.55, 0.8], paths=4, fee_paths=2, runtime=rt)
+        return json.dumps(result.to_dict()), rt
+
+    uncapped, full = audit(10**9)
+    capped, rt = audit(8)
+    assert len(full._tables) > 8 and len(full._hits) > 8  # the cap evicts
+    assert len(rt._recent) <= 8 and len(rt._tables) <= 8 and len(rt._hits) <= 8
+    assert set(rt._tables) | set(rt._hits) <= set(rt._recent)
+    assert capped == uncapped
+
+
+def test_ic_audit_refuses_a_strategy_without_a_schedule(posted_price, posted_price_runtime):
+    class ReportOnly:
+        def report(self, t, theta, e, theta_bar):
+            return mech.Report(theta_hat=theta, e_hat=None if t == 0 else e)
+
+    with pytest.raises(TypeError, match="ReportOnly has no report schedule"):
+        ver.audit_ic(
+            posted_price, deviations=[("report_only", ReportOnly())], grid=[0.8], paths=4,
+            fee_paths=2, runtime=posted_price_runtime,
+        )
 
 
 def test_ir_posted_price(posted_price, posted_price_runtime):

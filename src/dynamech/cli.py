@@ -10,6 +10,7 @@ or argument errors, and on a DomainError a command raises.  Identical
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -286,7 +287,10 @@ def _cmd_audit(cfg: RunConfig, env, out: Path, seed: int, fmt: str, args) -> int
     return 0 if payload["passed"] else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    leaves it as it was, and each build leaves cyclic garbage behind."""
     parser = argparse.ArgumentParser(prog="dynamech", description=__doc__)
     parser.add_argument("--config", required=True, help="path to a config file")
     parser.add_argument("--seed", type=int, default=None, help="override master seed")
@@ -303,8 +307,11 @@ def main(argv=None) -> int:
     p_audit = sub.add_parser("audit")
     p_audit.add_argument("--suite", choices=_SUITES + ("all",), default="all")
     sub.add_parser("bound")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
         env = build_environment(cfg)

@@ -301,6 +301,27 @@ class AgentModel:
             arr.flags.writeable = False
         return indptr, indices, probs
 
+    @cached_property
+    def absorbing(self) -> list[bool]:
+        """Per flat state s = e * n_rho + rho, whether ``sample_transition``
+        maps every draw in [0, 1) back to s: in the sampling rows of G at
+        rho and of H at (rho, e), the cumulative mass is <= 0 just before
+        the state's own column and >= 1 at it.  An arm at such a state
+        keeps its index, value and price forever.  Rows with a negative
+        entry count as moving.  Built on first use."""
+
+        def stays(matrix: np.ndarray, cum: np.ndarray) -> np.ndarray:
+            """Per row j of the last two axes: cum[j, j-1] <= 0 (or j = 0)
+            and cum[j, j] >= 1, with no negative entry in the row."""
+            at = np.diagonal(cum, axis1=-2, axis2=-1)
+            before = np.diagonal(cum, offset=-1, axis1=-2, axis2=-1)
+            before = np.concatenate([np.zeros(before.shape[:-1] + (1,)), before], axis=-1)
+            return (at >= 1.0) & (before <= 0.0) & np.all(matrix >= 0.0, axis=-1)
+
+        pub = stays(self.public.matrix, self.public.cumulative)  # (n_rho,)
+        priv = stays(self.private.matrix, self.private.cumulative)  # (n_rho, n_e)
+        return (priv.T & pub[None, :]).reshape(-1).tolist()
+
 
 @dataclass(frozen=True)
 class Environment:

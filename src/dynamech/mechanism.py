@@ -202,7 +202,9 @@ class _Trajectories:
     goes.  A list grows by one move (``extend``) the first time a run
     allocates past its end, through ``ExperienceStreams.draw_pair`` and
     ``sample_transition``; an agent that is never allocated draws
-    nothing.
+    nothing, nor a merge for the rounds it adds after a win at an
+    absorbing state (``AgentModel.absorbing``), so a list may end short
+    of a run's wins.
 
     The truthful others' levels against one agent (``_Levels``) live here
     too, one sequence per opponent key (``_Opponents.key``), so they
@@ -597,8 +599,9 @@ def _run_rounds(
     and an experience report outside its private states raises
     DomainError.  Prices are memoized within the path
     by the winner, its public state and the others' reports.  With every
-    agent truthful, a round the zero arm wins changes nothing, so every
-    later round repeats it.
+    agent truthful, a round the zero arm wins, or one won at an absorbing
+    state (``AgentModel.absorbing``), repeats until the horizon, so the
+    later rounds are added without being played.
     """
     k = env.k
     res = _EpisodeResult(k)
@@ -629,6 +632,7 @@ def _run_rounds(
     value_cache: list[np.ndarray | None] = [None] * k
     virtual_cache: list[np.ndarray | None] = [None] * k
     prices: dict[tuple, float] = {}
+    delta = env.delta
     disc = 1.0
     for t in range(1, horizon + 1):
         for i, p in strategic_slots:
@@ -667,7 +671,8 @@ def _run_rounds(
                 res.prices[wi] += disc * payment
             if value_cache[wi] is None:
                 value_cache[wi] = _value_flat(env, wi, theta[wi])
-            res.values[wi] += disc * value_cache[wi][s]
+            x = value_cache[wi][s]
+            res.values[wi] += disc * x
             if track_virtual:
                 if virtual_cache[wi] is None:
                     ih = inverse_hazard(env.agents[wi].distribution, theta[wi])
@@ -695,16 +700,23 @@ def _run_rounds(
             p = pos[wi] = pos[wi] + 1
             if p == len(traj[wi]):
                 paths.extend(wi)
-            s = state[wi] = traj[wi][p]
+            state[wi] = traj[wi][p]
             if truthful[wi]:
-                reported[wi] = s
-                vals[slot[wi]] = tables[wi][s]
-        elif not strategic:
-            res.winners.extend([0] * (horizon - t))
+                reported[wi] = state[wi]
+                vals[slot[wi]] = tables[wi][state[wi]]
+        if not strategic and t < horizon and (winner == 0 or env.agents[wi].absorbing[s]):
+            if winner > 0:  # payment and v are 0.0 where not tracked
+                v = virtual_cache[wi][s] if track_virtual else 0.0
+                for _ in range(horizon - t):
+                    disc *= delta
+                    res.prices[wi] += disc * payment
+                    res.values[wi] += disc * x
+                    res.virtual += disc * v
+            res.winners.extend([winner] * (horizon - t))
             if record_rounds:
                 res.rounds.extend(replace(res.rounds[-1], t=u) for u in range(t + 1, horizon + 1))
             break
-        disc *= env.delta
+        disc *= delta
     return res
 
 
@@ -751,6 +763,7 @@ class _Opponents(NamedTuple):
     agents: list[int]
     arms: list[tuple[int, VirtualTransform, float]]  # ``w_minus``'s arms
     tables: list[list[float]]  # index tables at their types
+    absorbing: list[list[bool]]  # their ``AgentModel.absorbing``
 
 
 def _opponents(runtime: MechanismRuntime, transforms, theta, i: int) -> _Opponents:
@@ -760,25 +773,28 @@ def _opponents(runtime: MechanismRuntime, transforms, theta, i: int) -> _Opponen
         [j for j, _, _ in arms],
         arms,
         [runtime.index_flat(j, tr, th).tolist() for j, tr, th in arms],
+        [runtime.env.agents[j].absorbing for j, _, _ in arms],
     )
 
 
 class _Levels:
     """The truthful others' side of one path, by how many rounds they
     have won among them.  After m such rounds ``values[m]`` is the best
-    index they present (0.0 once the zero arm beats them all, the last
-    entry then), ``holders[m]`` the id of the agent presenting it (the
-    lowest id among equals; -1 for the zero arm) and ``states[m]`` their
-    flat states.  The others are truthful, so the sequence is the same
-    whatever agent i does: it is cached on the path's ``_Trajectories``
-    under the others' key and read by every strategy of i, every report
-    of its fee, every point of its rent walk and every audit grid point
-    at the same opponent profile.  It grows as merges read past its end
-    (``grow``).  ``w_memo[m]`` holds the others' W at ``states[m]``
-    once a merge has priced a win at level m.
+    index they present (0.0 once the zero arm beats them all), ``holders[m]``
+    the id of the agent presenting it (the lowest id among equals; -1 for
+    the zero arm) and ``states[m]`` their flat states.  The others are
+    truthful, so the sequence is the same whatever agent i does: it is
+    cached on the path's ``_Trajectories`` under the others' key and read
+    by every strategy of i, every report of its fee, every point of its
+    rent walk and every audit grid point at the same opponent profile.
+    It grows as merges read past its end (``grow``).  ``w_memo[m]`` holds
+    the others' W at ``states[m]`` once a merge has priced a win at level
+    m.  Level ``stuck`` (-1 until there is one) is the zero arm or a
+    holder at an absorbing state (``AgentModel.absorbing``): every later
+    level would be its exact copy, so a merge that loses to it keeps m.
     """
 
-    __slots__ = ("_opponents", "_pos", "_last", "values", "holders", "states", "w_memo")
+    __slots__ = ("_opponents", "_pos", "_last", "values", "holders", "states", "w_memo", "stuck")
 
     def __init__(self, opponents: _Opponents):
         self._opponents = opponents
@@ -788,6 +804,7 @@ class _Levels:
         self.holders: list[int] = []
         self.states: list[list[int]] = []
         self.w_memo: dict[int, float] = {}
+        self.stuck = -1
 
     def grow(self, paths: _Trajectories) -> float:
         """The next level: the last level's winner moves on, then the
@@ -805,6 +822,8 @@ class _Levels:
         w = allocate(vals)
         self._last = w - 1
         level = vals[w - 1] if w > 0 else 0.0
+        if w == 0 or self._opponents.absorbing[w - 1][states[w - 1]]:
+            self.stuck = len(self.values)
         self.values.append(level)
         self.holders.append(agents[w - 1] if w > 0 else -1)
         self.states.append(states)
@@ -838,10 +857,11 @@ class _Deviator:
 
     Agent i wins iff its index b is positive and either b > level or
     b == level with i below the level's holder, which is ``allocate``'s
-    rule; on a win i moves on, on a loss to a positive level the others'
-    winner does (the next level), and a zero-arm round moves nothing.
-    Once no change is ahead (the last segment, no override to come), a
-    zero-arm round repeats forever, so the merge stops there.
+    rule; on a win i moves on, and on a loss to a level that is not
+    stuck (``_Levels``) the others' winner does.  Once no change is ahead
+    (the last segment, no override to come), a loss to a stuck level or
+    a win at an absorbing state repeats until the horizon, so the merge
+    adds the later rounds and stops.
 
     A win at level m is priced ((1 - delta) W(others at states[m]) -
     beta[rho_i]) / alpha, ``per_round_price``'s formula, with W memoized
@@ -874,6 +894,7 @@ class _Deviator:
         self.opponents = _opponents(runtime, transforms, theta, i)
         self.discs = _discounts(env.delta, horizon)
         self.n_rho = runtime._n_rho[i]
+        self.absorbing = env.agents[i].absorbing
         self.w_weight = 1.0 - env.delta
         self.tables: dict[float, list[float]] = {}
         if self.transform is not None:
@@ -915,10 +936,11 @@ class _Deviator:
         track_prices = self.track_prices
         changes = self.changes
         value = price = 0.0
+        absorbing, discs = self.absorbing, self.discs
         n = m = 0
         s = traj[0]
         c, ahead = 0, 1  # changes applied, and the round of the next one (0: none left)
-        for t, disc in enumerate(self.discs, 1):
+        for t, disc in enumerate(discs, 1):
             if t == ahead:
                 _, table, e_hat = changes[c]
                 c += 1
@@ -926,22 +948,30 @@ class _Deviator:
                 b = table[s if e_hat is None else e_hat * n_rho + s % n_rho]
             level = seen[m] if m < len(seen) else levels.grow(paths)
             if b > 0.0 and (b > level or (b == level and i < holders[m])):
-                value += disc * values[s]
+                x, pay = values[s], 0.0
+                value += disc * x
                 if track_prices:
                     w = w_memo.get(m)
                     if w is None:
                         w = w_memo[m] = runtime.w_minus(arms, levels.states[m])
-                    price += disc * ((weight * w - beta[s % n_rho]) / alpha)
+                    pay = (weight * w - beta[s % n_rho]) / alpha
+                    price += disc * pay
                 times.append(t)
+                if not ahead and absorbing[s]:  # won again in every later round
+                    for disc in discs[t:]:
+                        value += disc * x
+                        price += disc * pay
+                    times.extend(range(t + 1, len(discs) + 1))
+                    break
                 n += 1
                 if n == len(traj):
                     paths.extend(i)
                 s = traj[n]
                 b = table[s]  # an override round is followed by a change
-            elif level > 0.0:
+            elif m != levels.stuck:
                 m += 1
             elif not ahead:
-                break  # the zero arm takes this round and, with nothing moving, every later one
+                break  # level m takes this round and, with nothing moving, every later one
         return _Run(value, price, times)
 
 
@@ -1108,7 +1138,9 @@ class _RentWalk:
     at the report itself, keeps ``allocate``'s tie rule).  One
     O(horizon) merge of i's trajectory against the levels (``_merge``)
     gives a piece's win times, rent sums and critical scale; the path
-    costs one value run plus one merge per piece.
+    costs one value run plus one merge per piece.  Like ``_Deviator``'s,
+    a merge stops at a loss to a stuck level or a win at an absorbing
+    state.
 
     Scale-homogeneous arms (multiplicative, C = 0) have index table
     scale(z) * base, and i takes a round iff level / b < scale on the
@@ -1153,6 +1185,7 @@ class _RentWalk:
         self.discs = _discounts(env.delta, horizon)
         agent = env.agents[i]
         self.n_rho = agent.public.n
+        self.absorbing = agent.absorbing
         self.value = agent.value
         if isinstance(self.value, MultiplicativeValue):
             self.weights = self.value.b.reshape(-1).tolist()
@@ -1192,10 +1225,11 @@ class _RentWalk:
         times: list[int] = []
         beaten: list[float] = []
         crit = -math.inf
+        absorbing, discs = self.absorbing, self.discs
         n = m = 0
         s = traj[0]
         b = table[s]
-        for t, disc in enumerate(self.discs, 1):
+        for t, disc in enumerate(discs, 1):
             level = seen[m] if m < len(seen) else levels.grow(paths)
             if scale is None:
                 win = b > level
@@ -1207,18 +1241,25 @@ class _RentWalk:
                 if win and c > crit:
                     crit = c
             if win:
-                sums[s % n_rho] += disc * weights[s]
+                r, x = s % n_rho, weights[s]
+                sums[r] += disc * x
                 times.append(t)
+                if absorbing[s]:  # won again in every later round
+                    for disc in discs[t:]:
+                        sums[r] += disc * x
+                    times.extend(range(t + 1, len(discs) + 1))
+                    break
                 n += 1
                 if n == len(traj):
                     paths.extend(i)
                 s = traj[n]
                 b = table[s]
-            elif level > 0.0:
+            elif m != levels.stuck:
                 m += 1
             else:
-                break  # the zero arm takes this round and, with nothing moving, every later one
-        # the j-th win is at the j-th state of the trajectory
+                break  # level m takes this round and, with nothing moving, every later one
+        # the j-th win is at the j-th state of the trajectory (an absorbed
+        # tail repeats the last pair, so it is left out)
         return _Piece(sums, times, crit, traj[: len(beaten)], beaten)
 
     def integrate(self, streams: ExperienceStreams) -> tuple[float, float, int]:
@@ -1382,9 +1423,16 @@ def fee_quadrature(
 
 
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
-    if len(x) <= 1:
-        return (float(x[0]) if len(x) else 0.0), 0.0
-    return float(np.mean(x)), float(np.std(x, ddof=1) / math.sqrt(len(x)))
+    """``np.mean(x)`` and ``np.std(x, ddof=1) / sqrt(n)`` bit for bit, by
+    their ufuncs in their order, without their dispatch."""
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    if n <= 1:
+        return (float(x[0]) if n else 0.0), 0.0
+    mean = np.add.reduce(x) / n
+    d = np.subtract(x, mean)
+    var = np.add.reduce(np.multiply(d, d, out=d)) / (n - 1)
+    return float(mean), math.sqrt(var) / math.sqrt(n)
 
 
 def entry_price_P(

@@ -404,3 +404,47 @@ def test_committed_artifacts_match_a_fresh_run(tmp_path, config, command, status
     assert main(["--config", str(config), "--out", str(tmp_path), command]) == status
     for name in files:
         assert (tmp_path / name).read_bytes() == (committed / name).read_bytes(), name
+
+
+_REPEATED = [
+    ["validate-env"],
+    ["transform"],
+    ["--format", "json", "index", "--agent", "0"],
+    ["index", "--agent", "3"],  # out of range: exit 2
+    ["simulate"],
+    ["audit", "--suite", "ir"],
+    ["--format", "xml", "simulate"],  # refused by the parser: exit 2
+    ["bound"],
+]
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_repeated_in_process_calls_match_fresh_processes(tmp_path, capsys):
+    # main reuses one parser per process: every call, in any order, gives
+    # the artifacts, exit code, stdout and stderr of a process of its own
+    def argv(out, command):
+        return ["--config", str(POSTED), "--seed", "3", "--out", str(out), *command]
+
+    fresh = []
+    for n, command in enumerate(_REPEATED):
+        out = tmp_path / f"fresh{n}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "dynamech.cli", *argv(out, command)],
+            cwd=REPO, capture_output=True, text=True,
+        )
+        fresh.append((proc.returncode, proc.stdout, proc.stderr, _tree(out) if out.exists() else {}))
+    for rep in range(2):
+        order = range(len(_REPEATED)) if rep == 0 else reversed(range(len(_REPEATED)))
+        for n in order:
+            out = tmp_path / f"in{rep}-{n}"
+            try:
+                status = main(argv(out, _REPEATED[n]))
+            except SystemExit as exc:
+                status = exc.code
+            captured = capsys.readouterr()
+            got = (status, captured.out, captured.err, _tree(out) if out.exists() else {})
+            assert got == fresh[n], _REPEATED[n]
+    assert [f[0] for f in fresh] == [0, 0, 0, 2, 0, 0, 2, 0]

@@ -13,6 +13,7 @@ from dynamech import environments as envs
 from dynamech import mechanism as mech
 from dynamech.gittins import tail_horizon
 from dynamech.rng import ExperienceStreams
+from dynamech.verification import default_deviations
 
 import engine_reference as ref
 
@@ -516,3 +517,176 @@ def test_experience_reports_outside_the_private_states_are_refused(
             env, rt, theta, 0, mech.MisreportExperience(1, e_hat), ExperienceStreams(4, 0, "edge"), 20
         )
         _assert_run(got, want)
+
+
+# ---------------------------------------------------------------------------
+# Absorbed tails
+# ---------------------------------------------------------------------------
+
+
+def _absorbing_chain(seed: int, k: int, additive: bool) -> envs.Environment:
+    """``_random_chain`` with about half of its public and private rows
+    replaced by rows that stay put, so that paths end at absorbing states."""
+    rng = np.random.default_rng(seed)
+    env = _random_chain(seed, k, additive)
+    agent = env.agents[0]
+    g, h = agent.public.matrix.copy(), agent.private.matrix.copy()
+    for m in (g, h):
+        for idx in np.ndindex(m.shape[:-1]):
+            if rng.random() < 0.5:
+                m[idx] = np.eye(m.shape[-1])[idx[-1]]
+    return envs.finite_chain(env.delta, k=k, g=g, h=h, value=agent.value)
+
+
+def _two_state_copies(k: int) -> envs.Environment:
+    """k copies of an arm that moves from state 0 to the absorbing state 1
+    with probability 1/2 per allocation; equal types tie at equal states."""
+    val = envs.MultiplicativeValue(
+        a=lambda t: t, da=lambda t: 1.0, b=np.array([[0.3], [1.0]]), c=np.zeros(1)
+    )
+    return envs.finite_chain(0.8, k=k, g=[[1.0]], h=[[0.5, 0.5], [0.0, 1.0]], value=val)
+
+
+def _tail_families(env, i: int):
+    """Every ``default_deviations`` strategy, plus corrections that come
+    after most paths have absorbed."""
+    late = [mech.CorrectingDeviation(o, c) for o in (-0.25, 0.1) for c in (6, 11)]
+    return [s for _, s in default_deviations(env, i)] + late
+
+
+def _check_paths(env, rt, theta, families, streams_of, horizon, paths=range(4)):
+    """Every engine on each path, bit-equal to its per-round oracle: the
+    truthful episode, each one-deviator run, and each agent's fee."""
+    truthful = [mech.Truthful()] * env.k
+    for j in paths:
+        got, want = _both_engines(env, rt, theta, truthful, streams_of(j), horizon, False)
+        _assert_same(got, want)
+    transforms = mech._active_transforms(env, rt, theta)
+    for i in range(env.k):
+        for strategy in families(i):
+            for j in paths:
+                got, want, _ = _deviator_and_reference(env, rt, theta, i, strategy, streams_of(j), horizon)
+                _assert_run(got, want)
+        if i not in transforms:
+            continue
+        stream = streams_of(0)
+        seed, purpose = stream.master_seed, stream.purpose
+        n = len(paths)
+        data = mech.fee_quadrature(
+            env, theta, i, paths=n, seed=seed, horizon=horizon, runtime=rt, stream_purpose=purpose
+        )
+        oracle = ref.replay_fee_walk(env, theta, i, n, seed, horizon, rt, purpose)
+        assert list(zip(data.integral.tolist(), data.error.tolist(), data.pieces.tolist())) == oracle
+        for j in range(n):
+            want = ref.reference_run_rounds(
+                env, rt, transforms, theta, truthful, ExperienceStreams(seed, j, purpose), horizon
+            )
+            assert data.values[j] == want.values[i]
+            assert data.payments[j] == want.prices[i]
+
+
+def _absorbed_runs(rt, env, theta, i, strategy, streams, horizon):
+    """(run, agent i's trajectory length) of a deviator run on a fresh
+    address: a run that drew a move per win has one more state than wins."""
+    transforms = _transforms(env, rt, theta, i, strategy)
+    run = mech._Deviator(env, rt, transforms, theta, i, strategy, horizon).run(streams)
+    return run, len(rt.trajectories(streams).states[i])
+
+
+@pytest.mark.parametrize("world", ["posted", "cap1", "cap2", "cap5"])
+def test_absorbed_tails_match_the_per_round_oracles(world, sponsored_small, sponsored2):
+    if world == "posted":
+        env = _posted_copies(1)
+    else:
+        env = {"cap1": envs.sponsored_search(k=2, cap=1, delta=0.8), "cap2": sponsored_small,
+               "cap5": sponsored2}[world]
+    rt = mech.MechanismRuntime(env)  # fresh: no trajectory drawn before
+    horizon = tail_horizon(env.delta, env.k, env.v_max, 1e-3)
+    theta = [0.9, 0.7][: env.k]
+    purpose = f"tails-{world}"
+    # first, on fresh addresses: a win at an absorbing state ends the run
+    # without drawing the moves of the rounds it goes on winning
+    absorbed = 0
+    for j in range(16):
+        streams = ExperienceStreams(9, j, purpose)
+        run, drawn = _absorbed_runs(rt, env, theta, 0, mech.Truthful(), streams, horizon)
+        absorbed += drawn <= len(run.times)
+    assert absorbed > 0
+    if world == "posted":
+        assert absorbed == 16  # the one state is absorbing from round 1
+        # the fee's value runs and rent walks draw nothing, and an episode
+        # draws its first move only
+        fresh = mech.MechanismRuntime(env)
+        mech.fee_quadrature(
+            env, theta, 0, paths=4, seed=9, horizon=horizon, runtime=fresh, stream_purpose="fee-draws"
+        )
+        drawn = [len(fresh.trajectories(ExperienceStreams(9, j, "fee-draws")).states[0]) for j in range(4)]
+        assert drawn == [1] * 4
+        streams = ExperienceStreams(9, 0, "episode-draws")
+        res = mech._run_rounds(
+            env, fresh, mech._active_transforms(env, fresh, theta), theta, [mech.Truthful()], streams, horizon
+        )
+        assert res.winners == [1] * horizon and len(fresh.trajectories(streams).states[0]) == 2
+    _check_paths(
+        env, rt, theta, lambda i: _tail_families(env, i),
+        lambda j: ExperienceStreams(9, j, purpose), horizon, paths=range(16 if world == "cap1" else 6),
+    )
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_absorbed_tails_with_ties_at_a_stuck_level(k):
+    env = _two_state_copies(k)
+    rt = mech.MechanismRuntime(env)
+    horizon = 24
+    theta = [0.8] * k
+
+    def families(i):
+        return [
+            mech.Truthful(), mech.MisreportExperience(2, 0), mech.MisreportExperience(5, 1),
+            mech.CorrectingDeviation(-0.3, 4), mech.CorrectingDeviation(0.1, 7),
+        ]
+
+    def streams_of(j):
+        return ExperienceStreams(3, j, "stuck-ties")
+
+    _check_paths(env, rt, theta, families, streams_of, horizon, range(12))
+    # some path has an opponent holding a stuck level from the absorbing
+    # state, and agent i presents the same index there: a tie at a stuck level
+    transforms = mech._active_transforms(env, rt, theta)
+    ties = 0
+    for i in range(k):
+        opponents = mech._opponents(rt, transforms, theta, i)
+        at_one = rt.index_flat(i, transforms[i], theta[i])[1]
+        for j in range(12):
+            paths = rt.trajectories(streams_of(j))
+            levels = paths.levels(opponents)
+            m = levels.stuck
+            ties += m >= 0 and levels.holders[m] >= 0 and levels.values[m] == at_one and 1 in paths.states[i]
+    assert ties > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    chain_seed=st.integers(0, 10_000),
+    k=st.integers(1, 3),
+    additive=st.booleans(),
+    kind=st.integers(0, 4),
+    offset=st.sampled_from([-0.25, -0.05, 0.1]),
+    round_t=st.integers(1, 9),
+    thetas=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+)
+def test_absorbed_tails_on_random_chains_match_the_per_round_oracles(
+    chain_seed, k, additive, kind, offset, round_t, thetas
+):
+    env = _absorbing_chain(chain_seed, k, additive)
+    rt = mech.MechanismRuntime(env)
+    theta = [float(x) for x in thetas[:k]]
+    n_e = env.agents[0].private.n
+
+    def families(i):
+        return [mech.Truthful(), _strategy(kind, offset, round_t, n_e)]
+
+    def streams_of(j):
+        return ExperienceStreams(chain_seed, j, "tails-random")
+
+    _check_paths(env, rt, theta, families, streams_of, 30, range(3))

@@ -232,3 +232,70 @@ def test_density_mass_simpson_matches_scipy(dist, grid):
     fine = np.linspace(0.0, dist.theta_bar, 8 * grid + 1)
     dens = np.array([dist.pdf(float(t)) for t in fine])
     assert abs(envs._simpson(dens, fine) - float(simpson(dens, x=fine))) <= 1e-14
+
+
+def _brute_force_absorbing(agent: envs.AgentModel) -> list[bool]:
+    """Per flat state, whether every draw maps it back to itself: the
+    draws are 0, 0.5, the largest float below 1 and every breakpoint of
+    the state's two sampling rows in [0, 1), so that each constant piece
+    of the inverse CDF on [0, 1) is tried."""
+    n_rho = agent.public.n
+    out = []
+    for s in range(agent.n_states):
+        e, rho = divmod(s, n_rho)
+
+        def draws(row):
+            return {0.0, 0.5, float(np.nextafter(1.0, 0.0))} | {float(c) for c in row if 0.0 <= c < 1.0}
+
+        out.append(all(
+            envs.sample_transition(agent, e, rho, u, v) == (e, rho)
+            for u in draws(agent.public.cumulative[rho])
+            for v in draws(agent.private.cumulative[rho, e])
+        ))
+    return out
+
+
+def _one_agent(g, h) -> envs.AgentModel:
+    n_rho, n_e = len(g), np.shape(h)[-1]
+    val = envs.AdditiveValue(a=lambda t, r: t, da=lambda t, r: 1.0, b=np.zeros((n_e, n_rho)))
+    return envs.finite_chain(0.9, g=g, h=h, value=val).agents[0]
+
+
+@pytest.mark.parametrize("cap,count", [(1, 4), (2, 9), (5, 36)])
+def test_absorbing_states_of_sponsored_search_equal_brute_force(cap, count):
+    agent = envs.sponsored_search(k=1, cap=cap, delta=0.8).agents[0]
+    assert agent.absorbing == _brute_force_absorbing(agent)
+    assert sum(agent.absorbing) == count  # both beliefs frozen at the cap
+
+
+def test_absorbing_reads_the_sampling_rows_not_the_diagonal():
+    tiny = 1e-300
+    # public row 1 keeps 1e-300 on state 0, which a draw of 0 reaches, so
+    # it moves although its diagonal entry reads 1.0; public row 0 puts its
+    # 1e-300 after the diagonal, past every draw below 1, so it stays
+    agent = _one_agent([[1.0, tiny], [tiny, 1.0]], [[1.0]])
+    assert agent.public.matrix[1, 1] == 1.0
+    assert agent.absorbing == _brute_force_absorbing(agent) == [True, False]
+    # a row whose diagonal mass stops one ulp short of 1 moves at the
+    # largest draw; a zero-mass tail after the diagonal does not matter
+    agent = _one_agent([[1.0]], [[1.0 - 2.0**-53, 2.0**-53, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5]])
+    assert agent.absorbing == _brute_force_absorbing(agent) == [False, True, False]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_absorbing_states_of_random_chains_equal_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    n_rho, n_e = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+
+    def rows(shape):
+        x = rng.random(shape) * (rng.random(shape) > 0.4)
+        x[..., 0] += x.sum(axis=-1) == 0.0
+        x /= x.sum(axis=-1, keepdims=True)
+        for idx in np.ndindex(shape[:-1]):  # some rows stay put
+            if rng.random() < 0.5:
+                x[idx] = np.eye(shape[-1])[idx[-1]]
+        return x
+
+    agent = _one_agent(rows((n_rho, n_rho)), rows((n_rho, n_e, n_e)))
+    assert agent.absorbing == _brute_force_absorbing(agent)

@@ -669,3 +669,23 @@ def test_brent_port_raises_like_scipy():
             mech._brentq(f, xa, xb, xtol=1e-15, rtol=mech._ROOT_RTOL)
         with pytest.raises(error):
             brentq(f, xa, xb, xtol=1e-15, rtol=mech._ROOT_RTOL)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(0, 600),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(-12.0, 12.0),
+    shift=st.floats(-1e3, 1e3),
+    repeats=st.booleans(),
+)
+def test_mean_se_equals_numpy_mean_and_std_bit_for_bit(n, seed, scale, shift, repeats):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * 10.0**scale + shift
+    if repeats:  # few distinct values, as on paths that share their outcome
+        x = rng.choice(x[:3], n) if n else x
+    mean, se = mech._mean_se(x)
+    if n >= 2:
+        assert (mean, se) == (float(np.mean(x)), float(np.std(x, ddof=1) / math.sqrt(n)))
+    else:
+        assert (mean, se) == ((float(x[0]) if n else 0.0), 0.0)

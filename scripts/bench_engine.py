@@ -29,7 +29,13 @@ tree goes first.  Recorded per tree:
 - ``draw_pair_calls``: ``ExperienceStreams.draw_pair`` calls made by
   one operation of each kind above;
 - ``additive_table_builds_per_path``: ``MechanismRuntime.build_table``
-  calls of the additive fee call, per path.
+  calls of the additive fee call, per path;
+- ``sweep_ms``: one ``gittins._sweep_indices`` call (best of
+  ``SWEEP_CALLS``), index-only and with hits, on the experience-reward
+  arms of sponsored search at caps 2-5 and of the AR(1) environment
+  above, once per kernel: ``sparse`` and ``dense`` with
+  ``SPARSE_SWEEP_MAX_STATES`` set to select each, or ``dense`` alone on
+  a tree without the sparse kernel.  The cutoff is read off these.
 
 Times are medians over ``--repeats`` repetitions (each repetition's
 value is kept under ``runs``).  Every repetition runs the same
@@ -40,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -53,10 +60,12 @@ FEE_PATHS = 16
 EPISODES = 200
 WARM_UP = 10**6  # stream seed of the untimed calls
 STRATEGIC_PATHS = 64
+SWEEP_CALLS = 5
 TIMES = (
     "fee_ms_per_path", "episode_ms", "posted_audit_ic_s", "additive_fee_ms_per_path", "strategic_run_us",
 )
 COUNTS = ("draw_pair_calls", "additive_table_builds_per_path")  # identical in every repetition
+TABLES = ("sweep_ms",)  # {label: ms}, a median per label
 AR1_PARAMS = {"k": 2, "coeff": 0.5, "shock": [[0.2]], "grid_step": 0.1, "alloc_cap": 6}
 
 
@@ -157,7 +166,39 @@ def _measure() -> dict:
             "audit_ic (posted price)": audit_draws,
         },
         "additive_table_builds_per_path": builds[0] / FEE_PATHS,
+        "sweep_ms": _sweep_ms(),
     }
+
+
+def _sweep_ms() -> dict:
+    """Best-of-``SWEEP_CALLS`` milliseconds of one index sweep per kernel,
+    arm and mode."""
+    import numpy as np
+
+    from dynamech import environments as envs
+    from dynamech import gittins
+
+    arms = {}
+    for cap in (2, 3, 4, 5):
+        agent = envs.sponsored_search(k=1, cap=cap, delta=0.8).agents[0]
+        arms[f"sponsored cap {cap}"] = gittins.compile_reward_arm(agent, agent.value.b, 0.8)
+    params = dict(AR1_PARAMS, shock=np.array(AR1_PARAMS["shock"]))
+    agent = envs.ar1(delta=0.8, **params).agents[0]
+    arms["ar1"] = gittins.compile_reward_arm(agent, agent.value.b, 0.8)
+    cutoffs = {"sparse": 10**9, "dense": 0} if hasattr(gittins, "SPARSE_SWEEP_MAX_STATES") else {"dense": None}
+    out = {}
+    for kernel, cutoff in cutoffs.items():
+        if cutoff is not None:
+            gittins.SPARSE_SWEEP_MAX_STATES = cutoff
+        for name, arm in arms.items():
+            for mode, record_hits in (("index", False), ("hits", True)):
+                best = math.inf
+                for _ in range(SWEEP_CALLS):
+                    start = time.perf_counter()
+                    gittins._sweep_indices(arm, record_hits)
+                    best = min(best, time.perf_counter() - start)
+                out[f"{kernel}, {name} ({arm.n} states), {mode}"] = 1e3 * best
+    return out
 
 
 def _cpu_model() -> str:
@@ -187,7 +228,9 @@ def _run_tree(tree: Path) -> dict:
 def _summary(runs: list[dict]) -> dict:
     out = {key: statistics.median(r[key] for r in runs) for key in TIMES}
     out.update({key: runs[0][key] for key in COUNTS})
-    out["runs"] = {key: [r[key] for r in runs] for key in TIMES}
+    for key in TABLES:
+        out[key] = {label: statistics.median(r[key][label] for r in runs) for label in runs[0][key]}
+    out["runs"] = {key: [r[key] for r in runs] for key in TIMES + TABLES}
     return out
 
 

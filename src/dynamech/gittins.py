@@ -6,7 +6,12 @@ discounted reward per expected discounted unit of time.  Arms of at most
 ``DENSE_SWEEP_MAX_STATES`` states get every index exactly in one
 largest-remaining-index pass by state elimination (Sonin 2008): retire
 the live state with the largest reward-per-time ratio, then fold it into
-the others so that the chain passes through it.  Larger arms use the
+the others so that the chain passes through it.  Two kernels do that
+pass with the same arithmetic and give the same bits: arms of at most
+``SPARSE_SWEEP_MAX_STATES`` states fold on dict rows with a heap of live
+ratios, since a small arm's fold touches a few entries and a NumPy call
+costs more than that; larger ones fold with one NumPy block update per
+step, which is faster there once hits are recorded.  Larger arms use the
 retirement characterization: lambda* is the unique lambda at which the
 option value of continuing, V_lambda(s) = max{lambda/(1-delta),
 xi(s) + delta E[V_lambda(s')]}, equals the retirement value
@@ -23,6 +28,7 @@ more arms against the zero arm, with no product state space.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -147,6 +153,11 @@ def _reachable(arm: CompiledArm, start: int) -> np.ndarray:
 # float64 work matrix is 32 MiB at the cap.  Sponsored search at the
 # default cap 20 has 53k states and bisects.
 DENSE_SWEEP_MAX_STATES = 2048
+# Arms up to this many states sweep on sparse rows (``_sparse_sweep``).
+# Sweeps with hits cross over between the 100- and 225-state sponsored
+# search arms: there the dense block update catches up, as every retired
+# row keeps folding and fills in (``BENCH_engine.json``, ``sweep_ms``).
+SPARSE_SWEEP_MAX_STATES = 128
 # Value-iteration sweeps before a solve gives up and raises.
 VI_MAX_SWEEPS = 200_000
 
@@ -180,16 +191,29 @@ def _sweep_indices(
     live state a with the largest r/d records that ratio as its index;
     folding it in updates every row p that can step to a,
     W[p, :] += Q[p, a] * (W[a, :] / (1 - Q[a, a])) with row a scaled
-    first, and then clears column a.  Only the block of rows with
-    Q[p, a] != 0 and columns with W[a, j] != 0 is touched: every other
-    entry would gain an exact zero.  Q's rows sum to at most delta, so
-    the pivot is at least 1 - delta.  Argmax ties go to the lowest
-    state, and each index is clipped to its reachable reward range, so a
-    state whose reachable rewards are constant keeps its reward
-    bit-exactly.  Row k of the recorded n x n array is d after the first
-    k + 1 retirements, one copy of the work matrix's d column per step
-    (``hit_discounts`` turns it into hit discounts in place).
+    first, and then clears column a.  Only entries with Q[p, a] != 0 and
+    W[a, j] != 0 change: every other one would gain an exact zero.  Q's
+    rows sum to at most delta, so the pivot is at least 1 - delta.  Ties
+    go to the lowest state, and each index is clipped to its reachable
+    reward range, so a state whose reachable rewards are constant keeps
+    its reward bit-exactly.  Row k of the recorded n x n array is d
+    after the first k + 1 retirements (``hit_discounts`` turns it into
+    hit discounts in place).  ``_sparse_sweep`` does the work on arms of
+    at most ``SPARSE_SWEEP_MAX_STATES`` states, ``_dense_sweep`` above
+    that; they do the same arithmetic on the same entries and give the
+    same bits.
     """
+    kernel = _sparse_sweep if arm.n <= SPARSE_SWEEP_MAX_STATES else _dense_sweep
+    out, order, hits = kernel(arm, record_hits)
+    lo, hi = _reward_range(arm)
+    return np.clip(out, lo, hi), order, hits
+
+
+def _dense_sweep(arm: CompiledArm, record_hits: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """``_sweep_indices`` before the clip, on an n x (n + 2) work matrix:
+    each fold is one NumPy update of the block of rows with
+    Q[p, a] != 0 and columns with W[a, j] != 0, and the argmax of r/d
+    over the live states picks the next state."""
     n = arm.n
     w = np.zeros((n, n + 2))
     w[np.repeat(np.arange(n), np.diff(arm.indptr)), arm.indices] = arm.probs * arm.delta
@@ -214,8 +238,87 @@ def _sweep_indices(
         col[:] = 0.0
         if hits is not None:
             hits[k] = d
-    lo, hi = _reward_range(arm)
-    return np.clip(out, lo, hi), order, hits
+    return out, order, hits
+
+
+def _sparse_sweep(arm: CompiledArm, record_hits: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """``_sweep_indices`` before the clip, on sparse rows: Q as one
+    ``{column: value}`` dict per row with the set of rows that step to
+    each column, r and d as lists, and a max-heap of the live states'
+    r/d (stale entries are skipped).  Each touched entry gets the dense
+    kernel's expression w + q * (inv * w_aj), with row a's values read
+    before the fold.  An entry exists where the dense kernel's
+    ``nonzero`` tests see one, so a product that underflows to 0 adds
+    none, and the r column is left alone when r[a] == 0.  Retired rows
+    fold on only when hits are recorded, and the hit table is rebuilt
+    from each step's list of the d entries it changed."""
+    n = arm.n
+    rows: list[dict[int, float]] = [{} for _ in range(n)]
+    preds: list[set[int]] = [set() for _ in range(n)]
+    row_of = np.repeat(np.arange(n), np.diff(arm.indptr)).tolist()
+    for p, j, v in zip(row_of, arm.indices.tolist(), (arm.probs * arm.delta).tolist()):
+        if v:
+            rows[p][j] = v
+            preds[j].add(p)
+    r = arm.rewards.tolist()
+    d = [1.0] * n
+    key = [-x for x in r]  # -(r / d) with d = 1
+    heap = list(zip(key, range(n)))
+    heapq.heapify(heap)
+    live = [True] * n
+    out = [0.0] * n
+    order = [0] * n
+    changed: list[int] = []  # hits: rows whose d each step changed, step by step
+    new_d: list[float] = []
+    counts = [0] * n
+    for k in range(n):
+        neg, a = heapq.heappop(heap)
+        while not live[a] or neg != key[a]:
+            neg, a = heapq.heappop(heap)
+        out[a] = r[a] / d[a]
+        order[k] = a
+        live[a] = False
+        row_a = rows[a]
+        inv = 1.0 / (1.0 - row_a.get(a, 0.0))
+        fold = [(j, inv * v) for j, v in row_a.items() if j != a]
+        ra = r[a]
+        sr, sd = inv * ra, inv * d[a]
+        targets = preds[a]
+        preds[a] = set()
+        if not record_hits:
+            targets.discard(a)
+            for j, _ in fold:
+                preds[j].discard(a)
+        for p in targets:
+            row = rows[p]
+            q = row.pop(a)
+            for j, s in fold:
+                v = row.get(j)
+                if v is None:
+                    v = q * s
+                    if v:  # an underflowed product is no entry
+                        row[j] = v
+                        preds[j].add(p)
+                else:
+                    row[j] = v + q * s
+            d[p] = d[p] + q * sd
+            if live[p]:
+                if ra != 0.0:
+                    r[p] = r[p] + q * sr
+                key[p] = neg = -(r[p] / d[p])
+                heapq.heappush(heap, (neg, p))
+        if record_hits:
+            changed.extend(targets)
+            new_d.extend([d[p] for p in targets])
+            counts[k] = len(targets)
+    hits = None
+    if record_hits:
+        # entry (k, x) holds x's d after its last change at or before step k
+        last = np.zeros((n, n), dtype=np.intp)
+        last[np.repeat(np.arange(n), counts), np.array(changed, dtype=np.intp)] = np.arange(1, len(changed) + 1)
+        np.maximum.accumulate(last, axis=0, out=last)
+        hits = np.array([1.0] + new_d)[last]
+    return np.array(out), np.array(order), hits
 
 
 def hit_discounts(arm: CompiledArm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -48,6 +48,7 @@ from .virtual import (
     VirtualTransform,
     dormancy_threshold,
     inverse_hazard,
+    multiplicative_alpha,
     transform_or_dormant,
     xi_table,
 )
@@ -1099,8 +1100,9 @@ def _brent_steps(
 def _scale_at(z: float, env: Environment, i: int) -> float:
     """alpha(z) * A(z): a scale-homogeneous agent's index scale with its
     report and type both at z (0 when dormant)."""
-    tr = transform_or_dormant(env, i, z)
-    return 0.0 if tr is None else tr.alpha * env.agents[i].value.a(z)
+    agent = env.agents[i]
+    alpha = multiplicative_alpha(agent, z)
+    return alpha * agent.value.a(z) if alpha is not None and alpha > 0.0 else 0.0
 
 
 class _Piece(NamedTuple):
@@ -1281,9 +1283,15 @@ class _RentWalk:
         of the bracket that holds it."""
         if crit <= self.scale_lo:
             return self.lo, 0.0
-        if self._scale(z_top) <= crit:  # within rounding of the piece top
+        f_top = self._scale(z_top) - crit
+        if f_top <= 0.0:  # within rounding of the piece top
             return z_top, 0.0
-        z = _brentq(lambda z: self._scale(z) - crit, self.lo, z_top, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL)
+        # _brentq evaluates the bracket's ends first: answer with the values at hand
+        ends = {self.lo: self.scale_lo - crit, z_top: f_top}
+        z = _brentq(
+            lambda z: ends[z] if z in ends else self._scale(z) - crit,
+            self.lo, z_top, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL,
+        )
         return z, 2.0 * (_ROOT_XTOL + _ROOT_RTOL * abs(z))
 
     def _scale_walk(self, paths: _Trajectories, levels: _Levels) -> tuple[float, float, int]:

@@ -31,6 +31,7 @@ __all__ = [
     "inverse_hazard",
     "virtual_value",
     "affine_coefficients",
+    "multiplicative_alpha",
     "transform_or_dormant",
     "dormancy_threshold",
     "xi",
@@ -89,16 +90,28 @@ def _affine(agent, report: float) -> VirtualTransform | None:
     A(report) <= 0 or a non-finite alpha."""
     val = agent.value
     if isinstance(val, MultiplicativeValue):
-        a_r = val.a(report)
-        if a_r <= 0.0:
-            return None
-        alpha = 1.0 - inverse_hazard(agent.distribution, report) * val.da(report) / a_r
-        if not math.isfinite(alpha):  # A'/A overflows at subnormal reports; beta would be nan
+        alpha = multiplicative_alpha(agent, report)
+        if alpha is None:
             return None
         return VirtualTransform(alpha=alpha, beta=(alpha - 1.0) * val.c, pegged_report=report)
     ih = inverse_hazard(agent.distribution, report)
     beta = np.array([-ih * val.da(report, rho) for rho in range(agent.public.n)])
     return VirtualTransform(alpha=1.0, beta=beta, pegged_report=report)
+
+
+def multiplicative_alpha(agent, report: float) -> float | None:
+    """alpha = 1 - [(1-F)/f] * A'/A of a multiplicative value at the
+    report, or None when A(report) <= 0 or alpha is not finite.  The one
+    scalar behind ``affine_coefficients`` for multiplicative values, for
+    callers that need alpha alone."""
+    val = agent.value
+    a_r = val.a(report)
+    if a_r <= 0.0:
+        return None
+    alpha = 1.0 - inverse_hazard(agent.distribution, report) * val.da(report) / a_r
+    if not math.isfinite(alpha):  # A'/A overflows at subnormal reports; beta would be nan
+        return None
+    return alpha
 
 
 def transform_or_dormant(

@@ -549,6 +549,95 @@ def test_block_update_equals_full_update_on_cap5_arm(sponsored2):
     _assert_block_update_drops_nothing(gittins.compile_reward_arm(agent, agent.value.b, sponsored2.delta))
 
 
+_KERNELS = {"dense": gittins._dense_sweep, "sparse": gittins._sparse_sweep}
+
+
+def _bits(result) -> list:
+    return [None if x is None else (x.dtype, x.shape, x.tobytes()) for x in result]
+
+
+def _assert_kernels_equal_full_update(arm: gittins.CompiledArm, full: bool = True) -> None:
+    """Both sweep kernels, called directly, with and without hits, give
+    the same bits as each other and (``full``) as the full update: the
+    order and hits as they are, the indices after ``_sweep_indices``'s
+    clip.  ``tobytes`` tells -0.0 from 0.0."""
+    want = _full_update_sweep(arm) if full else None
+    lo, hi = gittins._reward_range(arm)
+    for record_hits in (False, True):
+        got = {name: kernel(arm, record_hits) for name, kernel in _KERNELS.items()}
+        assert _bits(got["sparse"]) == _bits(got["dense"])
+        out, order, hits = got["sparse"]
+        assert (hits is not None) == record_hits
+        if want is not None:
+            assert _bits([np.clip(out, lo, hi), order]) == _bits(want[:2])
+            if record_hits:
+                assert _bits([hits]) == _bits(want[2:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_sweep_kernels_equal_full_update_on_random_chains(seed):
+    _assert_kernels_equal_full_update(_random_arm(seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 100_000),
+    ties=st.integers(0, 3),
+    zeros=st.sampled_from(["none", "+0", "-0", "both"]),
+    tiny=st.booleans(),
+)
+def test_sweep_kernels_agree_on_tied_rows_zero_rewards_and_underflow(seed, ties, zeros, tiny):
+    # copied rows tie the ratio argmax; zero rewards leave the r column
+    # out of the fold; entries near 1e-170 make products that underflow
+    gen = substream(seed, "sweep-ties")
+    n = int(gen.integers(2, 30))
+    p = gen.random((n, n)) * (gen.random((n, n)) < 0.3)
+    p[np.arange(n), gen.integers(0, n, n)] += 0.1
+    if tiny:
+        p[gen.random((n, n)) < 0.2] = 1e-170
+    p /= p.sum(axis=1, keepdims=True)
+    rewards = gen.random(n) - 0.3
+    for t in range(min(ties, n - 1)):
+        p[t + 1], rewards[t + 1] = p[0], rewards[0]
+    if zeros != "none":
+        signs = {"+0": [1.0], "-0": [-1.0], "both": [1.0, -1.0]}[zeros]
+        at = gen.random(n) < 0.4
+        rewards[at] = np.copysign(0.0, gen.choice(signs, int(at.sum())))
+    arm = _chain_arm(rewards, p, 0.5 + 0.48 * float(gen.random()))
+    # the full update adds +0.0 to rows that do not step to the retired
+    # state, which turns a -0.0 reward into 0.0; the kernels touch only
+    # entries that change, so they are compared with each other there
+    _assert_kernels_equal_full_update(arm, full=zeros in ("none", "+0"))
+
+
+def test_sweep_kernels_leave_r_alone_when_the_retired_reward_is_zero():
+    # state 0 (reward 0.0) retires first on the tie; folding the r column
+    # anyway would turn state 1's -0.0 into 0.0 + 0.0 = 0.0
+    arm = _chain_arm(np.array([0.0, -0.0]), np.array([[1.0, 0.0], [1.0, 0.0]]), 0.9)
+    for record_hits in (False, True):
+        got = {name: kernel(arm, record_hits) for name, kernel in _KERNELS.items()}
+        assert _bits(got["sparse"]) == _bits(got["dense"])
+        assert got["sparse"][1].tolist() == [0, 1]
+        assert str(got["sparse"][0][1]) == "-0.0"
+
+
+def _shipped_sweep_arm(name: str) -> gittins.CompiledArm:
+    if name.startswith("sponsored cap "):
+        agent = envs.sponsored_search(k=1, cap=int(name[-1]), delta=0.8).agents[0]
+    else:  # _shipped_agents yields sponsored search, ar1, posted_price, exponential_control
+        names = ("ar1", "posted_price", "exponential_control")
+        agent = list(_shipped_agents())[1 + names.index(name)]
+    return gittins.compile_reward_arm(agent, agent.value.b, 0.8)
+
+
+@pytest.mark.parametrize(
+    "name", [f"sponsored cap {cap}" for cap in (2, 3, 4, 5)] + ["ar1", "posted_price", "exponential_control"]
+)
+def test_sweep_kernels_equal_full_update_on_shipped_arms(name):
+    _assert_kernels_equal_full_update(_shipped_sweep_arm(name))
+
+
 def _shipped_agents():
     configs = Path(__file__).resolve().parents[1] / "configs"
     yield envs.sponsored_search(k=1, cap=5, delta=0.8).agents[0]

@@ -282,6 +282,42 @@ def test_index_table_and_prices_share_one_sweep(monkeypatch):
     assert len(calls) == 1
 
 
+def _record_kernels(monkeypatch) -> list:
+    """Patch both sweep kernels to log (kernel, states, record_hits)."""
+    calls = []
+    for name in ("dense", "sparse"):
+        kernel = getattr(gittins, f"_{name}_sweep")
+
+        def logged(arm, record_hits, name=name, kernel=kernel):
+            calls.append((name, arm.n, record_hits))
+            return kernel(arm, record_hits)
+
+        monkeypatch.setattr(gittins, f"_{name}_sweep", logged)
+    return calls
+
+
+def test_sweep_kernel_is_chosen_by_arm_size(monkeypatch, sponsored2):
+    calls = _record_kernels(monkeypatch)
+    assert gittins.SPARSE_SWEEP_MAX_STATES < 441  # the cap-5 arm stays dense
+    # additive probe tables (35 states) and the cap-2 base arm (36) are sparse
+    ar1 = mech.MechanismRuntime(_ar1_env(2))
+    ar1.build_table(0, ar1.transform(0, 0.9), 0.85)
+    assert calls == [("sparse", 35, False)]
+    mech.MechanismRuntime(envs.sponsored_search(k=2, cap=2, delta=0.8))._base(0)
+    assert calls[1:] == [("sparse", 36, True)]
+    mech.MechanismRuntime(sponsored2)._base(0)
+    assert calls[2:] == [("dense", 441, True)]
+    # index_of_states and hit_discounts switch kernels just above the cutoff
+    agent = _ar1_env(1).agents[0]
+    arm = compile_reward_arm(agent, agent.value.b, 0.8)
+    for cutoff, kernel in ((arm.n, "sparse"), (arm.n - 1, "dense")):
+        monkeypatch.setattr(gittins, "SPARSE_SWEEP_MAX_STATES", cutoff)
+        del calls[:]
+        gittins.index_of_states(arm, np.arange(arm.n), tol=1e-9)
+        gittins.hit_discounts(arm)
+        assert calls == [(kernel, arm.n, False), (kernel, arm.n, True)]
+
+
 def test_additive_key_is_swept_once_for_index_and_prices(monkeypatch):
     # an additive agent's index table and hit discounts come from one
     # sweep per (report, theta); fee-walk probe tables record no hits
@@ -585,6 +621,21 @@ def test_sampled_types_when_theta_omitted(posted_price, posted_price_runtime):
 # ---------------------------------------------------------------------------
 # The in-tree Brent root finder against scipy's
 # ---------------------------------------------------------------------------
+
+
+def test_scale_at_equals_the_transforms_alpha_times_a():
+    # the fee walk's root function reads alpha without building a
+    # transform; it must give the transform's bits, 0 where dormant
+    from dynamech.virtual import transform_or_dormant
+
+    for env in (envs.sponsored_search(k=2, cap=2, delta=0.8), posted_price_env()):
+        theta_bar = env.agents[0].distribution.theta_bar
+        lo = dormancy_threshold(env, 0)
+        grid = np.concatenate([np.linspace(0.0, theta_bar, 401), [5e-324, lo, math.nextafter(lo, 0.0)]])
+        for z in grid.tolist():
+            tr = transform_or_dormant(env, 0, z)
+            want = 0.0 if tr is None else tr.alpha * env.agents[0].value.a(z)
+            assert mech._scale_at(z, env, 0).hex() == want.hex()
 
 
 def test_brent_port_equals_scipy_on_fee_walk_calls(tmp_path, monkeypatch):

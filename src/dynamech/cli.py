@@ -59,10 +59,6 @@ def _emit_table(path: Path, header, rows, meta: dict, fmt: str) -> None:
         _write_text(path.with_suffix(".json"), _json_text(payload))
 
 
-def _runtime(cfg: RunConfig, env) -> MechanismRuntime:
-    return MechanismRuntime(env, index_tol=cfg.index_tol)
-
-
 def _meta(cfg: RunConfig, seed: int) -> dict:
     return {"schema_version": cfg.schema_version, "config_hash": config_hash(cfg), "seed": seed}
 
@@ -87,7 +83,7 @@ def _cmd_validate_env(cfg: RunConfig, env, out: Path, seed: int, fmt: str) -> in
 
 
 def _cmd_transform(cfg: RunConfig, env, out: Path, seed: int, fmt: str) -> int:
-    runtime = _runtime(cfg, env)
+    runtime = MechanismRuntime(env)
     rows = []
     for i, agent in enumerate(env.agents):
         for r in np.linspace(0.0, agent.distribution.theta_bar, cfg.theta_grid_points):
@@ -111,7 +107,7 @@ def _cmd_transform(cfg: RunConfig, env, out: Path, seed: int, fmt: str) -> int:
 
 
 def _cmd_index(cfg: RunConfig, env, out: Path, seed: int, fmt: str, args) -> int:
-    runtime = _runtime(cfg, env)
+    runtime = MechanismRuntime(env)
     agent_id = args.agent
     if not 0 <= agent_id < env.k:
         print(f"error: --agent {agent_id} is out of range (agents 0..{env.k - 1})", file=sys.stderr)
@@ -143,7 +139,7 @@ def _cmd_index(cfg: RunConfig, env, out: Path, seed: int, fmt: str, args) -> int
 
 
 def _cmd_simulate(cfg: RunConfig, env, out: Path, seed: int, fmt: str) -> int:
-    runtime = _runtime(cfg, env)
+    runtime = MechanismRuntime(env)
     transcript = run_episode(
         env,
         [Truthful()] * env.k,
@@ -262,7 +258,7 @@ def _run_suite(name: str, cfg: RunConfig, env, runtime, seed: int):
 
 
 def _cmd_audit(cfg: RunConfig, env, out: Path, seed: int, fmt: str, args) -> int:
-    runtime = _runtime(cfg, env)
+    runtime = MechanismRuntime(env)
     suites = list(_SUITES) if args.suite == "all" else [args.suite]
     results = []
     for suite in suites:
@@ -332,7 +328,7 @@ def main(argv=None) -> int:
         if args.command == "audit":
             return _cmd_audit(cfg, env, out, seed, args.format, args)
         if args.command == "bound":
-            runtime = _runtime(cfg, env)
+            runtime = MechanismRuntime(env)
             result = _run_suite("bound", cfg, env, runtime, seed)
             payload = dict(_meta(cfg, seed))
             payload["results"] = [result.to_dict()]

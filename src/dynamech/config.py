@@ -43,7 +43,6 @@ class RunConfig:
     environment: dict
     delta: float
     horizon: int | None = None
-    index_tol: float = 1e-9
     tail_eps: float = 1e-4
     quad_nodes: int = 16
     fee_rollouts: int = 2000
@@ -58,10 +57,9 @@ class RunConfig:
     schema_version: int = SCHEMA_VERSION
 
 
-_FLOAT_FIELDS = ("delta", "index_tol", "tail_eps")
+_FLOAT_FIELDS = ("delta", "tail_eps")
 
 _POSITIVE_FIELDS = (
-    "index_tol",
     "tail_eps",
     "quad_nodes",
     "fee_rollouts",

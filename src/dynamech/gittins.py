@@ -2,23 +2,19 @@
 weighted social welfare.
 
 The index of a state is the supremum over stopping times of expected
-discounted reward per expected discounted unit of time.  Arms of at most
-``DENSE_SWEEP_MAX_STATES`` states get every index exactly in one
-largest-remaining-index pass by state elimination (Sonin 2008): retire
-the live state with the largest reward-per-time ratio, then fold it into
-the others so that the chain passes through it.  Two kernels do that
-pass with the same arithmetic and give the same bits: arms of at most
-``SPARSE_SWEEP_MAX_STATES`` states fold on dict rows with a heap of live
-ratios, since a small arm's fold touches a few entries and a NumPy call
-costs more than that; larger ones fold with one NumPy block update per
-step, which is faster there once hits are recorded.  Larger arms use the
-retirement characterization: lambda* is the unique lambda at which the
-option value of continuing, V_lambda(s) = max{lambda/(1-delta),
-xi(s) + delta E[V_lambda(s')]}, equals the retirement value
-lambda/(1-delta), found by bisection over lambda with value iteration
-inside.  An exhaustive stopping-set oracle and the O(n^4)
-largest-remaining-index recursion are kept alongside as independent
-cross-checks.
+discounted reward per expected discounted unit of time.  Every index is
+exact, from one largest-remaining-index pass by state elimination
+(Sonin 2008): retire the live state with the largest reward-per-time
+ratio, then fold it into the others so that the chain passes through
+it.  Two kernels do that pass with the same arithmetic and give the
+same bits: arms of at most ``SPARSE_SWEEP_MAX_STATES`` states fold on
+dict rows with a heap of live ratios, since a small arm's fold touches a
+few entries and a NumPy call costs more than that; larger ones fold with
+one NumPy block update per step, which is faster there once hits are
+recorded.  Arms above ``DENSE_SWEEP_MAX_STATES`` states are refused
+(DomainError) before anything is allocated.  An exhaustive stopping-set
+oracle and the O(n^4) largest-remaining-index recursion are kept
+alongside as independent cross-checks.
 
 The same sweep, on request, records each state's discounted time to
 leave the states retired so far; from those ``retirement_surplus``
@@ -149,10 +145,11 @@ def _reachable(arm: CompiledArm, start: int) -> np.ndarray:
     return np.nonzero(seen)[0]
 
 
-# Arms up to this many states take the exact sweep; its n x (n + 2)
-# float64 work matrix is 32 MiB at the cap.  Sponsored search at the
-# default cap 20 has 53k states and bisects.
-DENSE_SWEEP_MAX_STATES = 2048
+# Arms up to this many states take the exact sweep; larger ones are
+# refused.  At the cap its n x (n + 2) float64 work matrix is 128 MiB,
+# and the hit table another 128 MiB.  Sponsored search has 3,025 states
+# at cap 9 and 4,356 at cap 10 (53k at the default cap 20).
+DENSE_SWEEP_MAX_STATES = 4096
 # Arms up to this many states sweep on sparse rows (``_sparse_sweep``).
 # Sweeps with hits cross over between the 100- and 225-state sponsored
 # search arms: there the dense block update catches up, as every retired
@@ -201,8 +198,14 @@ def _sweep_indices(
     hit discounts in place).  ``_sparse_sweep`` does the work on arms of
     at most ``SPARSE_SWEEP_MAX_STATES`` states, ``_dense_sweep`` above
     that; they do the same arithmetic on the same entries and give the
-    same bits.
+    same bits.  Arms above ``DENSE_SWEEP_MAX_STATES`` states raise
+    DomainError before anything is allocated.
     """
+    if arm.n > DENSE_SWEEP_MAX_STATES:
+        raise DomainError(
+            f"index sweep refused: {arm.n} states exceeds "
+            f"DENSE_SWEEP_MAX_STATES = {DENSE_SWEEP_MAX_STATES}"
+        )
     kernel = _sparse_sweep if arm.n <= SPARSE_SWEEP_MAX_STATES else _dense_sweep
     out, order, hits = kernel(arm, record_hits)
     lo, hi = _reward_range(arm)
@@ -331,12 +334,7 @@ def hit_discounts(arm: CompiledArm) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     retirement level in [levels[k+1], levels[k]) the arm plays exactly
     on those states, so row k is there the derivative of its retirement
     value in a lump-sum retirement reward.  Refuses (DomainError) arms
-    above ``DENSE_SWEEP_MAX_STATES``."""
-    if arm.n > DENSE_SWEEP_MAX_STATES:
-        raise DomainError(
-            f"hit discounts need the exact index sweep: {arm.n} states exceeds "
-            f"DENSE_SWEEP_MAX_STATES = {DENSE_SWEEP_MAX_STATES}"
-        )
+    above ``DENSE_SWEEP_MAX_STATES``, as ``_sweep_indices`` does."""
     indices, order, table = _sweep_indices(arm, record_hits=True)
     table *= 1.0 - arm.delta
     np.subtract(1.0, table, out=table)
@@ -368,79 +366,13 @@ def retirement_surplus(factors: list[tuple[np.ndarray, np.ndarray]]) -> float:
     return float(np.sum((1.0 - prod) * np.diff(cuts)))
 
 
-class _RetirementSolver:
-    """Shared value-iteration backend for the retirement bisection.
-
-    V_lambda does not depend on the query state, so all states being
-    bisected at the same lambda share a single solve; solves are
-    memoized and warm-started from the nearest cached lambda.
-    """
-
-    def __init__(self, arm: CompiledArm, accuracy: float):
-        self.arm = arm
-        self.accuracy = accuracy
-        self._cache: dict[float, np.ndarray] = {}
-
-    def value(self, lam: float) -> np.ndarray:
-        cached = self._cache.get(lam)
-        if cached is not None:
-            return cached
-        start = None
-        if self._cache:
-            start = self._cache[min(self._cache, key=lambda x: abs(x - lam))]
-        v = optimal_stop_value(self.arm, self.accuracy, lam / (1.0 - self.arm.delta), start)
-        if len(self._cache) > 512:
-            self._cache.clear()
-        self._cache[lam] = v
-        return v
-
-
-def _bisect_indices(arm: CompiledArm, states: np.ndarray, tol: float) -> np.ndarray:
-    """Indices of the given states by bisection over lambda, each within
-    tol.  Brackets start at the reward range of each state's reachable
-    set, so a state whose reachable rewards are constant resolves
-    exactly."""
-    lo_all, hi_all = _reward_range(arm)
-    lo, hi = lo_all[states], hi_all[states]
-    accuracy = tol / 10.0
-    solver = _RetirementSolver(arm, accuracy)
-    margin = 2.0 * accuracy
-    active = (hi - lo) > tol
-    while np.any(active):
-        mids = 0.5 * (lo + hi)
-        groups: dict[float, list[int]] = {}
-        for j in np.nonzero(active)[0]:
-            groups.setdefault(float(mids[j]), []).append(int(j))
-        for lam, members in groups.items():
-            v = solver.value(lam)
-            retire = lam / (1.0 - arm.delta)
-            for j in members:
-                if v[states[j]] > retire + margin:
-                    lo[j] = lam
-                else:
-                    hi[j] = lam
-        active = (hi - lo) > tol
-    out = 0.5 * (lo + hi)
-    exact = hi == lo
-    out[exact] = lo[exact]
-    return out
-
-
-def index_of_states(arm: CompiledArm, states: np.ndarray, tol: float) -> np.ndarray:
-    """Gittins indices of the given flat states.
-
-    Arms of at most ``DENSE_SWEEP_MAX_STATES`` states are solved exactly
-    by ``_sweep_indices`` and ``tol`` only has to be positive; larger
-    arms bisect each state's index to within ``tol``.  Either way a
-    state whose reachable rewards are constant gets its reward
-    bit-exactly, and identical inputs give identical bits.
-    """
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
-    states = np.asarray(states, dtype=int)
-    if arm.n <= DENSE_SWEEP_MAX_STATES:
-        return _sweep_indices(arm)[0][states]
-    return _bisect_indices(arm, states, tol)
+def index_of_states(arm: CompiledArm, states: np.ndarray) -> np.ndarray:
+    """Exact Gittins indices of the given flat states, from one
+    ``_sweep_indices`` pass; refuses (DomainError) arms above
+    ``DENSE_SWEEP_MAX_STATES``.  A state whose reachable rewards are
+    constant gets its reward bit-exactly, and identical inputs give
+    identical bits."""
+    return _sweep_indices(arm)[0][states]
 
 
 def gittins_index(
@@ -450,11 +382,10 @@ def gittins_index(
     theta: float,
     e: int,
     rho: int,
-    tol: float = 1e-9,
 ) -> float:
     """Index of one arm state under the pegged transform."""
     arm = compile_arm(env, agent_id, transform, theta)
-    return float(index_of_states(arm, np.array([arm.state_index(e, rho)]), tol)[0])
+    return float(index_of_states(arm, np.array([arm.state_index(e, rho)]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +521,7 @@ class WelfareEstimate:
     method: str
 
 
+# No index or price calls it; perfbench/tracing.HOOKS names it, and test_trace_shims checks every hook.
 def optimal_stop_value(
     arm: CompiledArm,
     tol: float = 1e-10,
@@ -750,7 +682,6 @@ def weighted_welfare(
     n_paths: int = 2000,
     horizon: int | None = None,
     seed: int = 0,
-    index_tol: float = 1e-9,
     state_cap: int = 10_000,
     tail_eps: float = 1e-4,
 ) -> WelfareEstimate:
@@ -783,7 +714,7 @@ def weighted_welfare(
         joint_state_count(sizes, state_cap)
     if not arms:
         return WelfareEstimate(mean=0.0, std_error=0.0, method=mode)
-    tables = [index_of_states(a, np.arange(a.n), index_tol) for a in arms]
+    tables = [index_of_states(a, np.arange(a.n)) for a in arms]
     if mode == "exact_dp":
         v = joint_policy_value(arms, index_policy_winners(tables), env.delta)
         return WelfareEstimate(

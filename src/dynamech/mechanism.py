@@ -31,9 +31,7 @@ from .environments import (
     sample_transition,
     value,
 )
-from . import gittins
 from .gittins import (
-    CompiledArm,
     allocate,
     compile_arm,
     compile_reward_arm,
@@ -261,24 +259,16 @@ class MechanismRuntime:
     (``threshold``).
     """
 
-    def __init__(self, env: Environment, *, index_tol: float = 1e-9):
+    def __init__(self, env: Environment):
         self.env = env
-        self.index_tol = index_tol
         self._transforms: dict[tuple[int, float], VirtualTransform | None] = {}
         self._tables: dict[tuple[int, float, float], np.ndarray] = {}
         self._hits: dict[tuple[int, float, float], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._recent: dict[tuple[int, float, float], None] = {}  # keys of both, least recently used first
-        self._bases: dict[int, tuple[np.ndarray, np.ndarray | None, np.ndarray | None]] = {}
+        self._bases: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._paths: dict[tuple[int, str, int], _Trajectories] = {}
         self._thresholds: dict[int, float] = {}
         self._n_rho = [agent.public.n for agent in env.agents]
-        self._scale_bound = []
-        for agent in env.agents:
-            if isinstance(agent.value, MultiplicativeValue):
-                ts = np.linspace(0.0, agent.distribution.theta_bar, 65)
-                self._scale_bound.append(max(1.0, max(abs(agent.value.a(float(t))) for t in ts)))
-            else:
-                self._scale_bound.append(1.0)
 
     # -- transforms ---------------------------------------------------------
 
@@ -328,27 +318,18 @@ class MechanismRuntime:
         scale = transform.alpha * val.a(theta)
         return scale if scale >= 0.0 else None
 
-    def _base_arm(self, agent_id: int) -> CompiledArm:
-        agent = self.env.agents[agent_id]
-        return compile_reward_arm(agent, agent.value.b, self.env.delta)
-
-    def _base(self, agent_id: int) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    def _base(self, agent_id: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(index table, levels, hit table) of the experience rewards B
-        alone, from one ``gittins.hit_discounts`` sweep; an arm above the
-        sweep's cutoff bisects its indices and has no hit discounts.  A
-        scale-homogeneous agent's index table and levels at any (report,
-        theta) are its scale times these."""
+        alone, from one ``gittins.hit_discounts`` sweep, which refuses
+        arms above the sweep's cutoff.  A scale-homogeneous agent's index
+        table and levels at any (report, theta) are its scale times
+        these."""
         # identical agent models (replicated built-ins) share one build
-        base_key = id(self.env.agents[agent_id])
-        base = self._bases.get(base_key)
+        agent = self.env.agents[agent_id]
+        base = self._bases.get(id(agent))
         if base is None:
-            arm = self._base_arm(agent_id)
-            if arm.n <= gittins.DENSE_SWEEP_MAX_STATES:
-                base = hit_discounts(arm)
-            else:
-                tol = self.index_tol / self._scale_bound[agent_id]
-                base = (index_of_states(arm, np.arange(arm.n), tol), None, None)
-            self._bases[base_key] = base
+            arm = compile_reward_arm(agent, agent.value.b, self.env.delta)
+            base = self._bases[id(agent)] = hit_discounts(arm)
         return base
 
     def build_table(self, agent_id: int, transform: VirtualTransform, theta: float) -> np.ndarray:
@@ -357,7 +338,7 @@ class MechanismRuntime:
         if scale is not None:
             return scale * self._base(agent_id)[0]
         arm = compile_arm(self.env, agent_id, transform, theta)
-        return index_of_states(arm, np.arange(arm.n), self.index_tol)
+        return index_of_states(arm, np.arange(arm.n))
 
     def index_flat(self, agent_id: int, transform: VirtualTransform, theta: float) -> np.ndarray:
         """Index table at (pegged report, theta), cached.  A key that is
@@ -367,10 +348,7 @@ class MechanismRuntime:
         self._use(key)
         out = self._tables.get(key)
         if out is None:
-            if (
-                self._homogeneous_scale(agent_id, transform, theta) is None
-                and self.env.agents[agent_id].n_states <= gittins.DENSE_SWEEP_MAX_STATES
-            ):
+            if self._homogeneous_scale(agent_id, transform, theta) is None:
                 self._sweep_key(key, transform)
             else:
                 self._tables[key] = self.build_table(agent_id, transform, theta)
@@ -404,8 +382,6 @@ class MechanismRuntime:
             self._sweep_key(key, transform)
             return self._hits[key]
         _, levels, table = self._base(agent_id)
-        if table is None:  # the base arm bisected: the sweep refuses it
-            hit_discounts(self._base_arm(agent_id))
         out = self._hits[key] = self._whittle(scale * levels, table)
         return out
 
@@ -425,9 +401,9 @@ class MechanismRuntime:
         formula over the arms' hit discounts at every arity: one arm
         reads its cached per-state vector (``hits_flat``), more sum
         ``gittins.retirement_surplus``, exact and O(sum of the arms'
-        sizes) per call.  Every arm must be within the exact sweep's
-        cutoff (``gittins.DENSE_SWEEP_MAX_STATES``); a larger one raises
-        DomainError."""
+        sizes) per call.  An arm above the sweep's cutoff
+        (``gittins.DENSE_SWEEP_MAX_STATES``) raises DomainError, as it
+        does in every index build."""
         if not others:
             return 0.0
         if len(others) == 1:

@@ -3,8 +3,10 @@ the product of the active arms' state spaces, next to the joint
 value-iteration optimum (the library prices by Whittle's retirement
 formula and never builds the joint space), the per-entry loop that
 built an agent's flat transition matrix before ``AgentModel.transition``
-built it vectorised, and an agent's allocation times read off a
-``_run_rounds`` result's winners.
+built it vectorised, an agent's allocation times read off a
+``_run_rounds`` result's winners, and Gittins indices by bisection over
+the retirement value with value iteration inside, the exact index
+sweep's independent reference.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from dynamech import gittins
 from dynamech.environments import AgentModel, Environment
 from dynamech.gittins import (
+    CompiledArm,
     compile_reward_arm,
     index_policy_winners,
     joint_optimal_value,
@@ -103,3 +107,52 @@ def loop_transition(agent: AgentModel) -> sp.csr_matrix:
 def alloc_times(res, agent_id: int) -> list[int]:
     """Rounds (from 1) at which ``agent_id`` won in a ``_run_rounds`` result."""
     return [t for t, w in enumerate(res.winners, 1) if w == agent_id + 1]
+
+
+def bisect_indices(arm: CompiledArm, states: np.ndarray, tol: float) -> np.ndarray:
+    """Gittins indices of the given flat states, each within ``tol``, by
+    the retirement characterization: the index lambda* is the unique
+    lambda at which the option value of continuing,
+    V_lambda(s) = max{lambda/(1-delta), xi(s) + delta E[V_lambda(s')]},
+    equals the retirement value lambda/(1-delta).  Each state bisects
+    over lambda from the reward range of its reachable set, so a state
+    whose reachable rewards are constant resolves exactly.  States at
+    the same lambda share one ``gittins.optimal_stop_value`` solve; the
+    solves are memoized and warm-started from the nearest cached lambda.
+    """
+    states = np.asarray(states, dtype=int)
+    lo_all, hi_all = gittins._reward_range(arm)
+    lo, hi = lo_all[states], hi_all[states]
+    accuracy = tol / 10.0
+    margin = 2.0 * accuracy
+    solves: dict[float, np.ndarray] = {}
+
+    def value(lam: float) -> np.ndarray:
+        v = solves.get(lam)
+        if v is None:
+            start = solves[min(solves, key=lambda x: abs(x - lam))] if solves else None
+            v = gittins.optimal_stop_value(arm, accuracy, lam / (1.0 - arm.delta), start)
+            if len(solves) > 512:
+                solves.clear()
+            solves[lam] = v
+        return v
+
+    active = (hi - lo) > tol
+    while np.any(active):
+        mids = 0.5 * (lo + hi)
+        groups: dict[float, list[int]] = {}
+        for j in np.nonzero(active)[0]:
+            groups.setdefault(float(mids[j]), []).append(int(j))
+        for lam, members in groups.items():
+            v = value(lam)
+            retire = lam / (1.0 - arm.delta)
+            for j in members:
+                if v[states[j]] > retire + margin:
+                    lo[j] = lam
+                else:
+                    hi[j] = lam
+        active = (hi - lo) > tol
+    out = 0.5 * (lo + hi)
+    exact = hi == lo
+    out[exact] = lo[exact]
+    return out

@@ -49,6 +49,11 @@ def test_parse_rejects_unknown_keys_by_name():
             '{"environment": {"name": "sponsored_search", "params": {"k": 1}},'
             ' "delta": 0.5, "frobnicate": 3}'
         )
+    with pytest.raises(ConfigError, match="index_tol"):
+        parse_config_text(
+            '{"environment": {"name": "sponsored_search", "params": {"k": 1}},'
+            ' "delta": 0.5, "index_tol": 1e-9}'
+        )
     with pytest.raises(ConfigError, match="clicks"):
         parse_config_text(
             '{"environment": {"name": "sponsored_search", "params": {"clicks": 1}}, "delta": 0.5}'
@@ -349,7 +354,10 @@ def test_cli_index_type_out_of_range_exits_2(tmp_path, capsys, flag, value):
     assert not (tmp_path / "index.csv").exists()
 
 
-def test_cli_simulate_refuses_lone_arm_above_sweep_cutoff(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "command", [["simulate"], ["index", "--agent", "0"]], ids=["simulate", "index"]
+)
+def test_cli_simulate_refuses_lone_arm_above_sweep_cutoff(tmp_path, capsys, monkeypatch, command):
     from dynamech import gittins
 
     cfg = tmp_path / "small.cfg"
@@ -363,10 +371,10 @@ def test_cli_simulate_refuses_lone_arm_above_sweep_cutoff(tmp_path, capsys, monk
             }
         )
     )
-    assert main(["--config", str(cfg), "--out", str(tmp_path / "ok"), "simulate"]) == 0
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "ok"), *command]) == 0
     monkeypatch.setattr(gittins, "DENSE_SWEEP_MAX_STATES", 35)  # the arms have 36 states
     capsys.readouterr()
-    assert main(["--config", str(cfg), "--out", str(tmp_path / "refused"), "simulate"]) == 2
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "refused"), *command]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "DENSE_SWEEP_MAX_STATES = 35" in err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err

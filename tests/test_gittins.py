@@ -14,7 +14,7 @@ from dynamech.rng import substream
 from dynamech.virtual import VirtualTransform, affine_coefficients
 
 from conftest import constant_arm_env, two_state_env
-from oracles import loop_transition
+from oracles import bisect_indices, loop_transition
 
 
 def _identity_transform(n_rho: int = 1) -> VirtualTransform:
@@ -44,7 +44,7 @@ def test_two_state_oracle_supremum_is_half():
 def test_two_state_index_matches_oracles():
     env = two_state_env(0.5)
     tr = affine_coefficients(env, 0, 1.0)
-    idx = gittins.gittins_index(env, 0, tr, 0.5, 0, 0, tol=1e-9)
+    idx = gittins.gittins_index(env, 0, tr, 0.5, 0, 0)
     assert idx == pytest.approx(0.5, abs=1e-8)
     bf = gittins.brute_force_index(env, 0, tr, ArmState(0.5, 0, 0), horizon=30)
     assert bf.tail_bound < 2e-9
@@ -59,8 +59,8 @@ def test_two_state_index_matches_oracles():
 def test_constant_arm_index_is_exact(xi, theta_scale):
     env = constant_arm_env(0.5)
     tr = VirtualTransform(alpha=1.0, beta=np.array([xi]), pegged_report=1.0)
-    got = gittins.gittins_index(env, 0, tr, 0.0, 0, 0, tol=1e-9)
-    assert got == xi  # bracket collapse: bit-exact
+    got = gittins.gittins_index(env, 0, tr, 0.0, 0, 0)
+    assert got == xi  # constant reachable reward: bit-exact
 
 
 def test_three_state_cycle_cross_oracle():
@@ -72,7 +72,7 @@ def test_three_state_cycle_cross_oracle():
     env = envs.finite_chain(0.6, g=[[1.0]], h=h, value=val)
     tr = affine_coefficients(env, 0, 1.0)
     for start in range(3):
-        idx = gittins.gittins_index(env, 0, tr, 0.5, start, 0, tol=1e-9)
+        idx = gittins.gittins_index(env, 0, tr, 0.5, start, 0)
         bf = gittins.brute_force_index(env, 0, tr, ArmState(0.5, start, 0), horizon=60)
         assert abs(idx - bf.value) <= 1e-9 + bf.tail_bound
 
@@ -104,7 +104,7 @@ def _click_chain_env(cap: int, delta: float) -> envs.Environment:
 def test_beta_bernoulli_click_arm_exploration_bonus():
     env = _click_chain_env(cap=20, delta=0.9)
     tr = affine_coefficients(env, 0, 1.0)  # top report: identity transform
-    idx = gittins.gittins_index(env, 0, tr, 1.0, 0, 0, tol=1e-6)
+    idx = gittins.gittins_index(env, 0, tr, 1.0, 0, 0)
     # exploration makes the index exceed the myopic mean 1/2, but it stays
     # below the best reachable posterior mean
     assert 0.5 < idx < 21.0 / 22.0
@@ -113,7 +113,7 @@ def test_beta_bernoulli_click_arm_exploration_bonus():
 def test_beta_bernoulli_small_cap_matches_brute_force():
     env = _click_chain_env(cap=3, delta=0.9)
     tr = affine_coefficients(env, 0, 1.0)
-    idx = gittins.gittins_index(env, 0, tr, 1.0, 0, 0, tol=1e-7)
+    idx = gittins.gittins_index(env, 0, tr, 1.0, 0, 0)
     bf = gittins.brute_force_index(env, 0, tr, ArmState(1.0, 0, 0), horizon=180, cap=2000)
     assert abs(idx - bf.value) <= 1e-6 + bf.tail_bound
 
@@ -133,12 +133,10 @@ def test_bisection_agrees_with_exact_largest_index_method(seed):
     )
     env = envs.finite_chain(delta, g=[[1.0]], h=p, value=val)
     tr = affine_coefficients(env, 0, 1.0)
-    for cutoff in (gittins.DENSE_SWEEP_MAX_STATES, 0):  # the sweep, then bisection
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gittins, "DENSE_SWEEP_MAX_STATES", cutoff)
-            for s in range(n):
-                idx = gittins.gittins_index(env, 0, tr, 0.5, s, 0, tol=1e-9)
-                assert idx == pytest.approx(exact[s], abs=2e-9)
+    arm = gittins.compile_arm(env, 0, tr, 0.5)
+    for s in range(n):  # the sweep, then the bisection oracle
+        assert gittins.gittins_index(env, 0, tr, 0.5, s, 0) == pytest.approx(exact[s], abs=2e-9)
+        assert bisect_indices(arm, [s], 1e-9)[0] == pytest.approx(exact[s], abs=2e-9)
 
 
 def _chain_arm(rewards: np.ndarray, p: np.ndarray, delta: float) -> gittins.CompiledArm:
@@ -173,21 +171,20 @@ def _random_arm(seed: int, max_states: int = 40) -> gittins.CompiledArm:
 @given(seed=st.integers(0, 100_000))
 def test_sweep_agrees_with_largest_index_recursion(seed):
     arm = _random_arm(seed)
-    got = gittins.index_of_states(arm, np.arange(arm.n), tol=1e-9)
+    got = gittins.index_of_states(arm, np.arange(arm.n))
     want = gittins.vwb_indices(arm.rewards, arm.transition.toarray(), arm.delta)
     assert np.max(np.abs(got - want)) <= 1e-12
-    again = gittins.index_of_states(arm, np.arange(arm.n), tol=1e-9)
+    again = gittins.index_of_states(arm, np.arange(arm.n))
     assert np.array_equal(got, again)  # rebuilding gives identical bits
 
 
-def test_sweep_agrees_with_bisection_on_sponsored_arm(sponsored2, monkeypatch):
+def test_sweep_agrees_with_bisection_on_sponsored_arm(sponsored2):
     agent = sponsored2.agents[0]
     arm = gittins.compile_reward_arm(agent, agent.value.b, sponsored2.delta)
     assert arm.n == 441
     states = np.arange(arm.n)
-    swept = gittins.index_of_states(arm, states, tol=1e-12)
-    monkeypatch.setattr(gittins, "DENSE_SWEEP_MAX_STATES", arm.n - 1)
-    bisected = gittins.index_of_states(arm, states, tol=1e-12)
+    swept = gittins.index_of_states(arm, states)
+    bisected = bisect_indices(arm, states, 1e-12)
     assert np.max(np.abs(swept - bisected)) <= 2e-12
 
 
@@ -206,35 +203,37 @@ def test_sweep_constant_reachable_rewards_are_bit_exact(reward):
     )
     rewards = np.array([reward, reward, reward, reward + 0.9, reward - 0.4])
     arm = _chain_arm(rewards, p, 0.93)
-    got = gittins.index_of_states(arm, np.arange(5), tol=1e-9)
+    got = gittins.index_of_states(arm, np.arange(5))
     assert np.all(got[:3] == reward)
     want = gittins.vwb_indices(rewards, p, 0.93)
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def test_index_dispatch_by_arm_size(monkeypatch):
+def test_index_refused_above_arm_size_cutoff(monkeypatch):
     env = two_state_env(0.5)
     tr = affine_coefficients(env, 0, 1.0)
     arm = gittins.compile_arm(env, 0, tr, 0.5)
-    swept = gittins.index_of_states(arm, np.arange(arm.n), tol=1e-10)
-
-    def no_sweep(arm):
-        raise AssertionError("arm above the cutoff must bisect")
-
-    monkeypatch.setattr(gittins, "DENSE_SWEEP_MAX_STATES", 1)
-    monkeypatch.setattr(gittins, "_sweep_indices", no_sweep)
-    bisected = gittins.index_of_states(arm, np.arange(arm.n), tol=1e-10)
+    swept = gittins.index_of_states(arm, np.arange(arm.n))
+    bisected = bisect_indices(arm, np.arange(arm.n), 1e-10)
     assert np.max(np.abs(bisected - swept)) <= 1e-10
     assert bisected[1] == 1.0  # constant reachable reward: bracket collapse
+
+    def no_sweep(arm, record_hits):
+        raise AssertionError("an arm above the cutoff must be refused before any sweep")
+
+    monkeypatch.setattr(gittins, "DENSE_SWEEP_MAX_STATES", 1)
+    monkeypatch.setattr(gittins, "_dense_sweep", no_sweep)
+    monkeypatch.setattr(gittins, "_sparse_sweep", no_sweep)
+    with pytest.raises(DomainError, match="2 states exceeds DENSE_SWEEP_MAX_STATES = 1"):
+        gittins.index_of_states(arm, np.arange(arm.n))
 
 
 def test_bisection_raises_when_value_iteration_does_not_converge(monkeypatch):
     env = two_state_env(0.5)
     arm = gittins.compile_arm(env, 0, affine_coefficients(env, 0, 1.0), 0.5)
-    monkeypatch.setattr(gittins, "DENSE_SWEEP_MAX_STATES", 0)
     monkeypatch.setattr(gittins, "VI_MAX_SWEEPS", 1)
     with pytest.raises(RuntimeError, match="did not converge"):
-        gittins.index_of_states(arm, np.arange(arm.n), tol=1e-9)
+        gittins.optimal_stop_value(arm)
 
 
 def test_vwb_indices_sorted_and_top_state():
@@ -249,22 +248,22 @@ def test_index_table_single_state_and_determinism():
     env = constant_arm_env(0.5)
     tr = VirtualTransform(alpha=1.0, beta=np.array([0.25]), pegged_report=1.0)
     arm = gittins.compile_arm(env, 0, tr, 0.0)
-    t1 = gittins.index_of_states(arm, np.arange(arm.n), tol=1e-9)
+    t1 = gittins.index_of_states(arm, np.arange(arm.n))
     assert t1.shape == (1,)
     assert t1[0] == 0.25
     arm = gittins.compile_arm(env, 0, tr, 0.0)
-    t2 = gittins.index_of_states(arm, np.arange(arm.n), tol=1e-9)
+    t2 = gittins.index_of_states(arm, np.arange(arm.n))
     assert np.array_equal(t1, t2)
 
 
 def test_index_table_beta_bernoulli_full_and_finite(sponsored_small):
     tr = affine_coefficients(sponsored_small, 0, 1.0)
     arm = gittins.compile_arm(sponsored_small, 0, tr, 1.0)
-    table = gittins.index_of_states(arm, np.arange(arm.n), tol=1e-6)
+    table = gittins.index_of_states(arm, np.arange(arm.n))
     assert table.shape == (36,)
     assert np.all(np.isfinite(table))
     arm = gittins.compile_arm(sponsored_small, 0, tr, 1.0)
-    again = gittins.index_of_states(arm, np.arange(arm.n), tol=1e-6)
+    again = gittins.index_of_states(arm, np.arange(arm.n))
     assert np.array_equal(table, again)
 
 
@@ -391,7 +390,7 @@ def test_index_policy_achieves_joint_optimum(seed):
     delta, arms = _random_small_instance(seed)
     env = _instance_env(delta, arms)
     policy_val = gittins.weighted_welfare(
-        env, [1.0, 1.0], [0.5, 0.5], [0, 0], [0, 0], index_tol=1e-11
+        env, [1.0, 1.0], [0.5, 0.5], [0, 0], [0, 0]
     )
     opt_arms = [
         gittins.compile_reward_arm(env.agents[i], env.agents[i].value.b, delta)
@@ -407,7 +406,7 @@ def test_index_monotone_in_report(sponsored_small):
     prev = None
     for r in rs:
         arm = gittins.compile_arm(env, 0, affine_coefficients(env, 0, float(r)), 0.8)
-        table = gittins.index_of_states(arm, np.arange(arm.n), tol=1e-9)
+        table = gittins.index_of_states(arm, np.arange(arm.n))
         if prev is not None:
             assert np.all(table - prev >= -1e-9)
         prev = table
@@ -431,7 +430,7 @@ def _hits_gap_to_per_level_solves(arm: gittins.CompiledArm) -> float:
     states whose entry is below 1) and must grow by one state of highest
     remaining index per level."""
     indices, levels, table = gittins.hit_discounts(arm)
-    idx = gittins.index_of_states(arm, np.arange(arm.n), tol=1e-9)
+    idx = gittins.index_of_states(arm, np.arange(arm.n))
     assert np.array_equal(indices, idx)  # the index table comes from the same sweep
     p, delta = arm.transition.toarray(), arm.delta
     assert table.shape == (arm.n, arm.n)

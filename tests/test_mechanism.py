@@ -313,7 +313,7 @@ def test_sweep_kernel_is_chosen_by_arm_size(monkeypatch, sponsored2):
     for cutoff, kernel in ((arm.n, "sparse"), (arm.n - 1, "dense")):
         monkeypatch.setattr(gittins, "SPARSE_SWEEP_MAX_STATES", cutoff)
         del calls[:]
-        gittins.index_of_states(arm, np.arange(arm.n), tol=1e-9)
+        gittins.index_of_states(arm, np.arange(arm.n))
         gittins.hit_discounts(arm)
         assert calls == [(kernel, arm.n, False), (kernel, arm.n, True)]
 

@@ -30,12 +30,18 @@ tree goes first.  Recorded per tree:
   one operation of each kind above;
 - ``additive_table_builds_per_path``: ``MechanismRuntime.build_table``
   calls of the additive fee call, per path;
-- ``sweep_ms``: one ``gittins._sweep_indices`` call (best of
-  ``SWEEP_CALLS``), index-only and with hits, on the experience-reward
-  arms of sponsored search at caps 2-5 and of the AR(1) environment
-  above, once per kernel: ``sparse`` and ``dense`` with
-  ``SPARSE_SWEEP_MAX_STATES`` set to select each, or ``dense`` alone on
-  a tree without the sparse kernel.  The cutoff is read off these.
+- ``sweep_ms``: best of ``SWEEP_CALLS`` index sweeps of the
+  experience-reward arms of sponsored search at caps 2-5 and 7 and of
+  the AR(1) environment above: index-only (``gittins._sweep_indices``),
+  and again with the hit columns one ``simulate`` reads
+  (``gittins.hit_discounts``, then ``column`` at each of those states;
+  a tree whose ``hit_discounts`` builds the whole hit table is timed on
+  that call alone);
+- ``simulate_columns``: those states per arm, counted: the distinct
+  opponent states whose lone-arm price one ``run_episode`` with fees
+  reads on the arm's k=2 environment (delta 0.8) at types (0.9, 0.8),
+  seed ``SIMULATE_SEED`` and ``SIMULATE_FEE_ROLLOUTS`` fee paths, the
+  other settings at their defaults, as the CLI's ``simulate`` runs it.
 
 Times are medians over ``--repeats`` repetitions (each repetition's
 value is kept under ``runs``).  Every repetition runs the same
@@ -61,10 +67,12 @@ EPISODES = 200
 WARM_UP = 10**6  # stream seed of the untimed calls
 STRATEGIC_PATHS = 64
 SWEEP_CALLS = 5
+SWEEP_CAPS = (2, 3, 4, 5, 7)
+SIMULATE_SEED, SIMULATE_FEE_ROLLOUTS = 11, 16  # as the sponsored-simulate benchmark's config
 TIMES = (
     "fee_ms_per_path", "episode_ms", "posted_audit_ic_s", "additive_fee_ms_per_path", "strategic_run_us",
 )
-COUNTS = ("draw_pair_calls", "additive_table_builds_per_path")  # identical in every repetition
+COUNTS = ("draw_pair_calls", "additive_table_builds_per_path", "simulate_columns")  # identical in every repetition
 TABLES = ("sweep_ms",)  # {label: ms}, a median per label
 AR1_PARAMS = {"k": 2, "coeff": 0.5, "shock": [[0.2]], "grid_step": 0.1, "alloc_cap": 6}
 
@@ -154,6 +162,9 @@ def _measure() -> dict:
     additive_s, _ = timed(
         lambda: fee_quadrature(ar1, [0.8, 0.7], 0, paths=FEE_PATHS, seed=1, runtime=ar1_rt)
     )
+    MechanismRuntime.build_table = build_table
+    ExperienceStreams.draw_pair = draw_pair
+    sweep_ms, simulate_columns = _sweep_ms()
     return {
         "fee_ms_per_path": 1e3 * fee_s / FEE_PATHS,
         "episode_ms": 1e3 * episode_s / EPISODES,
@@ -166,39 +177,72 @@ def _measure() -> dict:
             "audit_ic (posted price)": audit_draws,
         },
         "additive_table_builds_per_path": builds[0] / FEE_PATHS,
-        "sweep_ms": _sweep_ms(),
+        "sweep_ms": sweep_ms,
+        "simulate_columns": simulate_columns,
     }
 
 
-def _sweep_ms() -> dict:
-    """Best-of-``SWEEP_CALLS`` milliseconds of one index sweep per kernel,
-    arm and mode."""
+def _simulate_states(env) -> list[int]:
+    """The distinct opponent states that one ``simulate`` on ``env``
+    prices a lone arm at (``MechanismRuntime.w_minus`` with one arm)."""
+    from dynamech.mechanism import MechanismRuntime, Truthful, run_episode
+
+    states = set()
+    w_minus = MechanismRuntime.w_minus
+
+    def recorded(self, others, at):
+        if len(others) == 1:
+            states.add(at[0])
+        return w_minus(self, others, at)
+
+    MechanismRuntime.w_minus = recorded
+    try:
+        run_episode(
+            env, [Truthful()] * env.k, SIMULATE_SEED, theta=[0.9, 0.8], runtime=MechanismRuntime(env),
+            fee_rollouts=SIMULATE_FEE_ROLLOUTS,
+        )
+    finally:
+        MechanismRuntime.w_minus = w_minus
+    return sorted(states)
+
+
+def _sweep_ms() -> tuple[dict, dict]:
+    """Best-of-``SWEEP_CALLS`` milliseconds of one index sweep per arm
+    and mode, and the number of hit columns the second mode replays."""
     import numpy as np
 
     from dynamech import environments as envs
     from dynamech import gittins
 
     arms = {}
-    for cap in (2, 3, 4, 5):
-        agent = envs.sponsored_search(k=1, cap=cap, delta=0.8).agents[0]
-        arms[f"sponsored cap {cap}"] = gittins.compile_reward_arm(agent, agent.value.b, 0.8)
+    for cap in SWEEP_CAPS:
+        env = envs.sponsored_search(k=2, cap=cap, delta=0.8)
+        agent = env.agents[0]
+        arms[f"sponsored cap {cap}"] = (env, gittins.compile_reward_arm(agent, agent.value.b, env.delta))
     params = dict(AR1_PARAMS, shock=np.array(AR1_PARAMS["shock"]))
-    agent = envs.ar1(delta=0.8, **params).agents[0]
-    arms["ar1"] = gittins.compile_reward_arm(agent, agent.value.b, 0.8)
-    cutoffs = {"sparse": 10**9, "dense": 0} if hasattr(gittins, "SPARSE_SWEEP_MAX_STATES") else {"dense": None}
-    out = {}
-    for kernel, cutoff in cutoffs.items():
-        if cutoff is not None:
-            gittins.SPARSE_SWEEP_MAX_STATES = cutoff
-        for name, arm in arms.items():
-            for mode, record_hits in (("index", False), ("hits", True)):
-                best = math.inf
-                for _ in range(SWEEP_CALLS):
-                    start = time.perf_counter()
-                    gittins._sweep_indices(arm, record_hits)
-                    best = min(best, time.perf_counter() - start)
-                out[f"{kernel}, {name} ({arm.n} states), {mode}"] = 1e3 * best
-    return out
+    env = envs.ar1(delta=0.8, **params)
+    agent = env.agents[0]
+    arms["ar1"] = (env, gittins.compile_reward_arm(agent, agent.value.b, env.delta))
+
+    def columns(arm, states):
+        hits = gittins.hit_discounts(arm)[2]
+        for x in states if hasattr(hits, "column") else ():
+            hits.column(x)
+
+    out, counts = {}, {}
+    for name, (env, arm) in arms.items():
+        states = _simulate_states(env)
+        label = f"{name} ({arm.n} states)"
+        counts[label] = len(states)
+        modes = {"index": lambda: gittins._sweep_indices(arm), "simulate columns": lambda: columns(arm, states)}
+        for mode, sweep in modes.items():
+            best = math.inf
+            for _ in range(SWEEP_CALLS):
+                start = time.perf_counter()
+                sweep()
+                best = min(best, time.perf_counter() - start)
+            out[f"{label}, {mode}"] = 1e3 * best
+    return out, counts
 
 
 def _cpu_model() -> str:

@@ -6,20 +6,19 @@ discounted reward per expected discounted unit of time.  Every index is
 exact, from one largest-remaining-index pass by state elimination
 (Sonin 2008): retire the live state with the largest reward-per-time
 ratio, then fold it into the others so that the chain passes through
-it.  Two kernels do that pass with the same arithmetic and give the
-same bits: arms of at most ``SPARSE_SWEEP_MAX_STATES`` states fold on
-dict rows with a heap of live ratios, since a small arm's fold touches a
-few entries and a NumPy call costs more than that; larger ones fold with
-one NumPy block update per step, which is faster there once hits are
-recorded.  Arms above ``DENSE_SWEEP_MAX_STATES`` states are refused
-(DomainError) before anything is allocated.  An exhaustive stopping-set
-oracle and the O(n^4) largest-remaining-index recursion are kept
-alongside as independent cross-checks.
+it.  One kernel does that pass at every arm size, on dict rows with a
+heap of live ratios, folding live rows only.  Arms above
+``DENSE_SWEEP_MAX_STATES`` states are refused (DomainError) before
+anything is allocated.  An exhaustive stopping-set oracle and the
+O(n^4) largest-remaining-index recursion are kept alongside as
+independent cross-checks.
 
-The same sweep, on request, records each state's discounted time to
-leave the states retired so far; from those ``retirement_surplus``
-evaluates Whittle's retirement formula for the optimal value of one or
-more arms against the zero arm, with no product state space.
+The sweep also keeps each row as it was at retirement and each step's
+fold, so ``HitColumns`` can replay, one state at a time, that state's
+discounted time to leave the states retired so far; from those
+``retirement_surplus`` evaluates Whittle's retirement formula for the
+optimal value of one or more arms against the zero arm, with no product
+state space.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ __all__ = [
     "gittins_index",
     "index_of_states",
     "hit_discounts",
+    "HitColumns",
     "retirement_surplus",
     "BruteForceIndex",
     "brute_force_index",
@@ -146,15 +146,11 @@ def _reachable(arm: CompiledArm, start: int) -> np.ndarray:
 
 
 # Arms up to this many states take the exact sweep; larger ones are
-# refused.  At the cap its n x (n + 2) float64 work matrix is 128 MiB,
-# and the hit table another 128 MiB.  Sponsored search has 3,025 states
-# at cap 9 and 4,356 at cap 10 (53k at the default cap 20).
+# refused before anything is allocated.  The sweep keeps each row as it
+# was at retirement and each step's fold, with no n x n array: on the
+# 3,025-state sponsored search arm (cap 9) they peak at about 16 MiB.
+# Sponsored search has 4,356 states at cap 10 (53k at the default cap 20).
 DENSE_SWEEP_MAX_STATES = 4096
-# Arms up to this many states sweep on sparse rows (``_sparse_sweep``).
-# Sweeps with hits cross over between the 100- and 225-state sponsored
-# search arms: there the dense block update catches up, as every retired
-# row keeps folding and fills in (``BENCH_engine.json``, ``sweep_ms``).
-SPARSE_SWEEP_MAX_STATES = 128
 # Value-iteration sweeps before a solve gives up and raises.
 VI_MAX_SWEEPS = 200_000
 
@@ -175,86 +171,43 @@ def _reward_range(arm: CompiledArm) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _sweep_indices(
-    arm: CompiledArm, record_hits: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Exact index of every state by state elimination, the order in
-    which the states were retired, and (``record_hits``) the discounted
-    time column after each retirement.
-
-    The work matrix holds Q (discounted transitions among live states),
-    then r (discounted reward) and d (discounted time) accrued from each
-    state until the chain first returns to a live state.  Retiring the
-    live state a with the largest r/d records that ratio as its index;
-    folding it in updates every row p that can step to a,
-    W[p, :] += Q[p, a] * (W[a, :] / (1 - Q[a, a])) with row a scaled
-    first, and then clears column a.  Only entries with Q[p, a] != 0 and
-    W[a, j] != 0 change: every other one would gain an exact zero.  Q's
-    rows sum to at most delta, so the pivot is at least 1 - delta.  Ties
-    go to the lowest state, and each index is clipped to its reachable
-    reward range, so a state whose reachable rewards are constant keeps
-    its reward bit-exactly.  Row k of the recorded n x n array is d
-    after the first k + 1 retirements (``hit_discounts`` turns it into
-    hit discounts in place).  ``_sparse_sweep`` does the work on arms of
-    at most ``SPARSE_SWEEP_MAX_STATES`` states, ``_dense_sweep`` above
-    that; they do the same arithmetic on the same entries and give the
-    same bits.  Arms above ``DENSE_SWEEP_MAX_STATES`` states raise
-    DomainError before anything is allocated.
-    """
+def _sweep_indices(arm: CompiledArm) -> tuple[np.ndarray, np.ndarray, HitColumns]:
+    """Exact index of every state by state elimination (``_eliminate``),
+    the order in which the states were retired, and the sweep's record,
+    from which ``HitColumns`` replays hit discounts.  Each index is
+    clipped to its reachable reward range, so a state whose reachable
+    rewards are constant keeps its reward bit-exactly.  Arms above
+    ``DENSE_SWEEP_MAX_STATES`` states raise DomainError before anything
+    is allocated."""
     if arm.n > DENSE_SWEEP_MAX_STATES:
         raise DomainError(
             f"index sweep refused: {arm.n} states exceeds "
             f"DENSE_SWEEP_MAX_STATES = {DENSE_SWEEP_MAX_STATES}"
         )
-    kernel = _sparse_sweep if arm.n <= SPARSE_SWEEP_MAX_STATES else _dense_sweep
-    out, order, hits = kernel(arm, record_hits)
+    out, order, hits = _eliminate(arm)
     lo, hi = _reward_range(arm)
     return np.clip(out, lo, hi), order, hits
 
 
-def _dense_sweep(arm: CompiledArm, record_hits: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """``_sweep_indices`` before the clip, on an n x (n + 2) work matrix:
-    each fold is one NumPy update of the block of rows with
-    Q[p, a] != 0 and columns with W[a, j] != 0, and the argmax of r/d
-    over the live states picks the next state."""
-    n = arm.n
-    w = np.zeros((n, n + 2))
-    w[np.repeat(np.arange(n), np.diff(arm.indptr)), arm.indices] = arm.probs * arm.delta
-    r, d = w[:, n], w[:, n + 1]
-    r[:] = arm.rewards
-    d[:] = 1.0
-    out = np.empty(n)
-    retired = np.zeros(n, dtype=bool)
-    order = np.empty(n, dtype=int)
-    hits = np.empty((n, n)) if record_hits else None
-    for k in range(n):
-        ratio = r / d
-        ratio[retired] = -np.inf
-        a = int(ratio.argmax())
-        out[a] = ratio[a]
-        retired[a] = True
-        order[k] = a
-        col = w[:, a]
-        rows = col.nonzero()[0][:, None]
-        cols = w[a].nonzero()[0]
-        w[rows, cols] += col[rows] * ((1.0 / (1.0 - w[a, a])) * w[a, cols])
-        col[:] = 0.0
-        if hits is not None:
-            hits[k] = d
-    return out, order, hits
+def _eliminate(arm: CompiledArm) -> tuple[np.ndarray, np.ndarray, HitColumns]:
+    """``_sweep_indices`` before the clip.
 
-
-def _sparse_sweep(arm: CompiledArm, record_hits: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """``_sweep_indices`` before the clip, on sparse rows: Q as one
-    ``{column: value}`` dict per row with the set of rows that step to
-    each column, r and d as lists, and a max-heap of the live states'
-    r/d (stale entries are skipped).  Each touched entry gets the dense
-    kernel's expression w + q * (inv * w_aj), with row a's values read
-    before the fold.  An entry exists where the dense kernel's
-    ``nonzero`` tests see one, so a product that underflows to 0 adds
-    none, and the r column is left alone when r[a] == 0.  Retired rows
-    fold on only when hits are recorded, and the hit table is rebuilt
-    from each step's list of the d entries it changed."""
+    Q (discounted transitions among live states) is one ``{column:
+    value}`` dict per live row, with the set of live rows that step to
+    each column; r (discounted reward) and d (discounted time) accrued
+    from each state until the chain first returns to a live state are
+    lists, and a max-heap holds the live states' r/d (stale entries are
+    skipped).  Retiring the live state a with the largest r/d records
+    that ratio as its index; folding it in updates every live row p that
+    can step to a: with q = Q[p, a] popped and inv = 1 / (1 - Q[a, a]),
+    each entry j != a of row a gives Q[p, j] + q * (inv * Q[a, j]), and r
+    and d likewise, row a's values read before the fold.  Only entries
+    with q != 0 and Q[a, j] != 0 change: a product that underflows to 0
+    adds no entry, and r is left alone when r[a] == 0.  Q's rows sum to
+    at most delta, so the pivot is at least 1 - delta.  Ties go to the
+    lowest state.  Retired rows never fold: each stays as it was at
+    retirement, and each step keeps its fold and inv * d[a].
+    """
     n = arm.n
     rows: list[dict[int, float]] = [{} for _ in range(n)]
     preds: list[set[int]] = [set() for _ in range(n)]
@@ -271,9 +224,8 @@ def _sparse_sweep(arm: CompiledArm, record_hits: bool) -> tuple[np.ndarray, np.n
     live = [True] * n
     out = [0.0] * n
     order = [0] * n
-    changed: list[int] = []  # hits: rows whose d each step changed, step by step
-    new_d: list[float] = []
-    counts = [0] * n
+    folds: list[list[tuple[int, float]]] = []  # step k's (j, inv * Q[a, j])
+    sds: list[float] = []  # step k's inv * d[a]
     for k in range(n):
         neg, a = heapq.heappop(heap)
         while not live[a] or neg != key[a]:
@@ -286,12 +238,12 @@ def _sparse_sweep(arm: CompiledArm, record_hits: bool) -> tuple[np.ndarray, np.n
         fold = [(j, inv * v) for j, v in row_a.items() if j != a]
         ra = r[a]
         sr, sd = inv * ra, inv * d[a]
+        folds.append(fold)
+        sds.append(sd)
         targets = preds[a]
-        preds[a] = set()
-        if not record_hits:
-            targets.discard(a)
-            for j, _ in fold:
-                preds[j].discard(a)
+        targets.discard(a)
+        for j, _ in fold:
+            preds[j].discard(a)
         for p in targets:
             row = rows[p]
             q = row.pop(a)
@@ -305,43 +257,90 @@ def _sparse_sweep(arm: CompiledArm, record_hits: bool) -> tuple[np.ndarray, np.n
                 else:
                     row[j] = v + q * s
             d[p] = d[p] + q * sd
-            if live[p]:
-                if ra != 0.0:
-                    r[p] = r[p] + q * sr
-                key[p] = neg = -(r[p] / d[p])
-                heapq.heappush(heap, (neg, p))
-        if record_hits:
-            changed.extend(targets)
-            new_d.extend([d[p] for p in targets])
-            counts[k] = len(targets)
-    hits = None
-    if record_hits:
-        # entry (k, x) holds x's d after its last change at or before step k
-        last = np.zeros((n, n), dtype=np.intp)
-        last[np.repeat(np.arange(n), counts), np.array(changed, dtype=np.intp)] = np.arange(1, len(changed) + 1)
-        np.maximum.accumulate(last, axis=0, out=last)
-        hits = np.array([1.0] + new_d)[last]
-    return np.array(out), np.array(order), hits
+            if ra != 0.0:
+                r[p] = r[p] + q * sr
+            key[p] = neg = -(r[p] / d[p])
+            heapq.heappush(heap, (neg, p))
+    return np.array(out), np.array(order), HitColumns(arm.delta, order, rows, folds, sds, d)
 
 
-def hit_discounts(arm: CompiledArm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(indices, levels, table) from one index sweep.  ``indices`` is
+class HitColumns:
+    """An arm's hit discounts, one state's column at a time, replayed
+    from an index sweep's record.
+
+    ``column(x)[k]`` is E_x[delta^tau], tau being the time the chain
+    leaves the first k+1 retired states (so 1 while x is not among
+    them): 1 - (1 - delta) d from x's discounted time d after k+1 steps
+    of a sweep that kept folding x's row once x retired.  The sweep
+    (``_eliminate``) stops folding it there; ``column`` folds a copy
+    of the row into every later retired state it reaches, in retirement
+    order and starting with x's own self-loop, with the sweep's
+    expressions (the step's kept fold and inv * d[a]) on the same
+    entries, so it gives the same bits as that sweep.  Live rows never
+    read retired ones, so they fold alike either way.  Each column is
+    computed once.
+    """
+
+    __slots__ = ("_delta", "_order", "_pos", "_rows", "_folds", "_sds", "_d", "_memo")
+
+    def __init__(self, delta: float, order: list[int], rows, folds, sds, d):
+        self._delta, self._order = delta, order
+        self._pos = [0] * len(order)
+        for k, a in enumerate(order):
+            self._pos[a] = k
+        self._rows, self._folds, self._sds, self._d = rows, folds, sds, d
+        self._memo: dict[int, np.ndarray] = {}
+
+    def column(self, x: int) -> np.ndarray:
+        """State x's hit discounts, one per step (read-only, shared)."""
+        col = self._memo.get(x)
+        if col is None:
+            col = self._memo[x] = self._replay(x)
+            col.flags.writeable = False
+        return col
+
+    def _replay(self, x: int) -> np.ndarray:
+        order, pos, folds, sds = self._order, self._pos, self._folds, self._sds
+        col = np.ones(len(order))
+        scale = 1.0 - self._delta
+        row = dict(self._rows[x])
+        done, d = pos[x], self._d[x]  # col is final before step done; x's d from there on
+        ahead = [pos[j] for j in row]  # every entry retires at or after x
+        heapq.heapify(ahead)
+        while ahead:
+            k = heapq.heappop(ahead)
+            if k != done:
+                col[done:k] = 1.0 - d * scale
+                done = k
+            q = row.pop(order[k])
+            for j, s in folds[k]:
+                v = row.get(j)
+                if v is None:
+                    v = q * s
+                    if v:  # an underflowed product is no entry
+                        row[j] = v
+                        heapq.heappush(ahead, pos[j])
+                else:
+                    row[j] = v + q * s
+            d = d + q * sds[k]
+        col[done:] = 1.0 - d * scale
+        return col
+
+
+def hit_discounts(arm: CompiledArm) -> tuple[np.ndarray, np.ndarray, HitColumns]:
+    """(indices, levels, hits) from one index sweep.  ``indices`` is
     every state's index, as ``index_of_states`` gives it.  ``levels[k]``
-    is the index of the (k+1)-th retired state, non-increasing; row k
-    of ``table`` is E_x[delta^tau] over the states x, tau being the time
-    the chain leaves the first k+1 retired states (so 1 outside them):
-    1 - (1 - delta) d(x) from the sweep's discounted time d.  Against a
-    retirement level in [levels[k+1], levels[k]) the arm plays exactly
-    on those states, so row k is there the derivative of its retirement
-    value in a lump-sum retirement reward.  Refuses (DomainError) arms
-    above ``DENSE_SWEEP_MAX_STATES``, as ``_sweep_indices`` does."""
-    indices, order, table = _sweep_indices(arm, record_hits=True)
-    table *= 1.0 - arm.delta
-    np.subtract(1.0, table, out=table)
-    for k, x in enumerate(order):
-        table[:k, x] = 1.0  # rows before x retires: the arm stops at once there
+    is the index of the (k+1)-th retired state, non-increasing;
+    ``hits.column(x)[k]`` is E_x[delta^tau], tau being the time the
+    chain leaves the first k+1 retired states (``HitColumns``).
+    Against a retirement level in [levels[k+1], levels[k]) the arm plays
+    exactly on those states, so entry k is there the derivative of its
+    retirement value in a lump-sum retirement reward.  Refuses
+    (DomainError) arms above ``DENSE_SWEEP_MAX_STATES``, as
+    ``_sweep_indices`` does."""
+    indices, order, hits = _sweep_indices(arm)
     # clipping moves indices by rounding only; keep the levels monotone
-    return indices, np.minimum.accumulate(indices[order]), table
+    return indices, np.minimum.accumulate(indices[order]), hits
 
 
 def retirement_surplus(factors: list[tuple[np.ndarray, np.ndarray]]) -> float:
@@ -353,7 +352,8 @@ def retirement_surplus(factors: list[tuple[np.ndarray, np.ndarray]]) -> float:
     time when played alone against lam.  Each factor is constant between
     the arm's index levels, so the integral is a finite sum.  One
     ``(levels, hits)`` per arm: its positive levels from
-    ``hit_discounts`` and the matching table rows at its current state.
+    ``hit_discounts`` and the matching entries of its hit column at its
+    current state (``HitColumns.column``).
     """
     cuts = np.unique(np.concatenate([np.zeros(1), *(lv for lv, _ in factors)]))
     prod = np.ones(len(cuts) - 1)

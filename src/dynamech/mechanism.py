@@ -32,6 +32,7 @@ from .environments import (
     value,
 )
 from .gittins import (
+    HitColumns,
     allocate,
     compile_arm,
     compile_reward_arm,
@@ -190,6 +191,36 @@ _TRAJECTORY_PATHS = 1024  # stream addresses whose trajectories a runtime keeps
 _TABLE_KEYS = 64  # (agent, report, theta) keys whose index tables and hit discounts a runtime keeps
 
 
+class _Whittle:
+    """One key's positive index levels, its arm's hit columns
+    (``gittins.HitColumns``), and W of the arm alone against the zero
+    arm per state, computed once: Whittle's formula with one factor,
+    sum_k (levels[k] - levels[k+1]) (1 - hits[k]) / (1 - delta) with
+    levels[K] = 0, summed as levels[0] - gaps @ hits."""
+
+    __slots__ = ("levels", "_columns", "_gaps", "_top", "_discount", "_lone")
+
+    def __init__(self, levels: np.ndarray, columns: HitColumns, delta: float):
+        positive = int(np.count_nonzero(levels > 0.0))  # a prefix: levels never rise
+        self.levels = levels[:positive]
+        self._columns = columns
+        self._gaps = self.levels - np.append(self.levels[1:], 0.0)
+        self._top = self.levels[0] if positive else 0.0  # no levels: the arm never plays
+        self._discount = 1.0 - delta
+        self._lone: dict[int, float] = {}
+
+    def hits(self, state: int) -> np.ndarray:
+        """The hit column at ``state``, one entry per positive level."""
+        return self._columns.column(state)[: len(self.levels)]
+
+    def lone(self, state: int) -> float:
+        """W of this arm alone against the zero arm from ``state``."""
+        out = self._lone.get(state)
+        if out is None:
+            out = self._lone[state] = float((self._top - self._gaps @ self.hits(state)) / self._discount)
+        return out
+
+
 class _Trajectories:
     """Every agent's experience trajectory on one stream address.
 
@@ -239,16 +270,16 @@ class _Trajectories:
 class MechanismRuntime:
     """Compiled, cached machinery shared across episodes of one environment.
 
-    Index tables and hit discounts (with the lone-arm values they give)
-    are cached per (agent, pegged report, current theta), for the
-    ``_TABLE_KEYS`` most recently used keys; a key leaves with both its
-    table and its hits, and comes back rebuilt to the same bits.  Multiplicative
-    values with C = 0 use the positive-homogeneity of the index in the
-    rewards: one sweep of the experience process's base arm gives the
-    base index table and hit discounts, and these serve every
-    (report, theta) pair through the scale alpha(report) * A(theta), a
-    positive scale leaving every stopping set, hence the hit discounts,
-    unchanged.
+    Index tables and hit discounts (``_Whittle``, with the lone-arm
+    values they give) are cached per (agent, pegged report, current
+    theta), for the ``_TABLE_KEYS`` most recently used keys; a key leaves
+    with both its table and its hits, and comes back rebuilt to the same
+    bits.  Multiplicative values with C = 0 use the positive-homogeneity
+    of the index in the rewards: one sweep of the experience process's
+    base arm gives the base index table and hit columns, kept per agent
+    model, and these serve every (report, theta) pair through the scale
+    alpha(report) * A(theta), a positive scale leaving every stopping
+    set, hence the hit discounts, unchanged.
 
     Experience trajectories are cached per stream address
     ``(master_seed, purpose, path_id)``, the ``_TRAJECTORY_PATHS`` most
@@ -263,9 +294,9 @@ class MechanismRuntime:
         self.env = env
         self._transforms: dict[tuple[int, float], VirtualTransform | None] = {}
         self._tables: dict[tuple[int, float, float], np.ndarray] = {}
-        self._hits: dict[tuple[int, float, float], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._hits: dict[tuple[int, float, float], _Whittle] = {}
         self._recent: dict[tuple[int, float, float], None] = {}  # keys of both, least recently used first
-        self._bases: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._bases: dict[int, tuple[np.ndarray, np.ndarray, HitColumns]] = {}
         self._paths: dict[tuple[int, str, int], _Trajectories] = {}
         self._thresholds: dict[int, float] = {}
         self._n_rho = [agent.public.n for agent in env.agents]
@@ -318,8 +349,8 @@ class MechanismRuntime:
         scale = transform.alpha * val.a(theta)
         return scale if scale >= 0.0 else None
 
-    def _base(self, agent_id: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(index table, levels, hit table) of the experience rewards B
+    def _base(self, agent_id: int) -> tuple[np.ndarray, np.ndarray, HitColumns]:
+        """(index table, levels, hit columns) of the experience rewards B
         alone, from one ``gittins.hit_discounts`` sweep, which refuses
         arms above the sweep's cutoff.  A scale-homogeneous agent's index
         table and levels at any (report, theta) are its scale times
@@ -343,7 +374,8 @@ class MechanismRuntime:
     def index_flat(self, agent_id: int, transform: VirtualTransform, theta: float) -> np.ndarray:
         """Index table at (pegged report, theta), cached.  A key that is
         not scale-homogeneous takes one ``hit_discounts`` sweep for both
-        its index table and its hit discounts (``hits_flat``)."""
+        its index table and its hit discounts (``hits_flat``); no hit
+        column is replayed here."""
         key = (agent_id, transform.pegged_report, theta)
         self._use(key)
         out = self._tables.get(key)
@@ -359,19 +391,16 @@ class MechanismRuntime:
         """Index table and hit discounts of a key that is not
         scale-homogeneous, from one ``hit_discounts`` sweep."""
         agent_id, _, theta = key
-        indices, levels, table = hit_discounts(compile_arm(self.env, agent_id, transform, theta))
+        indices, levels, columns = hit_discounts(compile_arm(self.env, agent_id, transform, theta))
         self._tables[key] = indices
-        self._hits[key] = self._whittle(levels, table)
+        self._hits[key] = _Whittle(levels, columns, self.env.delta)
 
-    def hits_flat(
-        self, agent_id: int, transform: VirtualTransform, theta: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """This agent's positive index levels, the matching rows of its
-        hit-discount table (``gittins.hit_discounts``, which refuses arms
-        above the sweep's cutoff), and W of its arm alone against the zero
-        arm at each of its states: Whittle's formula with one factor,
-        sum_k (levels[k] - levels[k+1]) (1 - hits[k]) / (1 - delta) with
-        levels[K] = 0, summed as levels[0] - gaps @ hits."""
+    def hits_flat(self, agent_id: int, transform: VirtualTransform, theta: float) -> _Whittle:
+        """This agent's positive index levels at (pegged report, theta),
+        its arm's hit columns (``gittins.hit_discounts``, which refuses
+        arms above the sweep's cutoff) and its lone-arm W per state
+        (``_Whittle``).  A scale-homogeneous agent's keys share the base
+        arm's columns, each replayed once per agent model."""
         key = (agent_id, transform.pegged_report, theta)
         self._use(key)
         out = self._hits.get(key)
@@ -381,17 +410,9 @@ class MechanismRuntime:
         if scale is None:
             self._sweep_key(key, transform)
             return self._hits[key]
-        _, levels, table = self._base(agent_id)
-        out = self._hits[key] = self._whittle(scale * levels, table)
+        _, levels, columns = self._base(agent_id)
+        out = self._hits[key] = _Whittle(scale * levels, columns, self.env.delta)
         return out
-
-    def _whittle(self, levels: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``hits_flat``'s triple from a sweep's levels and hit table."""
-        positive = int(np.count_nonzero(levels > 0.0))  # a prefix: levels never rise
-        levels, table = levels[:positive], table[:positive]
-        top = levels[0] if positive else 0.0  # no levels: the arm never plays
-        gaps = levels - np.append(levels[1:], 0.0)
-        return levels, table, (top - gaps @ table) / (1.0 - self.env.delta)
 
     # -- externality values ------------------------------------------------
 
@@ -399,20 +420,21 @@ class MechanismRuntime:
         """Optimal transformed surplus of the given arms from their flat
         states, with the zero arm available, by Whittle's retirement
         formula over the arms' hit discounts at every arity: one arm
-        reads its cached per-state vector (``hits_flat``), more sum
+        reads its memoized lone-arm W (``hits_flat``), more pass each
+        arm's levels and hit column at its state to
         ``gittins.retirement_surplus``, exact and O(sum of the arms'
-        sizes) per call.  An arm above the sweep's cutoff
-        (``gittins.DENSE_SWEEP_MAX_STATES``) raises DomainError, as it
-        does in every index build."""
+        levels) per call once the columns are replayed.  An arm above
+        the sweep's cutoff (``gittins.DENSE_SWEEP_MAX_STATES``) raises
+        DomainError, as it does in every index build."""
         if not others:
             return 0.0
         if len(others) == 1:
             agent_id, tr, theta = others[0]
-            return float(self.hits_flat(agent_id, tr, theta)[2][states[0]])
+            return self.hits_flat(agent_id, tr, theta).lone(states[0])
         factors = []
         for (agent_id, tr, theta), s in zip(others, states):
-            levels, hits, _ = self.hits_flat(agent_id, tr, theta)
-            factors.append((levels, hits[:, s]))
+            arm = self.hits_flat(agent_id, tr, theta)
+            factors.append((arm.levels, arm.hits(s)))
         return retirement_surplus(factors) / (1.0 - self.env.delta)
 
     def _w_minus_rollout(

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -218,14 +219,16 @@ def test_index_refused_above_arm_size_cutoff(monkeypatch):
     assert np.max(np.abs(bisected - swept)) <= 1e-10
     assert bisected[1] == 1.0  # constant reachable reward: bracket collapse
 
-    def no_sweep(arm, record_hits):
+    def no_sweep(arm):
         raise AssertionError("an arm above the cutoff must be refused before any sweep")
 
     monkeypatch.setattr(gittins, "DENSE_SWEEP_MAX_STATES", 1)
-    monkeypatch.setattr(gittins, "_dense_sweep", no_sweep)
-    monkeypatch.setattr(gittins, "_sparse_sweep", no_sweep)
-    with pytest.raises(DomainError, match="2 states exceeds DENSE_SWEEP_MAX_STATES = 1"):
-        gittins.index_of_states(arm, np.arange(arm.n))
+    monkeypatch.setattr(gittins, "_eliminate", no_sweep)
+    # no transition arrays: the refusal must not touch them
+    bare = dataclasses.replace(arm, indptr=None, indices=None, probs=None)
+    for call in (lambda: gittins.index_of_states(bare, np.arange(bare.n)), lambda: gittins.hit_discounts(bare)):
+        with pytest.raises(DomainError, match="2 states exceeds DENSE_SWEEP_MAX_STATES = 1"):
+            call()
 
 
 def test_bisection_raises_when_value_iteration_does_not_converge(monkeypatch):
@@ -424,16 +427,23 @@ def test_tail_horizon_formula():
 # ---------------------------------------------------------------------------
 
 
+def _hit_table(hits: gittins.HitColumns, n: int) -> np.ndarray:
+    """Every state's replayed hit column, one column per state."""
+    columns = [hits.column(x) for x in range(n)]
+    assert all(c.shape == (n,) for c in columns)
+    return np.stack(columns, axis=1)
+
+
 def _hits_gap_to_per_level_solves(arm: gittins.CompiledArm) -> float:
     """Worst gap between the sweep's hit discounts and one linear solve
-    per level.  Each level's continuation set is read off the table (the
-    states whose entry is below 1) and must grow by one state of highest
-    remaining index per level."""
-    indices, levels, table = gittins.hit_discounts(arm)
+    per level.  Each level's continuation set is read off the columns
+    (the states whose entry is below 1) and must grow by one state of
+    highest remaining index per level."""
+    indices, levels, hits = gittins.hit_discounts(arm)
     idx = gittins.index_of_states(arm, np.arange(arm.n))
     assert np.array_equal(indices, idx)  # the index table comes from the same sweep
     p, delta = arm.transition.toarray(), arm.delta
-    assert table.shape == (arm.n, arm.n)
+    table = _hit_table(hits, arm.n)
     assert np.all(np.diff(levels) <= 0.0)
     worst = 0.0
     prev = np.zeros(arm.n, dtype=bool)
@@ -466,11 +476,11 @@ def test_hit_discounts_match_per_level_solves_on_random_chains(seed):
     assert _hits_gap_to_per_level_solves(_random_arm(seed, max_states=20)) <= 1e-12
 
 
-def _whittle_w(hits: list[tuple[np.ndarray, np.ndarray]], states, delta: float) -> float:
+def _whittle_w(hits: list[tuple[np.ndarray, gittins.HitColumns]], states, delta: float) -> float:
     factors = []
-    for (levels, table), s in zip(hits, states):
+    for (levels, columns), s in zip(hits, states):
         positive = int(np.count_nonzero(levels > 0.0))
-        factors.append((levels[:positive], table[:positive, s]))
+        factors.append((levels[:positive], columns.column(s)[:positive]))
     return gittins.retirement_surplus(factors) / (1.0 - delta)
 
 
@@ -504,13 +514,15 @@ def test_whittle_value_matches_joint_optimum(seed, k, tie_within, tie_across):
 
 
 # ---------------------------------------------------------------------------
-# The sweep's block update and the vectorised transition arrays
+# The live-row sweep and replayed hit columns against the full update
 # ---------------------------------------------------------------------------
 
 
 def _full_update_sweep(arm: gittins.CompiledArm):
-    """``_sweep_indices`` with hits, folding each retired state into the
-    whole work matrix instead of the block of nonzero rows and columns."""
+    """``_sweep_indices`` with every hit column at once, folding each
+    retired state into the whole work matrix (retired rows included)
+    instead of the live rows that step to it.  The hit table is in
+    ``hit_discounts``' form: column x is ``HitColumns.column(x)``."""
     n = arm.n
     w = np.zeros((n, n + 2))
     w[:, :n] = arm.transition.toarray() * arm.delta
@@ -526,57 +538,40 @@ def _full_update_sweep(arm: gittins.CompiledArm):
         w += np.outer(w[:, a], (1.0 / (1.0 - w[a, a])) * w[a])
         w[:, a] = 0.0
         hits[k] = w[:, n + 1]
+    hits *= 1.0 - arm.delta
+    np.subtract(1.0, hits, out=hits)
+    for k, x in enumerate(order):
+        hits[:k, x] = 1.0  # rows before x retires: the arm stops at once there
     lo, hi = gittins._reward_range(arm)
     return np.clip(out, lo, hi), order, hits
 
 
-def _assert_block_update_drops_nothing(arm: gittins.CompiledArm) -> None:
-    got = gittins._sweep_indices(arm, record_hits=True)
-    want = _full_update_sweep(arm)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 100_000))
-def test_block_update_equals_full_update_on_random_chains(seed):
-    _assert_block_update_drops_nothing(_random_arm(seed))
-
-
-def test_block_update_equals_full_update_on_cap5_arm(sponsored2):
-    agent = sponsored2.agents[0]
-    _assert_block_update_drops_nothing(gittins.compile_reward_arm(agent, agent.value.b, sponsored2.delta))
-
-
-_KERNELS = {"dense": gittins._dense_sweep, "sparse": gittins._sparse_sweep}
-
-
 def _bits(result) -> list:
-    return [None if x is None else (x.dtype, x.shape, x.tobytes()) for x in result]
+    return [(x.dtype, x.shape, x.tobytes()) for x in result]
 
 
-def _assert_kernels_equal_full_update(arm: gittins.CompiledArm, full: bool = True) -> None:
-    """Both sweep kernels, called directly, with and without hits, give
-    the same bits as each other and (``full``) as the full update: the
-    order and hits as they are, the indices after ``_sweep_indices``'s
-    clip.  ``tobytes`` tells -0.0 from 0.0."""
-    want = _full_update_sweep(arm) if full else None
-    lo, hi = gittins._reward_range(arm)
-    for record_hits in (False, True):
-        got = {name: kernel(arm, record_hits) for name, kernel in _KERNELS.items()}
-        assert _bits(got["sparse"]) == _bits(got["dense"])
-        out, order, hits = got["sparse"]
-        assert (hits is not None) == record_hits
-        if want is not None:
-            assert _bits([np.clip(out, lo, hi), order]) == _bits(want[:2])
-            if record_hits:
-                assert _bits([hits]) == _bits(want[2:])
+def _assert_sweep_equals_full_update(arm: gittins.CompiledArm, full: bool = True) -> None:
+    """The sweep's indices, order and every replayed hit column give the
+    same bits as the full update (``full``; else only the kernel's own
+    checks run): the order and columns as they are, the indices after
+    ``_sweep_indices``' clip.  ``tobytes`` tells -0.0 from 0.0.  The
+    columns replay to the same bits in any order, and a second time."""
+    out, order, hits = gittins._eliminate(arm)
+    assert sorted(order.tolist()) == list(range(arm.n))
+    table = _hit_table(hits, arm.n)
+    backwards = gittins._eliminate(arm)[2]
+    again = np.stack([backwards.column(x) for x in range(arm.n - 1, -1, -1)], axis=1)[:, ::-1]
+    assert _bits([again]) == _bits([table])
+    assert all(hits.column(x) is hits.column(x) for x in range(arm.n))  # memoized
+    if full:
+        lo, hi = gittins._reward_range(arm)
+        assert _bits([np.clip(out, lo, hi), order, table]) == _bits(_full_update_sweep(arm))
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 100_000))
 def test_sweep_kernels_equal_full_update_on_random_chains(seed):
-    _assert_kernels_equal_full_update(_random_arm(seed))
+    _assert_sweep_equals_full_update(_random_arm(seed))
 
 
 @settings(max_examples=40, deadline=None)
@@ -605,20 +600,19 @@ def test_sweep_kernels_agree_on_tied_rows_zero_rewards_and_underflow(seed, ties,
         rewards[at] = np.copysign(0.0, gen.choice(signs, int(at.sum())))
     arm = _chain_arm(rewards, p, 0.5 + 0.48 * float(gen.random()))
     # the full update adds +0.0 to rows that do not step to the retired
-    # state, which turns a -0.0 reward into 0.0; the kernels touch only
-    # entries that change, so they are compared with each other there
-    _assert_kernels_equal_full_update(arm, full=zeros in ("none", "+0"))
+    # state, which turns a -0.0 reward into 0.0; the sweep touches only
+    # entries that change, so it is compared with the full update only
+    # where no reward is -0.0
+    _assert_sweep_equals_full_update(arm, full=zeros in ("none", "+0"))
 
 
 def test_sweep_kernels_leave_r_alone_when_the_retired_reward_is_zero():
     # state 0 (reward 0.0) retires first on the tie; folding the r column
     # anyway would turn state 1's -0.0 into 0.0 + 0.0 = 0.0
     arm = _chain_arm(np.array([0.0, -0.0]), np.array([[1.0, 0.0], [1.0, 0.0]]), 0.9)
-    for record_hits in (False, True):
-        got = {name: kernel(arm, record_hits) for name, kernel in _KERNELS.items()}
-        assert _bits(got["sparse"]) == _bits(got["dense"])
-        assert got["sparse"][1].tolist() == [0, 1]
-        assert str(got["sparse"][0][1]) == "-0.0"
+    out, order, _ = gittins._eliminate(arm)
+    assert order.tolist() == [0, 1]
+    assert str(out[1]) == "-0.0"
 
 
 def _shipped_sweep_arm(name: str) -> gittins.CompiledArm:
@@ -634,7 +628,7 @@ def _shipped_sweep_arm(name: str) -> gittins.CompiledArm:
     "name", [f"sponsored cap {cap}" for cap in (2, 3, 4, 5)] + ["ar1", "posted_price", "exponential_control"]
 )
 def test_sweep_kernels_equal_full_update_on_shipped_arms(name):
-    _assert_kernels_equal_full_update(_shipped_sweep_arm(name))
+    _assert_sweep_equals_full_update(_shipped_sweep_arm(name))
 
 
 def _shipped_agents():

@@ -262,10 +262,13 @@ def test_lone_arm_vector_equals_per_state_whittle_sum(which, sponsored_small):
     env = sponsored_small if which == "sponsored" else _ar1_env(1)
     rt = mech.MechanismRuntime(env)
     tr, theta = rt.transform(0, 0.9), 0.75
-    levels, hits, lone = rt.hits_flat(0, tr, theta)
-    assert len(levels) > 0
-    whittle = [retirement_surplus([(levels, hits[:, s])]) / (1.0 - env.delta) for s in range(len(lone))]
+    arm = rt.hits_flat(0, tr, theta)
+    assert len(arm.levels) > 0
+    states = range(env.agents[0].private.n * env.agents[0].public.n)
+    lone = np.array([arm.lone(s) for s in states])
+    whittle = [retirement_surplus([(arm.levels, arm.hits(s))]) / (1.0 - env.delta) for s in states]
     assert np.max(np.abs(np.array(whittle) - lone)) <= 1e-14
+    assert all(arm.lone(s) is arm.lone(s) for s in states)  # memoized per state
 
 
 def test_index_table_and_prices_share_one_sweep(monkeypatch):
@@ -282,63 +285,51 @@ def test_index_table_and_prices_share_one_sweep(monkeypatch):
     assert len(calls) == 1
 
 
-def _record_kernels(monkeypatch) -> list:
-    """Patch both sweep kernels to log (kernel, states, record_hits)."""
-    calls = []
-    for name in ("dense", "sparse"):
-        kernel = getattr(gittins, f"_{name}_sweep")
-
-        def logged(arm, record_hits, name=name, kernel=kernel):
-            calls.append((name, arm.n, record_hits))
-            return kernel(arm, record_hits)
-
-        monkeypatch.setattr(gittins, f"_{name}_sweep", logged)
-    return calls
+def _record_sweeps(monkeypatch) -> tuple[list, list]:
+    """Patch the index sweep and the hit-column replay to log the arm
+    size of each sweep and the state of each replayed column."""
+    sweeps, replays = [], []
+    sweep, replay = gittins._sweep_indices, gittins.HitColumns._replay
+    monkeypatch.setattr(gittins, "_sweep_indices", lambda arm: sweeps.append(arm.n) or sweep(arm))
+    monkeypatch.setattr(gittins.HitColumns, "_replay", lambda self, x: replays.append(x) or replay(self, x))
+    return sweeps, replays
 
 
-def test_sweep_kernel_is_chosen_by_arm_size(monkeypatch, sponsored2):
-    calls = _record_kernels(monkeypatch)
-    assert gittins.SPARSE_SWEEP_MAX_STATES < 441  # the cap-5 arm stays dense
-    # additive probe tables (35 states) and the cap-2 base arm (36) are sparse
-    ar1 = mech.MechanismRuntime(_ar1_env(2))
-    ar1.build_table(0, ar1.transform(0, 0.9), 0.85)
-    assert calls == [("sparse", 35, False)]
-    mech.MechanismRuntime(envs.sponsored_search(k=2, cap=2, delta=0.8))._base(0)
-    assert calls[1:] == [("sparse", 36, True)]
-    mech.MechanismRuntime(sponsored2)._base(0)
-    assert calls[2:] == [("dense", 441, True)]
-    # index_of_states and hit_discounts switch kernels just above the cutoff
-    agent = _ar1_env(1).agents[0]
-    arm = compile_reward_arm(agent, agent.value.b, 0.8)
-    for cutoff, kernel in ((arm.n, "sparse"), (arm.n - 1, "dense")):
-        monkeypatch.setattr(gittins, "SPARSE_SWEEP_MAX_STATES", cutoff)
-        del calls[:]
-        gittins.index_of_states(arm, np.arange(arm.n))
-        gittins.hit_discounts(arm)
-        assert calls == [(kernel, arm.n, False), (kernel, arm.n, True)]
+def test_index_tables_replay_no_hit_column(monkeypatch):
+    # the sponsored-search base arm's sweep serves its index table; hit
+    # columns are replayed only when a price reads them, once per state
+    sweeps, replays = _record_sweeps(monkeypatch)
+    env = envs.sponsored_search(k=2, cap=2, delta=0.8)
+    rt = mech.MechanismRuntime(env)
+    tr = rt.transform(0, 0.9)
+    assert rt.index_flat(0, tr, 0.8).max() > 0.0
+    assert rt.build_table(0, rt.transform(0, 0.7), 0.6).max() > 0.0
+    assert rt.index_flat(1, rt.transform(1, 0.9), 0.9).max() > 0.0
+    assert sweeps == [36] and replays == []
+    assert rt.w_minus([(0, tr, 0.8)], [3]) > 0.0
+    assert rt.w_minus([(0, rt.transform(0, 0.7), 0.6)], [3]) > 0.0
+    assert rt.w_minus([(1, rt.transform(1, 0.9), 0.9)], [3]) > 0.0  # the same agent model
+    assert sweeps == [36] and replays == [3]
 
 
 def test_additive_key_is_swept_once_for_index_and_prices(monkeypatch):
     # an additive agent's index table and hit discounts come from one
-    # sweep per (report, theta); fee-walk probe tables record no hits
+    # sweep per (report, theta); fee-walk probe tables replay no column
     env = _ar1_env(2)
     rt = mech.MechanismRuntime(env)
-    calls = []
-    sweep = gittins._sweep_indices
-    monkeypatch.setattr(
-        gittins, "_sweep_indices", lambda arm, record_hits=False: calls.append(record_hits) or sweep(arm, record_hits)
-    )
+    sweeps, replays = _record_sweeps(monkeypatch)
     tr = mech.run_episode(env, [mech.Truthful()] * 2, seed=3, theta=[0.9, 0.8], runtime=rt, fee_mode="skip")
     assert {r.winner for r in tr.rounds} >= {1, 2}  # both agents win, so each prices the other
-    assert calls == [True, True]
+    assert sweeps == [35, 35] and replays
+    del replays[:]
     rt.build_table(0, rt.transform(0, 0.9), 0.85)
-    assert calls == [True, True, False]
+    assert sweeps == [35, 35, 35] and replays == []
 
 
 @pytest.mark.parametrize("which", ["sponsored", "ar1"])
 def test_w_minus_matches_joint_dp_over_two_arms(which):
-    # scale-homogeneous arms share one base hit table; additive arms get
-    # their own per (report, theta)
+    # scale-homogeneous arms share one base arm's hit columns; additive
+    # arms get their own per (report, theta)
     env = envs.sponsored_search(k=3, cap=2, delta=0.8) if which == "sponsored" else _ar1_env(3)
     rt = mech.MechanismRuntime(env)
     others = [(1, rt.transform(1, 0.95), 0.8), (2, rt.transform(2, 0.85), 0.9)]

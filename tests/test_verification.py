@@ -209,8 +209,8 @@ def test_ic_detects_profitable_shading_on_convex_control(convex_a_env):
 
 def test_ic_audit_keeps_at_most_the_table_cap_and_the_same_bits(monkeypatch):
     # additive AR(1) arms: every (agent, report, type) key sweeps its own
-    # index table and n x n hit table; an evicted key is rebuilt to the
-    # same bits
+    # index table and hit columns; an evicted key is rebuilt to the same
+    # bits
     env = envs.ar1(2, 0.5, [[0.2]], 0.8, grid_step=0.1, alloc_cap=6)
 
     def audit(cap):

@@ -41,11 +41,25 @@ tree goes first.  Recorded per tree:
   opponent states whose lone-arm price one ``run_episode`` with fees
   reads on the arm's k=2 environment (delta 0.8) at types (0.9, 0.8),
   seed ``SIMULATE_SEED`` and ``SIMULATE_FEE_ROLLOUTS`` fee paths, the
-  other settings at their defaults, as the CLI's ``simulate`` runs it.
+  other settings at their defaults, as the CLI's ``simulate`` runs it;
+- ``index_build_us``: one index build as a price or a fee walk asks
+  for it, ``compile_reward_arm`` then ``_sweep_indices`` (the sweep and
+  its clip to the reachable reward range), in microseconds, median of
+  ``INDEX_BUILDS`` builds in the process: on the AR(1) agent's 35-state
+  arm at the rewards of agent 0's virtual values for reports and types
+  on a grid over [0.5, 1] (the additive builds of ``ar1-bound``), and on
+  the 441-state sponsored-search arm (cap 5) at its experience rewards;
+  each on one agent model that earlier builds have used ("warm"), and
+  as the first build on a new agent model ("first").
 
 Times are medians over ``--repeats`` repetitions (each repetition's
 value is kept under ``runs``).  Every repetition runs the same
-operations on the same streams in a fresh process.
+operations on the same streams in a fresh process.  Processes of one
+tree read up to ~30% apart, so with two or more trees each repetition
+also gives every later tree's time over the first tree's
+(``ratios``), measured in processes that ran back to back, with their
+median and the count of repetitions in which the ratio is below 1
+(``faster``).
 """
 
 from __future__ import annotations
@@ -73,7 +87,8 @@ TIMES = (
     "fee_ms_per_path", "episode_ms", "posted_audit_ic_s", "additive_fee_ms_per_path", "strategic_run_us",
 )
 COUNTS = ("draw_pair_calls", "additive_table_builds_per_path", "simulate_columns")  # identical in every repetition
-TABLES = ("sweep_ms",)  # {label: ms}, a median per label
+TABLES = ("sweep_ms", "index_build_us")  # {label: time}, a median per label
+INDEX_BUILDS = 50
 AR1_PARAMS = {"k": 2, "coeff": 0.5, "shock": [[0.2]], "grid_step": 0.1, "alloc_cap": 6}
 
 
@@ -165,6 +180,7 @@ def _measure() -> dict:
     MechanismRuntime.build_table = build_table
     ExperienceStreams.draw_pair = draw_pair
     sweep_ms, simulate_columns = _sweep_ms()
+    index_build_us = _index_build_us()
     return {
         "fee_ms_per_path": 1e3 * fee_s / FEE_PATHS,
         "episode_ms": 1e3 * episode_s / EPISODES,
@@ -178,6 +194,7 @@ def _measure() -> dict:
         },
         "additive_table_builds_per_path": builds[0] / FEE_PATHS,
         "sweep_ms": sweep_ms,
+        "index_build_us": index_build_us,
         "simulate_columns": simulate_columns,
     }
 
@@ -245,6 +262,46 @@ def _sweep_ms() -> tuple[dict, dict]:
     return out, counts
 
 
+def _index_build_us() -> dict:
+    """Median microseconds of one ``compile_reward_arm`` plus
+    ``_sweep_indices`` per arm, warm and first on a new agent model."""
+    import numpy as np
+
+    from dynamech import environments as envs
+    from dynamech import gittins
+    from dynamech.virtual import transform_or_dormant, xi_table
+
+    params = dict(AR1_PARAMS, shock=np.array(AR1_PARAMS["shock"]))
+    grid = np.linspace(0.5, 1.0, INDEX_BUILDS)
+
+    def ar1_model():
+        env = envs.ar1(delta=0.8, **params)
+        tables = [xi_table(transform_or_dormant(env, 0, z), env, 0, z) for z in grid]
+        return env.agents[0], tables
+
+    def sponsored_model():
+        agent = envs.sponsored_search(k=2, cap=5, delta=0.8).agents[0]
+        return agent, [agent.value.b] * INDEX_BUILDS
+
+    def build(agent, rewards) -> float:
+        start = time.perf_counter()
+        gittins._sweep_indices(gittins.compile_reward_arm(agent, rewards, 0.8))
+        return time.perf_counter() - start
+
+    out = {}
+    for label, model in (("ar1 (35 states)", ar1_model), ("sponsored cap 5 (441 states)", sponsored_model)):
+        agent, tables = model()
+        build(agent, tables[0])  # untimed: the model's first build
+        out[f"{label}, warm"] = 1e6 * statistics.median(build(agent, x) for x in tables)
+        firsts = []
+        for _ in range(INDEX_BUILDS // 5):
+            agent, tables = model()
+            agent.transition  # built with the model, outside the build
+            firsts.append(build(agent, tables[0]))
+        out[f"{label}, first"] = 1e6 * statistics.median(firsts)
+    return out
+
+
 def _cpu_model() -> str:
     try:
         for line in Path("/proc/cpuinfo").read_text().splitlines():
@@ -275,6 +332,29 @@ def _summary(runs: list[dict]) -> dict:
     for key in TABLES:
         out[key] = {label: statistics.median(r[key][label] for r in runs) for label in runs[0][key]}
     out["runs"] = {key: [r[key] for r in runs] for key in TIMES + TABLES}
+    return out
+
+
+def _flat(run: dict) -> dict:
+    """A repetition's times, one per name (a table's as "key: label")."""
+    out = {key: run[key] for key in TIMES}
+    for key in TABLES:
+        out.update({f"{key}: {label}": t for label, t in run[key].items()})
+    return out
+
+
+def _ratios(base: list[dict], other: list[dict]) -> dict:
+    """Per time, each repetition's ``other / base``, their median, and
+    in how many repetitions ``other`` was faster."""
+    base, other = [_flat(r) for r in base], [_flat(r) for r in other]
+    out = {}
+    for name in base[0]:
+        ratios = [o[name] / b[name] for b, o in zip(base, other)]
+        out[name] = {
+            "median": statistics.median(ratios),
+            "faster": f"{sum(r < 1.0 for r in ratios)}/{len(ratios)}",
+            "ratios": ratios,
+        }
     return out
 
 
@@ -310,6 +390,11 @@ def main(argv=None) -> int:
         "repeats": args.repeats,
         "trees": {label: _summary(runs[label]) for label in trees},
     }
+    labels = list(trees)
+    if len(labels) > 1:
+        result["ratios"] = {
+            f"{label} / {labels[0]}": _ratios(runs[labels[0]], runs[label]) for label in labels[1:]
+        }
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result, indent=2))
     return 0

@@ -16,9 +16,10 @@ quantized to a grid).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,6 +35,7 @@ __all__ = [
     "MultiplicativeValue",
     "ArmState",
     "AgentModel",
+    "SweepGraph",
     "Environment",
     "make_environment",
     "value",
@@ -153,8 +155,29 @@ def _sampling_rows(matrix: np.ndarray) -> np.ndarray:
     return cum
 
 
+class _Sampled:
+    """A kernel's sampling rows, for ``sample_transition``."""
+
+    @cached_property
+    def cumulative(self) -> np.ndarray:
+        """``_sampling_rows`` of the kernel's matrix, built on first use."""
+        return _sampling_rows(self.matrix)
+
+    def sampling_row(self, *at: int) -> list[float]:
+        """Row ``at`` of ``cumulative`` as a Python list, which
+        ``sample_transition`` bisects; each built on first use."""
+        row = self._lists.get(at)
+        if row is None:
+            row = self._lists[at] = self.cumulative[at].tolist()
+        return row
+
+    @cached_property
+    def _lists(self) -> dict[tuple[int, ...], list[float]]:
+        return {}
+
+
 @dataclass(frozen=True)
-class PublicKernel:
+class PublicKernel(_Sampled):
     """Transition G(rho' | rho) over a finite public-state set."""
 
     matrix: np.ndarray  # (n_rho, n_rho)
@@ -173,14 +196,9 @@ class PublicKernel:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    @cached_property
-    def cumulative(self) -> np.ndarray:
-        """Sampling rows of G, built on first use (``sample_transition``)."""
-        return _sampling_rows(self.matrix)
-
 
 @dataclass(frozen=True)
-class PrivateKernel:
+class PrivateKernel(_Sampled):
     """Transition H(e' | e, rho) over a finite private-state set.
 
     Indexed [rho, e, e']: the private move may condition on the public
@@ -202,11 +220,6 @@ class PrivateKernel:
     @property
     def n(self) -> int:
         return self.matrix.shape[1]
-
-    @cached_property
-    def cumulative(self) -> np.ndarray:
-        """Sampling rows of H, built on first use (``sample_transition``)."""
-        return _sampling_rows(self.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +269,116 @@ class ArmState:
     rho: int
 
 
+class Reach(NamedTuple):
+    """A transition graph's strongly connected components (SCCs) in
+    reverse topological order: every SCC comes after each SCC its edges
+    enter.  Every state of an SCC reaches the same states."""
+
+    comp: np.ndarray  # (n,) each state's SCC
+    sccs: list  # per SCC: (a state, its other states, the SCCs its edges enter, maybe repeated)
+
+
+def _reach(indptr: np.ndarray, indices: np.ndarray) -> Reach:
+    """``Reach`` of a CSR graph (every stored entry is an edge, a zero
+    probability included), by Tarjan's algorithm (Tarjan 1972) without
+    recursion, O(n + nnz): it closes each SCC after every SCC it
+    reaches, so the SCCs come out in reverse topological order."""
+    n = len(indptr) - 1
+    ptr, nbr = indptr.tolist(), indices.tolist()
+    succs = [nbr[a:b] for a, b in zip(ptr, ptr[1:])]
+    order = [0] * n  # visit number from 1; 0 while unvisited
+    low = [0] * n
+    comp = [-1] * n  # each state's SCC, numbered as they close
+    sccs = []
+    stack: list[int] = []
+    visits = 0
+    for root in range(n):
+        if order[root]:
+            continue
+        visits += 1
+        order[root] = low[root] = visits
+        stack.append(root)
+        path = [(root, iter(succs[root]))]
+        while path:
+            v, edges = path[-1]
+            for w in edges:  # resumes after the last edge taken
+                if not order[w]:  # descend into w
+                    visits += 1
+                    order[w] = low[w] = visits
+                    stack.append(w)
+                    path.append((w, iter(succs[w])))
+                    break
+                if comp[w] < 0 and order[w] < low[v]:  # w is on the stack
+                    low[v] = order[w]
+            else:
+                path.pop()
+                if path and low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
+                if low[v] == order[v]:  # v roots an SCC: close it
+                    c = len(sccs)
+                    rest = []
+                    w = stack.pop()
+                    while w != v:
+                        comp[w] = c
+                        rest.append(w)
+                        w = stack.pop()
+                    comp[v] = c
+                    succ = [d for s in (v, *rest) for w in succs[s] if (d := comp[w]) != c]
+                    sccs.append((v, tuple(rest), tuple(succ)))  # the collector stops tracking int tuples
+    return Reach(np.array(comp, dtype=np.intp), sccs)
+
+
+class SweepGraph:
+    """A transition in CSR form as the index sweep
+    (``gittins._sweep_indices``) reads it, derived once and shared: the
+    sweep's starting rows per discount factor (``sweep_rows``) and the
+    reachability of each state (``reach``).  Both depend on the
+    transition alone, so one agent model's graph (``AgentModel.graph``)
+    serves the index build at every type and report.  The arrays are
+    held, not copied."""
+
+    __slots__ = ("indptr", "indices", "probs", "_rows", "_reach")
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, probs: np.ndarray):
+        self.indptr, self.indices, self.probs = indptr, indices, probs
+        self._rows: dict[float, tuple[list[dict[int, float]], list[set[int]]] | None] = {}
+        self._reach: Reach | None = None
+
+    def sweep_rows(self, delta: float) -> tuple[list[dict[int, float]], list[set[int]]]:
+        """Q = delta * P as one ``{column: value}`` dict per row, in CSR
+        order and without the products that are 0, and per column the
+        set of rows that step to it, for one sweep to fold.  The first
+        sweep at a delta gets them built from the CSR arrays; the graph
+        keeps a pristine build from the second on and hands out copies,
+        so an arm swept once keeps nothing."""
+        if delta not in self._rows:
+            self._rows[delta] = None
+            return self._build_rows(delta)
+        kept = self._rows[delta]
+        if kept is None:
+            kept = self._rows[delta] = self._build_rows(delta)
+        return list(map(dict.copy, kept[0])), list(map(set.copy, kept[1]))
+
+    def _build_rows(self, delta: float) -> tuple[list[dict[int, float]], list[set[int]]]:
+        n = len(self.indptr) - 1
+        rows: list[dict[int, float]] = [{} for _ in range(n)]
+        preds: list[set[int]] = [set() for _ in range(n)]
+        row_of = np.repeat(np.arange(n), np.diff(self.indptr)).tolist()
+        for p, j, v in zip(row_of, self.indices.tolist(), (self.probs * delta).tolist()):
+            if v:
+                rows[p][j] = v
+                preds[j].add(p)
+        return rows, preds
+
+    @property
+    def reach(self) -> Reach:
+        """The strongly connected components in reverse topological
+        order (``Reach``), built on first use."""
+        if self._reach is None:
+            self._reach = _reach(self.indptr, self.indices)
+        return self._reach
+
+
 @dataclass(frozen=True)
 class AgentModel:
     distribution: TypeDistribution
@@ -302,6 +425,13 @@ class AgentModel:
         return indptr, indices, probs
 
     @cached_property
+    def graph(self) -> SweepGraph:
+        """``transition`` as the index sweep reads it (``SweepGraph``):
+        its starting rows per delta and its reachability, each built on
+        first use and shared by every arm compiled from this agent."""
+        return SweepGraph(*self.transition)
+
+    @cached_property
     def absorbing(self) -> list[bool]:
         """Per flat state s = e * n_rho + rho, whether ``sample_transition``
         maps every draw in [0, 1) back to s: in the sampling rows of G at
@@ -337,15 +467,15 @@ class Environment:
 
 
 def _value_bound(agent: AgentModel, grid: int = 129) -> float:
-    thetas = np.linspace(0.0, agent.distribution.theta_bar, grid)
+    thetas = np.linspace(0.0, agent.distribution.theta_bar, grid).tolist()
     val = agent.value
     worst = 0.0
     if isinstance(val, MultiplicativeValue):
-        a_max = max(abs(val.a(float(t))) for t in thetas)
+        a_max = max(abs(val.a(t)) for t in thetas)
         worst = a_max * float(np.max(np.abs(val.b))) + float(np.max(np.abs(val.c)))
     else:
         for rho in range(agent.public.n):
-            a_max = max(abs(val.a(float(t), rho)) for t in thetas)
+            a_max = max(abs(val.a(t, rho)) for t in thetas)
             worst = max(worst, a_max + float(np.max(np.abs(val.b[:, rho]))))
     return worst
 
@@ -355,7 +485,8 @@ def make_environment(agents: Sequence[AgentModel], delta: float) -> Environment:
         raise DomainError(f"delta must lie in (0, 1), got {delta!r}")
     if not agents:
         raise DomainError("environment needs at least one agent")
-    v_max = max(_value_bound(a) for a in agents)
+    distinct = {id(a): a for a in agents}.values()  # builders replicate one model per slot
+    v_max = max(_value_bound(a) for a in distinct)
     if not np.isfinite(v_max):
         raise DomainError("value bound is not finite")
     return Environment(agents=tuple(agents), delta=delta, v_max=v_max)
@@ -402,8 +533,8 @@ def sample_transition(
     simulated allocation moves through here, so that the j-th
     allocation's draws mean the same move in every run that shares
     them."""
-    rho_next = int(agent.public.cumulative[rho].searchsorted(u_pub, side="right"))
-    e_next = int(agent.private.cumulative[rho, e].searchsorted(u_priv, side="right"))
+    rho_next = bisect_right(agent.public.sampling_row(rho), u_pub)
+    e_next = bisect_right(agent.private.sampling_row(rho, e), u_priv)
     return e_next, rho_next
 
 
@@ -854,10 +985,10 @@ def ar1(
 
     alloc_counts = np.array([n for _ in range(n_rb) for n in range(n_n)])
     w_levels = np.array([iw * grid_step for _ in range(n_eb) for iw in range(n_w)])
-    powers = coeff ** alloc_counts.astype(float)
+    powers = (coeff ** alloc_counts.astype(float)).tolist()
     val = AdditiveValue(
-        a=lambda t, rho: float(powers[rho]) * t,
-        da=lambda t, rho: float(powers[rho]),
+        a=lambda t, rho: powers[rho] * t,
+        da=lambda t, rho: powers[rho],
         b=np.tile(w_levels[:, None], (1, n_rho)),
     )
     agent = AgentModel(

@@ -13,6 +13,14 @@ anything is allocated.  An exhaustive stopping-set oracle and the
 O(n^4) largest-remaining-index recursion are kept alongside as
 independent cross-checks.
 
+What the sweep reads from the transition alone an agent model compiles
+once (``AgentModel.graph``, an ``environments.SweepGraph``) and every
+arm compiled from it shares: the starting dict rows and predecessor
+sets per discount factor, and the strongly connected components in
+reverse topological order.  An index build then supplies only the
+rewards: it folds a copy of the rows, and clips each index to its
+reachable reward range in one pass over the components.
+
 The sweep also keeps each row as it was at retirement and each step's
 fold, so ``HitColumns`` can replay, one state at a time, that state's
 discounted time to leave the states retired so far; from those
@@ -25,12 +33,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .environments import AgentModel, ArmState, DomainError, Environment, sample_transition
+from .environments import AgentModel, ArmState, DomainError, Environment, SweepGraph, sample_transition
 from .rng import substream
 from .virtual import VirtualTransform, transform_or_dormant, xi_table
 
@@ -75,7 +83,9 @@ class CompiledArm:
     """One agent's arm for a fixed theta: flat rewards and the
     transition in CSR form (row s's successors are
     ``indices[indptr[s]:indptr[s + 1]]`` with probabilities ``probs``
-    there).
+    there), with ``graph``, what the index sweep derives from the
+    transition alone (``environments.SweepGraph``): the agent model's
+    when compiled from one, else built lazily for this arm.
 
     States are flattened as s = e * n_rho + rho.
     """
@@ -87,6 +97,11 @@ class CompiledArm:
     delta: float
     n_e: int
     n_rho: int
+    graph: SweepGraph | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.graph is None:
+            object.__setattr__(self, "graph", SweepGraph(self.indptr, self.indices, self.probs))
 
     @property
     def n(self) -> int:
@@ -121,6 +136,7 @@ def compile_reward_arm(agent: AgentModel, rewards: np.ndarray, delta: float) -> 
         delta=delta,
         n_e=agent.private.n,
         n_rho=agent.public.n,
+        graph=agent.graph,
     )
 
 
@@ -157,18 +173,32 @@ VI_MAX_SWEEPS = 200_000
 
 def _reward_range(arm: CompiledArm) -> tuple[np.ndarray, np.ndarray]:
     """Min and max reward over each state's reachable set (itself
-    included), by relaxing along transitions to a fixed point."""
-    rows = np.nonzero(np.diff(arm.indptr))[0]  # reduceat needs nonempty segments
-    starts = arm.indptr[rows]
-    lo, hi = arm.rewards.copy(), arm.rewards.copy()
-    while len(rows):
-        new_lo, new_hi = lo.copy(), hi.copy()
-        new_lo[rows] = np.minimum(lo[rows], np.minimum.reduceat(lo[arm.indices], starts))
-        new_hi[rows] = np.maximum(hi[rows], np.maximum.reduceat(hi[arm.indices], starts))
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-            break
-        lo, hi = new_lo, new_hi
-    return lo, hi
+    included), in one pass over the strongly connected components in
+    reverse topological order (``SweepGraph.reach``): each takes the
+    extremes of its own rewards and of the components its edges enter,
+    which the pass has already finished."""
+    reach = arm.graph.reach
+    r = arm.rewards.tolist()
+    lo: list[float] = []
+    hi: list[float] = []
+    for first, rest, succ in reach.sccs:
+        a = b = r[first]
+        for s in rest:
+            x = r[s]
+            if x < a:
+                a = x
+            elif x > b:
+                b = x
+        for c in succ:
+            x = lo[c]
+            if x < a:
+                a = x
+            x = hi[c]
+            if x > b:
+                b = x
+        lo.append(a)
+        hi.append(b)
+    return np.array(lo)[reach.comp], np.array(hi)[reach.comp]
 
 
 def _sweep_indices(arm: CompiledArm) -> tuple[np.ndarray, np.ndarray, HitColumns]:
@@ -194,10 +224,11 @@ def _eliminate(arm: CompiledArm) -> tuple[np.ndarray, np.ndarray, HitColumns]:
 
     Q (discounted transitions among live states) is one ``{column:
     value}`` dict per live row, with the set of live rows that step to
-    each column; r (discounted reward) and d (discounted time) accrued
-    from each state until the chain first returns to a live state are
-    lists, and a max-heap holds the live states' r/d (stale entries are
-    skipped).  Retiring the live state a with the largest r/d records
+    each column, both from the arm's graph (``SweepGraph.sweep_rows``);
+    r (discounted reward) and d (discounted time) accrued from each
+    state until the chain first returns to a live state are lists, and
+    a max-heap holds the live states' r/d (stale entries are skipped).
+    Retiring the live state a with the largest r/d records
     that ratio as its index; folding it in updates every live row p that
     can step to a: with q = Q[p, a] popped and inv = 1 / (1 - Q[a, a]),
     each entry j != a of row a gives Q[p, j] + q * (inv * Q[a, j]), and r
@@ -209,13 +240,7 @@ def _eliminate(arm: CompiledArm) -> tuple[np.ndarray, np.ndarray, HitColumns]:
     retirement, and each step keeps its fold and inv * d[a].
     """
     n = arm.n
-    rows: list[dict[int, float]] = [{} for _ in range(n)]
-    preds: list[set[int]] = [set() for _ in range(n)]
-    row_of = np.repeat(np.arange(n), np.diff(arm.indptr)).tolist()
-    for p, j, v in zip(row_of, arm.indices.tolist(), (arm.probs * arm.delta).tolist()):
-        if v:
-            rows[p][j] = v
-            preds[j].add(p)
+    rows, preds = arm.graph.sweep_rows(arm.delta)
     r = arm.rewards.tolist()
     d = [1.0] * n
     key = [-x for x in r]  # -(r / d) with d = 1

@@ -300,6 +300,11 @@ class MechanismRuntime:
         self._paths: dict[tuple[int, str, int], _Trajectories] = {}
         self._thresholds: dict[int, float] = {}
         self._n_rho = [agent.public.n for agent in env.agents]
+        # multiplicative with C = 0: xi is a scale times B (``_homogeneous_scale``)
+        self._homogeneous = [
+            isinstance(agent.value, MultiplicativeValue) and not np.any(agent.value.c != 0.0)
+            for agent in env.agents
+        ]
 
     # -- transforms ---------------------------------------------------------
 
@@ -343,10 +348,9 @@ class MechanismRuntime:
 
     def _homogeneous_scale(self, agent_id: int, transform: VirtualTransform, theta: float):
         """scale s.t. xi = scale * B, or None when the shortcut is invalid."""
-        val = self.env.agents[agent_id].value
-        if not isinstance(val, MultiplicativeValue) or np.any(val.c != 0.0):
+        if not self._homogeneous[agent_id]:
             return None
-        scale = transform.alpha * val.a(theta)
+        scale = transform.alpha * self.env.agents[agent_id].value.a(theta)
         return scale if scale >= 0.0 else None
 
     def _base(self, agent_id: int) -> tuple[np.ndarray, np.ndarray, HitColumns]:

@@ -4,9 +4,11 @@ value-iteration optimum (the library prices by Whittle's retirement
 formula and never builds the joint space), the per-entry loop that
 built an agent's flat transition matrix before ``AgentModel.transition``
 built it vectorised, an agent's allocation times read off a
-``_run_rounds`` result's winners, and Gittins indices by bisection over
+``_run_rounds`` result's winners, Gittins indices by bisection over
 the retirement value with value iteration inside, the exact index
-sweep's independent reference.
+sweep's independent reference, and the reachable reward range by
+relaxation to a fixed point, which ``gittins._reward_range`` replaced
+with one pass over the transition's strongly connected components.
 """
 
 from __future__ import annotations
@@ -156,3 +158,20 @@ def bisect_indices(arm: CompiledArm, states: np.ndarray, tol: float) -> np.ndarr
     exact = hi == lo
     out[exact] = lo[exact]
     return out
+
+
+def reward_range_relaxation(arm: CompiledArm) -> tuple[np.ndarray, np.ndarray]:
+    """Min and max reward over each state's reachable set (itself
+    included), by relaxing along every stored transition entry to a
+    fixed point, a zero probability included."""
+    rows = np.nonzero(np.diff(arm.indptr))[0]  # reduceat needs nonempty segments
+    starts = arm.indptr[rows]
+    lo, hi = arm.rewards.copy(), arm.rewards.copy()
+    while len(rows):
+        new_lo, new_hi = lo.copy(), hi.copy()
+        new_lo[rows] = np.minimum(lo[rows], np.minimum.reduceat(lo[arm.indices], starts))
+        new_hi[rows] = np.maximum(hi[rows], np.maximum.reduceat(hi[arm.indices], starts))
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
+    return lo, hi

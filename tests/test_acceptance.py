@@ -5,6 +5,8 @@ plus the reported truncation/quadrature errors; deterministic criteria
 use absolute tolerances.  Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -15,10 +17,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dynamech import cli
 from dynamech import environments as envs
 from dynamech import gittins
 from dynamech import mechanism as mech
 from dynamech import verification as ver
+from dynamech.config import build_environment, parse_config
 from dynamech.environments import ArmState
 from dynamech.gittins import tail_horizon
 from dynamech.mechanism import ExperienceStreams, Truthful, _active_transforms, _run_rounds
@@ -291,27 +295,32 @@ def test_criterion_11_complete_monitoring_equivalence(sponsored2, sponsored2_run
     _report(11, plain == watched, "reported vs monitored transcripts bit-identical")
 
 
-def test_criterion_12_worker_count_determinism(tmp_path):
-    outputs = {}
-    env_vars = dict(os.environ)
-    for workers in ("1", "2", "8"):
-        out = tmp_path / f"w{workers}"
-        env_vars["DYNAMECH_THREADS"] = workers
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "dynamech.cli",
-                "--config", str(REPO / "configs" / "posted_price.cfg"),
-                "--out", str(out), "--seed", "5", "simulate",
-            ],
-            env=env_vars, cwd=REPO, capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs[workers] = (
-            (out / "transcript.csv").read_bytes(),
-            (out / "summary.json").read_bytes(),
-        )
+def test_criterion_12_reused_runtime_determinism(tmp_path, monkeypatch):
+    # seed 5 from a fresh process, then in this one through one
+    # environment and runtime that serve other seeds before and between
+    cfg_path = REPO / "configs" / "posted_price.cfg"
+
+    def argv(seed: str, out: str) -> list[str]:
+        return ["--config", str(cfg_path), "--seed", seed, "--out", str(tmp_path / out), "simulate"]
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "dynamech.cli", *argv("5", "fresh")],
+        env=dict(os.environ), cwd=REPO, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    env = build_environment(parse_config(cfg_path))
+    runtime = mech.MechanismRuntime(env)
+    monkeypatch.setattr(cli, "build_environment", lambda _cfg: env)
+    monkeypatch.setattr(cli, "MechanismRuntime", lambda _env: runtime)
+    with contextlib.redirect_stdout(io.StringIO()):
+        for seed, out in (("3", "warm"), ("5", "reused"), ("4", "warm"), ("5", "again")):
+            assert cli.main(argv(seed, out)) == 0
+    read = {
+        out: ((tmp_path / out / "transcript.csv").read_bytes(), (tmp_path / out / "summary.json").read_bytes())
+        for out in ("fresh", "reused", "again")
+    }
     _report(
         12,
-        outputs["1"] == outputs["2"] == outputs["8"],
-        "simulate byte-identical across 1, 2, 8 workers",
+        read["fresh"] == read["reused"] == read["again"],
+        "simulate byte-identical from a fresh process and through a runtime reused across seeds",
     )

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from dynamech import cli
 from dynamech.cli import main
 from dynamech.config import (
     ConfigError,
@@ -215,40 +216,47 @@ def test_bound_subcommand(tmp_path):
     assert payload["passed"]
 
 
-def test_worker_count_does_not_change_bytes(tmp_path):
-    env = dict(os.environ)
-    outputs = {}
-    for workers in ("1", "2", "8"):
-        out = tmp_path / f"w{workers}"
-        env["DYNAMECH_THREADS"] = workers
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "dynamech.cli",
-                "--config",
-                str(POSTED),
-                "--out",
-                str(out),
-                "--seed",
-                "5",
-                "simulate",
-            ],
-            env=env,
-            cwd=REPO,
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs[workers] = (
-            (out / "transcript.csv").read_bytes(),
-            (out / "summary.json").read_bytes(),
-        )
-    assert outputs["1"] == outputs["2"] == outputs["8"]
+AR1 = """
+{"environment": {"name": "ar1", "params": {"k": 2, "coeff": 0.5, "shock": [[0.2]], "grid_step": 0.1,
+ "alloc_cap": 6}}, "delta": 0.8, "fee_rollouts": 16}
+"""
+
+
+def test_reused_runtime_does_not_change_bytes(tmp_path, monkeypatch):
+    # additive values: every (report, type) key sweeps its own arm on the
+    # agent model's shared rows; seed 5 from a fresh process, then in this
+    # one through an environment and runtime that other seeds keep warm
+    cfg_path = tmp_path / "ar1.cfg"
+    cfg_path.write_text(AR1)
+
+    def argv(seed: str, out: str) -> list[str]:
+        return ["--config", str(cfg_path), "--seed", seed, "--out", str(tmp_path / out), "--format", "json",
+                "simulate"]
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "dynamech.cli", *argv("5", "fresh")],
+        env=dict(os.environ),
+        cwd=REPO,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    env = build_environment(parse_config(cfg_path))
+    runtime = cli.MechanismRuntime(env)
+    monkeypatch.setattr(cli, "build_environment", lambda _cfg: env)
+    monkeypatch.setattr(cli, "MechanismRuntime", lambda _env: runtime)
+    for seed, out in (("3", "warm"), ("5", "reused"), ("4", "warm"), ("5", "again")):
+        assert main(argv(seed, out)) == 0
+    read = {
+        out: ((tmp_path / out / "transcript.json").read_bytes(), (tmp_path / out / "summary.json").read_bytes())
+        for out in ("fresh", "reused", "again")
+    }
+    assert read["fresh"] == read["reused"] == read["again"]
 
 
 _NO_SCIPY_SCRIPT = """
 import json, sys
+from dynamech import cli
 from dynamech.cli import main
 
 status = [main(argv) for argv in json.loads(sys.argv[1])]

@@ -299,3 +299,33 @@ def test_absorbing_states_of_random_chains_equal_brute_force(seed):
 
     agent = _one_agent(rows((n_rho, n_rho)), rows((n_rho, n_e, n_e)))
     assert agent.absorbing == _brute_force_absorbing(agent)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10_000), extra=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=4))
+def test_sample_transition_equals_searchsorted_on_the_sampling_rows(seed, extra):
+    # zero-mass tails make +inf tails; every row entry in [0, 1) is drawn
+    # exactly, with its two float neighbours, so each tie is tried
+    rng = np.random.default_rng(seed)
+    n_rho, n_e = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+
+    def rows(shape):
+        x = rng.random(shape) * (rng.random(shape) > 0.4)
+        x[..., 0] += x.sum(axis=-1) == 0.0
+        return x / x.sum(axis=-1, keepdims=True)
+
+    agent = _one_agent(rows((n_rho, n_rho)), rows((n_rho, n_e, n_e)))
+
+    def draws(row):
+        out = {0.0, float(np.nextafter(1.0, 0.0)), *extra}
+        for c in row[np.isfinite(row)].tolist():
+            out |= {c, float(np.nextafter(c, 0.0)), float(np.nextafter(c, 2.0))}
+        return sorted(u for u in out if 0.0 <= u < 1.0)
+
+    for e in range(n_e):
+        for rho in range(n_rho):
+            pub, priv = agent.public.cumulative[rho], agent.private.cumulative[rho, e]
+            for u in draws(pub):
+                for v in draws(priv):
+                    want = (int(np.searchsorted(priv, v, side="right")), int(np.searchsorted(pub, u, side="right")))
+                    assert envs.sample_transition(agent, e, rho, u, v) == want

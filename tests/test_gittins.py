@@ -15,7 +15,7 @@ from dynamech.rng import substream
 from dynamech.virtual import VirtualTransform, affine_coefficients
 
 from conftest import constant_arm_env, two_state_env
-from oracles import bisect_indices, loop_transition
+from oracles import bisect_indices, loop_transition, reward_range_relaxation
 
 
 def _identity_transform(n_rho: int = 1) -> VirtualTransform:
@@ -648,3 +648,108 @@ def test_transition_arrays_equal_the_per_entry_build():
         assert np.array_equal(probs, want.data)  # bit for bit
         arm = gittins.compile_reward_arm(agent, agent.value.b, 0.8)
         assert arm.indptr is indptr  # every compile shares the agent's arrays
+
+
+# ---------------------------------------------------------------------------
+# What an agent model compiles once: the sweep's rows and its reachability
+# ---------------------------------------------------------------------------
+
+
+def _csr_chain(gen, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR arrays of a random graph on n states: up to 3 successors a
+    state, some of them stored with probability 0, and now and then a
+    state with no entry at all, so cycles, self-loops and sinks mix."""
+    indptr, indices, probs = [0], [], []
+    for _ in range(n):
+        k = 0 if gen.random() < 0.05 else int(gen.integers(1, min(n, 3) + 1))
+        cols = np.sort(gen.choice(n, k, replace=False))
+        w = gen.random(k)
+        w[gen.random(k) < 0.3] = 0.0
+        indices.extend(cols.tolist())
+        probs.extend((w / w.sum() if w.sum() > 0.0 else w).tolist())
+        indptr.append(len(indices))
+    return np.array(indptr), np.array(indices, dtype=np.int32), np.array(probs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 100_000), zeros=st.sampled_from(["none", "+0", "-0", "both"]))
+def test_reward_range_equals_fixed_point_relaxation(seed, zeros):
+    gen = substream(seed, "reward-range")
+    n = int(gen.integers(1, 40))
+    indptr, indices, probs = _csr_chain(gen, n)
+    rewards = gen.choice([-0.5, 0.25, 0.0, 1.0], n)  # ties at every extreme
+    if zeros != "none":
+        signs = {"+0": [1.0], "-0": [-1.0], "both": [1.0, -1.0]}[zeros]
+        at = rewards == 0.0
+        rewards[at] = np.copysign(0.0, gen.choice(signs, int(at.sum())))
+    arm = gittins.CompiledArm(rewards, indptr, indices, probs, 0.8, n, 1)
+    got, want = gittins._reward_range(arm), reward_range_relaxation(arm)
+    if zeros == "both":
+        # where a reachable set's extreme is 0.0 and it holds both signs,
+        # the relaxation's sign depends on how many rounds it ran
+        # (np.minimum returns its second operand on a tie): values only
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    else:
+        assert _bits(got) == _bits(want)
+
+
+def test_reach_closes_sccs_in_reverse_topological_order():
+    gen = substream(3, "reach")
+    for _ in range(50):
+        n = int(gen.integers(1, 30))
+        indptr, indices, _ = _csr_chain(gen, n)
+        reach = envs._reach(indptr, indices)
+        closure = np.eye(n, dtype=bool)
+        closure[np.repeat(np.arange(n), np.diff(indptr)), indices] = True
+        for _ in range(n):
+            closure = closure | ((closure.astype(int) @ closure.astype(int)) > 0)
+        same = closure & closure.T
+        assert np.array_equal(same, reach.comp[:, None] == reach.comp[None, :])
+        for c, (first, rest, succ) in enumerate(reach.sccs):
+            assert sorted([first, *rest]) == np.nonzero(reach.comp == c)[0].tolist()
+            assert all(d < c for d in succ)  # each successor closed first
+
+
+def test_reach_of_a_long_path_needs_no_recursion():
+    n = 20_000  # deeper than the interpreter's recursion limit
+    indptr = np.arange(n + 1)
+    indices = np.minimum(np.arange(1, n + 1), n - 1)
+    reach = envs._reach(indptr, indices)
+    assert reach.comp.tolist() == list(range(n - 1, -1, -1))
+
+
+def _ar1_agent() -> envs.AgentModel:
+    return envs.ar1(k=1, coeff=0.5, shock=np.array([[0.2]]), delta=0.8, grid_step=0.1, alloc_cap=6).agents[0]
+
+
+def _sweep_bits(agent: envs.AgentModel, rewards: np.ndarray, delta: float) -> list:
+    indices, levels, hits = gittins.hit_discounts(gittins.compile_reward_arm(agent, rewards, delta))
+    return _bits([indices, levels, *(hits.column(x) for x in range(len(indices)))])
+
+
+def test_interleaved_sweeps_on_one_agent_model_equal_fresh_models():
+    # the shared rows are folded in copies only: sweeps of two reward
+    # vectors (and a second delta) taking turns on one agent model give
+    # the bits of each sweep on a model of its own
+    shared = _ar1_agent()
+    gen = substream(11, "interleave")
+    rewards = [gen.uniform(-1.0, 1.0, (shared.private.n, shared.public.n)) for _ in range(2)]
+    for step, (x, delta) in enumerate([(0, 0.8), (1, 0.8), (0, 0.9), (1, 0.8), (0, 0.8), (1, 0.9)]):
+        assert _sweep_bits(shared, rewards[x], delta) == _sweep_bits(_ar1_agent(), rewards[x], delta), step
+    assert shared.graph.sweep_rows(0.8) == _ar1_agent().graph.sweep_rows(0.8)
+    arm = gittins.compile_reward_arm(shared, rewards[0], 0.8)
+    assert arm.graph is shared.graph  # every compile shares the model's graph
+
+
+def test_v_max_is_the_same_for_replicated_and_distinct_agent_models(monkeypatch):
+    calls = []
+    bound = envs._value_bound
+    monkeypatch.setattr(envs, "_value_bound", lambda agent: calls.append(agent) or bound(agent))
+    for make in (_ar1_agent, lambda: envs.sponsored_search(k=1, cap=2, delta=0.8).agents[0]):
+        agent, models = make(), [make() for _ in range(3)]  # each builder call bounds its model once
+        calls.clear()
+        replicated = envs.make_environment([agent] * 3, 0.8)
+        assert len(calls) == 1 and calls[0] is agent  # one bound per distinct model
+        distinct = envs.make_environment(models, 0.8)
+        assert len(calls) == 4
+        assert replicated.v_max == distinct.v_max == bound(agent)

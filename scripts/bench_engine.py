@@ -50,7 +50,12 @@ tree goes first.  Recorded per tree:
   on a grid over [0.5, 1] (the additive builds of ``ar1-bound``), and on
   the 441-state sponsored-search arm (cap 5) at its experience rewards;
   each on one agent model that earlier builds have used ("warm"), and
-  as the first build on a new agent model ("first").
+  as the first build on a new agent model ("first");
+- ``posted_audit_suite_ms``: each suite of ``audit --suite all`` on the
+  ``posted-audit`` benchmark's config (``perfbench/workloads.py``), as
+  the CLI runs them, one runtime per operation, and their total, in
+  milliseconds, median over the ``AUDIT_OPS`` first inputs of the
+  workload's pool (``perfbench/reference.json``).
 
 Times are medians over ``--repeats`` repetitions (each repetition's
 value is kept under ``runs``).  Every repetition runs the same
@@ -60,18 +65,37 @@ also gives every later tree's time over the first tree's
 (``ratios``), measured in processes that ran back to back, with their
 median and the count of repetitions in which the ratio is below 1
 (``faster``).
+
+The host can run a whole process in a fast or a slow mode (about 1.5x
+apart), which separate processes cannot tell from a change.  With two
+or more trees, ``--repeats`` more processes therefore each load every
+tree under a package name of its own (``dynamech_<label>``) and
+alternate their operations: per CLI workload of the benchmark
+(``INTERLEAVED``), ``INTERLEAVED_PAIRS`` pairs on the pool's inputs in
+order, each pair one operation of every tree on the same input, the
+first tree first in even pairs.  Recorded under ``interleaved``: per
+workload and process, each tree's median milliseconds, each later
+tree's ratio of medians over the first tree, in how many pairs it was
+faster, and whether every operation's artifacts were byte-identical
+across the trees.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib.util
+import io
 import json
 import math
 import os
 import platform
+import re
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -87,7 +111,14 @@ TIMES = (
     "fee_ms_per_path", "episode_ms", "posted_audit_ic_s", "additive_fee_ms_per_path", "strategic_run_us",
 )
 COUNTS = ("draw_pair_calls", "additive_table_builds_per_path", "simulate_columns")  # identical in every repetition
-TABLES = ("sweep_ms", "index_build_us")  # {label: time}, a median per label
+TABLES = ("sweep_ms", "index_build_us", "posted_audit_suite_ms")  # {label: time}, a median per label
+AUDIT_OPS = 8
+INTERLEAVED_PAIRS = 30
+INTERLEAVED = {  # CLI workloads of the benchmark and their commands, as perfbench/workloads.py runs them
+    "posted-audit": ["audit", "--suite", "all"],
+    "sponsored-simulate": ["--format", "json", "simulate"],
+    "ar1-bound": ["bound"],
+}
 INDEX_BUILDS = 50
 AR1_PARAMS = {"k": 2, "coeff": 0.5, "shock": [[0.2]], "grid_step": 0.1, "alloc_cap": 6}
 
@@ -181,6 +212,7 @@ def _measure() -> dict:
     ExperienceStreams.draw_pair = draw_pair
     sweep_ms, simulate_columns = _sweep_ms()
     index_build_us = _index_build_us()
+    posted_audit_suite_ms = _posted_audit_suite_ms()
     return {
         "fee_ms_per_path": 1e3 * fee_s / FEE_PATHS,
         "episode_ms": 1e3 * episode_s / EPISODES,
@@ -196,7 +228,98 @@ def _measure() -> dict:
         "sweep_ms": sweep_ms,
         "index_build_us": index_build_us,
         "simulate_columns": simulate_columns,
+        "posted_audit_suite_ms": posted_audit_suite_ms,
     }
+
+
+def _benchmark_workloads():
+    """``perfbench/workloads.py`` (its configs) and the input pools of
+    ``perfbench/reference.json``."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    pools = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    return workloads, {name: [entry["inputs"] for entry in pools[name]] for name in INTERLEAVED}
+
+
+def _posted_audit_suite_ms() -> dict:
+    """Median milliseconds of each suite of ``audit --suite all`` on the
+    posted-audit config, and of the whole audit, over ``AUDIT_OPS``
+    operations of one runtime each."""
+    from dynamech import cli
+    from dynamech.config import build_environment, parse_config_text
+    from dynamech.mechanism import MechanismRuntime
+
+    workloads, pools = _benchmark_workloads()
+    cfg = parse_config_text(json.dumps(workloads.CONFIGS["posted-audit"]))
+    times: dict[str, list[float]] = {suite: [] for suite in cli._SUITES + ("all",)}
+    for inputs in pools["posted-audit"][:AUDIT_OPS]:
+        env = build_environment(cfg)
+        runtime = MechanismRuntime(env)
+        total = 0.0
+        for suite in cli._SUITES:
+            start = time.perf_counter()
+            cli._run_suite(suite, cfg, env, runtime, inputs["seed"])
+            took = time.perf_counter() - start
+            times[suite].append(took)
+            total += took
+        times["all"].append(total)
+    return {suite: 1e3 * statistics.median(t) for suite, t in times.items()}
+
+
+def _load_tree(label: str, tree: Path):
+    """``<tree>/src/dynamech`` imported as the package ``dynamech_<label>``;
+    returns its ``cli`` module."""
+    name = "dynamech_" + re.sub(r"\W", "_", label)
+    pkg = tree / "src" / "dynamech"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{name}.cli")
+
+
+def _interleaved(trees: dict[str, Path]) -> dict:
+    """One process: every tree's operations alternated pair by pair on
+    each interleaved workload (see the module docstring)."""
+    workloads, pools = _benchmark_workloads()
+    clis = {label: _load_tree(label, tree) for label, tree in trees.items()}
+    labels = list(trees)
+    scratch = Path(tempfile.mkdtemp(prefix="bench_engine_"))
+    out = {}
+    try:
+        for name, command in INTERLEAVED.items():
+            cfg_path = workloads.write_config(name, scratch)
+            times: dict[str, list[float]] = {label: [] for label in labels}
+            identical = True
+            for j in range(INTERLEAVED_PAIRS):
+                seed = pools[name][j % len(pools[name])]["seed"]
+                artifacts = {}
+                for label in labels[:: 1 if j % 2 == 0 else -1]:
+                    out_dir = scratch / label
+                    shutil.rmtree(out_dir, ignore_errors=True)
+                    argv = ["--config", str(cfg_path), "--seed", str(seed), "--out", str(out_dir), *command]
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        start = time.perf_counter()
+                        clis[label].main(argv)
+                        times[label].append(time.perf_counter() - start)
+                    artifacts[label] = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+                identical = identical and all(a == artifacts[labels[0]] for a in artifacts.values())
+            base = times[labels[0]]
+            out[name] = {
+                "median_ms": {label: 1e3 * statistics.median(t) for label, t in times.items()},
+                "identical_artifacts": identical,
+            }
+            for label in labels[1:]:
+                out[name][f"{label} / {labels[0]}"] = {
+                    "ratio_of_medians": statistics.median(times[label]) / statistics.median(base),
+                    "faster": f"{sum(t < b for t, b in zip(times[label], base))}/{INTERLEAVED_PAIRS}",
+                }
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    return out
 
 
 def _simulate_states(env) -> list[int]:
@@ -312,11 +435,11 @@ def _cpu_model() -> str:
     return platform.processor() or platform.machine()
 
 
-def _run_tree(tree: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+def _child(args: list[str], tree: Path, pythonpath: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=pythonpath)
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     out = subprocess.run(
-        [sys.executable, __file__, "--measure"],
+        [sys.executable, __file__, *args],
         env=env,
         cwd=tree,
         check=True,
@@ -324,6 +447,15 @@ def _run_tree(tree: Path) -> dict:
         text=True,
     )
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def _run_tree(tree: Path) -> dict:
+    return _child(["--measure"], tree, str(tree / "src"))
+
+
+def _run_interleaved(trees: dict[str, Path]) -> dict:
+    tree_args = [f"--tree={label}={path}" for label, path in trees.items()]
+    return _child(["--measure-interleaved", *tree_args], ROOT, "")
 
 
 def _summary(runs: list[dict]) -> dict:
@@ -364,14 +496,18 @@ def main(argv=None) -> int:
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--out", type=Path, default=ROOT / "BENCH_engine.json")
     p.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
+    p.add_argument("--measure-interleaved", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
+    trees = {label: Path(path).resolve() for label, path in (t.split("=", 1) for t in args.tree)}
     if args.measure:
         print(json.dumps(_measure()))
+        return 0
+    if args.measure_interleaved:
+        print(json.dumps(_interleaved(trees)))
         return 0
     import numpy
     import scipy
 
-    trees = {label: Path(path).resolve() for label, path in (t.split("=", 1) for t in args.tree)}
     trees = trees or {"change": ROOT}
     runs: dict[str, list[dict]] = {label: [] for label in trees}
     for r in range(args.repeats):
@@ -394,6 +530,11 @@ def main(argv=None) -> int:
     if len(labels) > 1:
         result["ratios"] = {
             f"{label} / {labels[0]}": _ratios(runs[labels[0]], runs[label]) for label in labels[1:]
+        }
+        processes = [_run_interleaved(trees) for _ in range(args.repeats)]
+        result["interleaved"] = {
+            "pairs": INTERLEAVED_PAIRS,
+            "workloads": {name: [p[name] for p in processes] for name in INTERLEAVED},
         }
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result, indent=2))

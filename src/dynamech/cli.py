@@ -21,7 +21,6 @@ from . import verification as ver
 from .config import ConfigError, RunConfig, build_environment, config_hash, parse_config
 from .environments import DomainError, validate_assumptions
 from .mechanism import MechanismRuntime, Truthful, run_episode
-from .virtual import dormancy_threshold
 
 __all__ = ["main", "entry"]
 
@@ -213,7 +212,7 @@ def _run_suite(name: str, cfg: RunConfig, env, runtime, seed: int):
     if name == "envelope":
         results = []
         for i in range(env.k):
-            grid = ver.theta_grid(env, i, 3)
+            grid = ver.theta_grid(env, i, 3, runtime=runtime)
             theta = ver._pinned_types(env, i, grid[-1])
             results.append(
                 ver.audit_envelope(
@@ -237,7 +236,7 @@ def _run_suite(name: str, cfg: RunConfig, env, runtime, seed: int):
         results = []
         for i in range(env.k):
             tb = env.agents[i].distribution.theta_bar
-            z = dormancy_threshold(env, i)
+            z = runtime.threshold(i)
             hi = min(tb, z + 0.6 * (tb - z) if z < tb else tb)
             lo = max(z + 0.2 * (tb - z), 0.0)
             theta = ver._pinned_types(env, i, hi)

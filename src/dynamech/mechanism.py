@@ -232,9 +232,9 @@ class _Trajectories:
     goes.  A list grows by one move (``extend``) the first time a run
     allocates past its end, through ``ExperienceStreams.draw_pair`` and
     ``sample_transition``; an agent that is never allocated draws
-    nothing, nor a merge for the rounds it adds after a win at an
-    absorbing state (``AgentModel.absorbing``), so a list may end short
-    of a run's wins.
+    nothing, nor does a merge for a win at an absorbing state
+    (``AgentModel.absorbing``) or the rounds it adds after one, so a list
+    may end short of a run's wins.
 
     The truthful others' levels against one agent (``_Levels``) live here
     too, one sequence per opponent key (``_Opponents.key``), so they
@@ -860,11 +860,14 @@ class _Deviator:
 
     Agent i wins iff its index b is positive and either b > level or
     b == level with i below the level's holder, which is ``allocate``'s
-    rule; on a win i moves on, and on a loss to a level that is not
-    stuck (``_Levels``) the others' winner does.  Once no change is ahead
-    (the last segment, no override to come), a loss to a stuck level or
-    a win at an absorbing state repeats until the horizon, so the merge
-    adds the later rounds and stops.
+    rule; on a win i moves on (unless at an absorbing state, which every
+    draw maps back to), and on a loss to a level that is not stuck
+    (``_Levels``) the others' winner does.  Once no change is ahead (the
+    last segment, no override to come), a loss to a stuck level or a win
+    at an absorbing state repeats until the horizon, so the merge adds
+    the later rounds and stops.  A run that moved neither side read only
+    the start states, which every path shares: it is kept (``fixed``, as
+    is a dormant agent's) and returned for every later path.
 
     A win at level m is priced ((1 - delta) W(others at states[m]) -
     beta[rho_i]) / alpha, ``per_round_price``'s formula, with W memoized
@@ -900,7 +903,10 @@ class _Deviator:
         self.absorbing = env.agents[i].absorbing
         self.w_weight = 1.0 - env.delta
         self.tables: dict[float, list[float]] = {}
-        if self.transform is not None:
+        self.fixed: _Run | None = None  # the run of every path, once one read no draw
+        if self.transform is None:  # dormant at its period-0 report: never allocated
+            self.fixed = _Run(0.0, 0.0, [])
+        else:
             self.values = _value_flat(env, i, self.theta).tolist()
             self.beta = self.transform.beta.tolist()
             self.changes = self._changes(schedule._replace(overrides=overrides), horizon)
@@ -926,9 +932,9 @@ class _Deviator:
 
     def run(self, streams: ExperienceStreams) -> _Run:
         """Agent i's value, payments and win times on ``streams``' address."""
+        if self.fixed is not None:
+            return self.fixed
         times: list[int] = []
-        if self.transform is None:  # dormant at its period-0 report: never allocated
-            return _Run(0.0, 0.0, times)
         i, n_rho, runtime, values = self.i, self.n_rho, self.runtime, self.values
         paths = runtime.trajectories(streams)
         levels = paths.levels(self.opponents)
@@ -966,16 +972,20 @@ class _Deviator:
                         price += disc * pay
                     times.extend(range(t + 1, len(discs) + 1))
                     break
-                n += 1
-                if n == len(traj):
-                    paths.extend(i)
-                s = traj[n]
+                if not absorbing[s]:  # an absorbing state's move is s again, whatever the draw
+                    n += 1
+                    if n == len(traj):
+                        paths.extend(i)
+                    s = traj[n]
                 b = table[s]  # an override round is followed by a change
             elif m != levels.stuck:
                 m += 1
             elif not ahead:
                 break  # level m takes this round and, with nothing moving, every later one
-        return _Run(value, price, times)
+        out = _Run(value, price, times)
+        if n == 0 and m == 0:  # read traj[0] and level 0 alone, fixed by the start states
+            self.fixed = out
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -1144,7 +1154,7 @@ class _RentWalk:
     gives a piece's win times, rent sums and critical scale; the path
     costs one value run plus one merge per piece.  Like ``_Deviator``'s,
     a merge stops at a loss to a stuck level or a win at an absorbing
-    state.
+    state; a walk whose merges all moved neither side is kept (``fixed``).
 
     Scale-homogeneous arms (multiplicative, C = 0) have index table
     scale(z) * base, and i takes a round iff level / b < scale on the
@@ -1196,6 +1206,8 @@ class _RentWalk:
         else:
             self.weights = [1.0] * agent.n_states
         self.max_pieces = horizon * (horizon + 1) // 2 + 1
+        self.fixed: tuple[float, float, int] | None = None  # every path's result, once one read no draw
+        self._draw_free = True  # no merge of the current walk has moved either side
         self.scale_hi = runtime._homogeneous_scale(i, transforms[i], self.hi)
         if self.scale_hi is not None:
             self.base = runtime._base(i)[0].tolist()
@@ -1262,17 +1274,23 @@ class _RentWalk:
                 m += 1
             else:
                 break  # level m takes this round and, with nothing moving, every later one
+        self._draw_free = self._draw_free and n == 0 and m == 0
         # the j-th win is at the j-th state of the trajectory (an absorbed
         # tail repeats the last pair, so it is left out)
         return _Piece(sums, times, crit, traj[: len(beaten)], beaten)
 
     def integrate(self, streams: ExperienceStreams) -> tuple[float, float, int]:
         """(integral, error bound, pieces) on the path at ``streams``' address."""
+        if self.fixed is not None:
+            return self.fixed
         paths = self.runtime.trajectories(streams)
         levels = paths.levels(self.opponents)
-        if self.scale_hi is not None:
-            return self._scale_walk(paths, levels)
-        return self._table_walk(paths, levels)
+        self._draw_free = True
+        walk = self._scale_walk if self.scale_hi is not None else self._table_walk
+        out = walk(paths, levels)
+        if self._draw_free:
+            self.fixed = out
+        return out
 
     def _too_many_pieces(self):
         return RuntimeError(
@@ -1387,7 +1405,6 @@ def fee_quadrature(
     env: Environment,
     theta_hat,
     i: int,
-    nodes: int = 16,
     paths: int = 2000,
     seed: int = 0,
     horizon: int | None = None,
@@ -1403,9 +1420,7 @@ def fee_quadrature(
     integrand is zero (a dormant agent is never allocated).  The walk
     merges agent i's trajectory against the others' levels once per
     constant piece of the integrand and needs allocation to be monotone
-    in the report.
-    ``nodes`` is accepted for call compatibility and unused: no
-    quadrature rule is involved.
+    in the report.  Once both are kept (``fixed``), later paths copy it.
     """
     runtime = runtime or MechanismRuntime(env)
     if horizon is None:
@@ -1422,6 +1437,10 @@ def fee_quadrature(
             streams = ExperienceStreams(seed, path_offset + j, stream_purpose)
             values[j], payments[j], _ = truthful.run(streams)
             integral[j], error[j], pieces[j] = walk.integrate(streams)
+            if truthful.fixed is not None and walk.fixed is not None:  # so is every later path
+                for x in (values, payments, integral, error, pieces):
+                    x[j + 1 :] = x[j]
+                break
     return FeeQuadData(
         lower=lo,
         values=values,
@@ -1458,7 +1477,7 @@ def entry_price_P(
     """Target payment of agent i given the period-0 reports: value minus
     the information rent integral, over coupled rollouts with the rent
     integrated exactly on each (``fee_quadrature``; ``nodes`` is unused)."""
-    data = fee_quadrature(env, theta_hat, i, nodes, rollouts, seed, horizon, runtime)
+    data = fee_quadrature(env, theta_hat, i, paths=rollouts, seed=seed, horizon=horizon, runtime=runtime)
     mean, se = _mean_se(data.price_paths())
     return Estimate(mean=mean, std_error=se, quad_error=data.quad_error())
 
@@ -1476,7 +1495,7 @@ def entry_fee_p0(
     """Period-0 charge: the target payment minus the expected discounted
     future per-round payments under truthful continuation, estimated on
     the same coupled streams (``nodes`` is unused)."""
-    data = fee_quadrature(env, theta_hat, i, nodes, rollouts, seed, horizon, runtime)
+    data = fee_quadrature(env, theta_hat, i, paths=rollouts, seed=seed, horizon=horizon, runtime=runtime)
     mean, se = _mean_se(data.price_paths() - data.payments)
     return Estimate(mean=mean, std_error=se, quad_error=data.quad_error())
 

@@ -36,7 +36,7 @@ from .mechanism import (
     fee_quadrature,
 )
 from .rng import ExperienceStreams, substream
-from .virtual import dormancy_threshold, transform_or_dormant
+from .virtual import transform_or_dormant
 
 __all__ = [
     "AuditResult",
@@ -90,11 +90,13 @@ def _quantile(dist, q: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def theta_grid(env: Environment, agent_id: int, n: int = 9) -> tuple[float, ...]:
+def theta_grid(
+    env: Environment, agent_id: int, n: int = 9, *, runtime: MechanismRuntime | None = None
+) -> tuple[float, ...]:
     """Default audit grid: endpoints, evenly spaced interior points, and
-    values straddling the dormancy threshold."""
+    values straddling the dormancy threshold (``runtime.threshold``)."""
     tb = env.agents[agent_id].distribution.theta_bar
-    z = dormancy_threshold(env, agent_id)
+    z = (runtime or MechanismRuntime(env)).threshold(agent_id)
     pts = {0.0, tb}
     if 0.0 < z < tb:
         pts.update(
@@ -164,7 +166,9 @@ def _utility_paths(
     playing ``strategy`` while every other agent is truthful: one
     ``mechanism._Deviator`` merge per path against the others' levels,
     which the runtime caches per path and opponent profile, so every
-    strategy and grid point of the agent reads the same sequence."""
+    strategy and grid point of the agent reads the same sequence.  Once
+    a run reads no draw (``_Deviator.fixed``), every later path is its
+    copy."""
     theta = [float(t) for t in theta]
     theta_hat0 = list(theta)
     theta_hat0[agent_id] = strategy.report(
@@ -176,6 +180,9 @@ def _utility_paths(
     for j in range(n_paths):
         res = run.run(ExperienceStreams(seed, j, purpose))
         out[j] = res.value - res.price
+        if run.fixed is not None:
+            out[j + 1 :] = out[j]
+            break
     return out
 
 
@@ -383,7 +390,7 @@ def audit_ic(
     passed = True
     control_ok = True
     for i in agents:
-        pts = grid if grid is not None else theta_grid(env, i)
+        pts = grid if grid is not None else theta_grid(env, i, runtime=runtime)
         devs = deviations if deviations is not None else default_deviations(env, i)
         for theta_i in pts:
             theta = _pinned_types(env, i, theta_i)
@@ -458,7 +465,7 @@ def audit_ir(
     worst_cell = ""
     passed = True
     for i in agents:
-        pts = grid if grid is not None else theta_grid(env, i)
+        pts = grid if grid is not None else theta_grid(env, i, runtime=runtime)
         for theta_i in pts:
             theta = _pinned_types(env, i, theta_i)
             core = _utility_paths(env, runtime, theta, Truthful(), i, seed, "ir", paths, horizon)
@@ -604,7 +611,8 @@ def audit_allocation_time_coupling(
     """Under common experience streams, a higher period-0 report of one
     agent makes each of its allocation times weakly earlier.  Both runs
     are ``mechanism._Deviator`` merges against the same cached levels of
-    the truthful others."""
+    the truthful others; once neither reads a draw (``_Deviator.fixed``),
+    every later seed repeats the last one."""
     runtime = runtime or MechanismRuntime(env)
     theta = [float(t) for t in theta]
     theta_prime = [float(t) for t in theta_prime]
@@ -625,25 +633,27 @@ def audit_allocation_time_coupling(
         )
         for th0, strategy in ((theta, Truthful()), (th0_lo, MisreportTheta0(offset)))
     ]
+    seeds = tuple(seeds)
     violations = 0
-    checked = 0
     detail = ""
-    for s in seeds:
+    for n, s in enumerate(seeds):
         hi_times, lo_times = (run.run(ExperienceStreams(s, 0, "coupling")).times for run in runs)
-        checked += 1
+        repeats = len(seeds) - n if all(run.fixed is not None for run in runs) else 1
         ok = len(hi_times) >= len(lo_times) and all(
             hi_times[k] <= lo_times[k] for k in range(len(lo_times))
         )
         if not ok:
-            violations += 1
+            violations += repeats
             if not detail:
                 detail = f"seed {s}: tau(high)={hi_times[:5]} tau(low)={lo_times[:5]}"
+        if repeats > 1:
+            break
     return AuditResult(
         name=f"allocation_time_coupling[agent{agent_id}]",
         passed=violations == 0,
         observed=float(violations),
         threshold=0.0,
         std_error=0.0,
-        seeds=tuple(seeds),
-        detail=detail or f"{checked} paired seeds, every realized allocation weakly earlier",
+        seeds=seeds,
+        detail=detail or f"{len(seeds)} paired seeds, every realized allocation weakly earlier",
     )

@@ -22,6 +22,7 @@ from dynamech.config import (
 REPO = Path(__file__).resolve().parents[1]
 POSTED = REPO / "configs" / "posted_price.cfg"
 EXP_CONTROL = REPO / "configs" / "exponential_control.cfg"
+AR1_ADDITIVE = REPO / "configs" / "ar1_additive.cfg"
 SPONSORED2 = REPO / "configs" / "sponsored_search_2.cfg"
 
 
@@ -412,6 +413,9 @@ def test_four_agent_simulate_prices_every_round_exactly(tmp_path):
         (POSTED, "simulate", 0, ("summary.json", "transcript.csv")),
         (POSTED, "audit", 0, ("audit.json",)),
         (EXP_CONTROL, "validate-env", 1, ("validate_env.json",)),
+        # additive values: the fee's table walk and the additive index builds
+        (AR1_ADDITIVE, "simulate", 0, ("summary.json", "transcript.csv")),
+        (AR1_ADDITIVE, "bound", 0, ("bound.json",)),
     ],
 )
 def test_committed_artifacts_match_a_fresh_run(tmp_path, config, command, status, files):

@@ -3,6 +3,7 @@ fee walk against plain per-round references (``engine_reference``), and
 the runtime's bounded trajectory cache with the levels it carries."""
 
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 from dynamech import environments as envs
 from dynamech import mechanism as mech
+from dynamech import verification as ver
+from dynamech.config import build_environment, parse_config
 from dynamech.gittins import tail_horizon
 from dynamech.rng import ExperienceStreams
 from dynamech.verification import default_deviations
@@ -690,3 +693,127 @@ def test_absorbed_tails_on_random_chains_match_the_per_round_oracles(
         return ExperienceStreams(chain_seed, j, "tails-random")
 
     _check_paths(env, rt, theta, families, streams_of, 30, range(3))
+
+
+# ---------------------------------------------------------------------------
+# Draw-free runs
+# ---------------------------------------------------------------------------
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _draw_free_world(world: str) -> envs.Environment:
+    if world == "sponsored cap 1":
+        return envs.sponsored_search(k=2, cap=1, delta=0.8)
+    return build_environment(parse_config(CONFIGS / f"{world}.cfg"))
+
+
+def _fresh_fee_paths(env, theta, i, paths, seed, horizon):
+    """``fee_quadrature``'s per-path numbers from a fresh value run and a
+    fresh rent walk on every path, in a runtime of their own."""
+    rt = mech.MechanismRuntime(env)
+    transforms = mech._active_transforms(env, rt, theta)
+    out = []
+    for j in range(paths):
+        streams = ExperienceStreams(seed, j, "fee")
+        run = mech._Deviator(env, rt, transforms, theta, i, mech.Truthful(), horizon).run(streams)
+        walk = mech._RentWalk(env, rt, transforms, theta, i, rt.threshold(i), horizon)
+        out.append((run.value, run.price, *walk.integrate(streams)))
+    return out
+
+
+@pytest.mark.parametrize("world", ["posted_price", "exponential_control", "sponsored cap 1"])
+def test_kept_runs_equal_a_fresh_run_per_path(world):
+    env = _draw_free_world(world)
+    rt = mech.MechanismRuntime(env)
+    horizon = tail_horizon(env.delta, env.k, env.v_max, 1e-6)
+    fresh_rt = mech.MechanismRuntime(env)
+    for theta in ([0.9, 0.7], [0.3, 0.95], [0.62, 0.4]):
+        theta = theta[: env.k]
+        for i in range(env.k):
+            for _, strategy in default_deviations(env, i):
+                got = ver._utility_paths(env, rt, theta, strategy, i, 5, "kept", 12, horizon)
+                transforms = _transforms(env, fresh_rt, theta, i, strategy)
+                want = []
+                for j in range(12):
+                    res = mech._Deviator(env, fresh_rt, transforms, theta, i, strategy, horizon).run(
+                        ExperienceStreams(5, j, "kept")
+                    )
+                    want.append(res.value - res.price)
+                assert got.tolist() == want
+            if i not in mech._active_transforms(env, rt, theta):
+                continue
+            data = mech.fee_quadrature(env, theta, i, paths=12, seed=5, horizon=horizon, runtime=rt)
+            got = list(
+                zip(data.values.tolist(), data.payments.tolist(), data.integral.tolist(),
+                    data.error.tolist(), data.pieces.tolist())
+            )
+            assert got == _fresh_fee_paths(env, theta, i, 12, 5, horizon)
+
+
+def test_posted_arm_merges_once_per_deviator(monkeypatch):
+    env = _draw_free_world("posted_price")
+    merged = []  # the deviators that merged, kept alive so that their ids stay distinct
+    walks, lookups, fees = [0], [0], [0]
+    run, integrate = mech._Deviator.run, mech._RentWalk.integrate
+    trajectories, fee_quadrature = mech.MechanismRuntime.trajectories, ver.fee_quadrature
+
+    def counted_run(self, streams):
+        if self.fixed is None:
+            merged.append(self)
+        return run(self, streams)
+
+    def counted_walk(self, streams):
+        walks[0] += self.fixed is None
+        return integrate(self, streams)
+
+    def counted_lookup(self, streams):
+        lookups[0] += 1
+        return trajectories(self, streams)
+
+    def counted_fee(*args, **kwargs):
+        fees[0] += 1
+        return fee_quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(mech._Deviator, "run", counted_run)
+    monkeypatch.setattr(mech._RentWalk, "integrate", counted_walk)
+    monkeypatch.setattr(mech.MechanismRuntime, "trajectories", counted_lookup)
+    monkeypatch.setattr(ver, "fee_quadrature", counted_fee)
+    rt = mech.MechanismRuntime(env)
+    ver.audit_ic(env, seeds=(3,), paths=16, fee_paths=8, runtime=rt)
+    ver.audit_ir(env, seeds=(3,), paths=16, fee_paths=8, runtime=rt)
+    ver.audit_allocation_time_coupling(env, [0.9], [0.7], 0, seeds=tuple(range(20)), runtime=rt)
+    assert merged and len({id(d) for d in merged}) == len(merged)
+    # an active agent's fee walks its first path alone, and only a merge
+    # or a walk looks its path up
+    assert 0 < walks[0] <= fees[0]
+    assert lookups[0] == len(merged) + walks[0]
+
+
+def test_runs_that_read_a_draw_are_not_kept():
+    env = _draw_free_world("sponsored cap 1")
+    rt = mech.MechanismRuntime(env)
+    horizon = tail_horizon(env.delta, env.k, env.v_max, 1e-6)
+    theta = [0.9, 0.7]
+    transforms = mech._active_transforms(env, rt, theta)
+    run = mech._Deviator(env, rt, transforms, theta, 0, mech.Truthful(), horizon)
+    values = {run.run(ExperienceStreams(2, j, "drawn")).value for j in range(16)}
+    assert run.fixed is None and len(values) > 1
+    data = mech.fee_quadrature(env, theta, 0, paths=16, seed=2, horizon=horizon, runtime=rt)
+    assert len(set(data.values.tolist())) > 1 and len(set(data.integral.tolist())) > 1
+
+
+@pytest.mark.parametrize("offset, correct_round", [(-0.25, 3), (0.1, 3), (-0.05, 1), (0.25, 7)])
+def test_a_correcting_deviation_on_the_posted_arm_draws_nothing(offset, correct_round):
+    env = _draw_free_world("posted_price")
+    horizon = tail_horizon(env.delta, env.k, env.v_max, 1e-6)
+    strategy = mech.CorrectingDeviation(offset, correct_round)
+    won = 0
+    for theta in (0.95, 0.8, 0.6, 0.52):
+        rt = mech.MechanismRuntime(env)  # fresh: no trajectory drawn before
+        streams = ExperienceStreams(4, 0, "correcting")
+        got, want, _ = _deviator_and_reference(env, rt, [theta], 0, strategy, streams, horizon)
+        _assert_run(got, want)
+        won += bool(got.times)
+        assert rt.trajectories(streams).states[0] == [0]  # every win stayed at the one state
+    assert won > 0

@@ -51,7 +51,7 @@ def test_envelope_posted_price_closed_form(posted_price, posted_price_runtime):
     assert abs(r.observed) <= 1e-7
     # both sides individually equal 0.6
     data = mech.fee_quadrature(
-        posted_price, [0.8], 0, 16, 16, 0, 40, posted_price_runtime
+        posted_price, [0.8], 0, 16, 0, 40, posted_price_runtime
     )
     assert float(np.mean(data.integral_paths())) == pytest.approx(0.6, abs=1e-8)
 

@@ -70,14 +70,16 @@ The host can run a whole process in a fast or a slow mode (about 1.5x
 apart), which separate processes cannot tell from a change.  With two
 or more trees, ``--repeats`` more processes therefore each load every
 tree under a package name of its own (``dynamech_<label>``) and
-alternate their operations: per CLI workload of the benchmark
-(``INTERLEAVED``), ``INTERLEAVED_PAIRS`` pairs on the pool's inputs in
+alternate their operations: per workload of the benchmark
+(``INTERLEAVED``: its three CLI workloads and ``sponsored4-price``'s
+library call), ``INTERLEAVED_PAIRS`` pairs on the pool's inputs in
 order, each pair one operation of every tree on the same input, the
 first tree first in even pairs.  Recorded under ``interleaved``: per
 workload and process, each tree's median milliseconds, each later
 tree's ratio of medians over the first tree, in how many pairs it was
 faster, and whether every operation's artifacts were byte-identical
-across the trees.
+across the trees (for ``sponsored4-price``, whether the transcripts'
+revenue, utilities and rounds compare equal, so -0.0 equals 0.0).
 """
 
 from __future__ import annotations
@@ -114,9 +116,10 @@ COUNTS = ("draw_pair_calls", "additive_table_builds_per_path", "simulate_columns
 TABLES = ("sweep_ms", "index_build_us", "posted_audit_suite_ms")  # {label: time}, a median per label
 AUDIT_OPS = 8
 INTERLEAVED_PAIRS = 30
-INTERLEAVED = {  # CLI workloads of the benchmark and their commands, as perfbench/workloads.py runs them
+INTERLEAVED = {  # workloads of the benchmark and their CLI commands, as perfbench/workloads.py runs them
     "posted-audit": ["audit", "--suite", "all"],
     "sponsored-simulate": ["--format", "json", "simulate"],
+    "sponsored4-price": None,  # a library call: ``_price_op``
     "ar1-bound": ["bound"],
 }
 INDEX_BUILDS = 50
@@ -281,6 +284,27 @@ def _load_tree(label: str, tree: Path):
     return importlib.import_module(f"{name}.cli")
 
 
+def _price_op(cli, cfg_path: Path, inputs: dict) -> tuple[float, dict]:
+    """One ``sponsored4-price`` operation with the package of ``cli``, as
+    ``perfbench/workloads.py`` times it: the environment is built
+    untimed, the runtime and the fee-less ``run_episode`` are timed.
+    Returns the seconds and the transcript's numbers."""
+    config = importlib.import_module(f"{cli.__package__}.config")
+    mech = importlib.import_module(f"{cli.__package__}.mechanism")
+    cfg = config.parse_config(cfg_path)
+    env = config.build_environment(cfg)
+    theta = [float(t) for t in inputs["theta"]]
+    start = time.perf_counter()
+    runtime = mech.MechanismRuntime(env)
+    tr = mech.run_episode(
+        env, [mech.Truthful()] * env.k, int(inputs["seed"]), cfg.horizon, theta=theta, runtime=runtime,
+        fee_mode="skip",
+    )
+    took = time.perf_counter() - start
+    rounds = [tuple(vars(r).values()) for r in tr.rounds]  # each tree has its own RoundRecord class
+    return took, {"revenue": tr.revenue, "utilities": tr.utilities, "rounds": rounds}
+
+
 def _interleaved(trees: dict[str, Path]) -> dict:
     """One process: every tree's operations alternated pair by pair on
     each interleaved workload (see the module docstring)."""
@@ -295,9 +319,14 @@ def _interleaved(trees: dict[str, Path]) -> dict:
             times: dict[str, list[float]] = {label: [] for label in labels}
             identical = True
             for j in range(INTERLEAVED_PAIRS):
-                seed = pools[name][j % len(pools[name])]["seed"]
+                inputs = pools[name][j % len(pools[name])]
+                seed = inputs["seed"]
                 artifacts = {}
                 for label in labels[:: 1 if j % 2 == 0 else -1]:
+                    if command is None:
+                        took, artifacts[label] = _price_op(clis[label], cfg_path, inputs)
+                        times[label].append(took)
+                        continue
                     out_dir = scratch / label
                     shutil.rmtree(out_dir, ignore_errors=True)
                     argv = ["--config", str(cfg_path), "--seed", str(seed), "--out", str(out_dir), *command]
@@ -419,7 +448,6 @@ def _index_build_us() -> dict:
         firsts = []
         for _ in range(INDEX_BUILDS // 5):
             agent, tables = model()
-            agent.transition  # built with the model, outside the build
             firsts.append(build(agent, tables[0]))
         out[f"{label}, first"] = 1e6 * statistics.median(firsts)
     return out

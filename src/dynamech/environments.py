@@ -278,14 +278,13 @@ class Reach(NamedTuple):
     sccs: list  # per SCC: (a state, its other states, the SCCs its edges enter, maybe repeated)
 
 
-def _reach(indptr: np.ndarray, indices: np.ndarray) -> Reach:
-    """``Reach`` of a CSR graph (every stored entry is an edge, a zero
-    probability included), by Tarjan's algorithm (Tarjan 1972) without
-    recursion, O(n + nnz): it closes each SCC after every SCC it
-    reaches, so the SCCs come out in reverse topological order."""
-    n = len(indptr) - 1
-    ptr, nbr = indptr.tolist(), indices.tolist()
-    succs = [nbr[a:b] for a, b in zip(ptr, ptr[1:])]
+def _reach(succs: list[list[int]]) -> Reach:
+    """``Reach`` of a graph given as each state's successors (every
+    listed successor is an edge, a zero probability included), by
+    Tarjan's algorithm (Tarjan 1972) without recursion, O(n + edges): it
+    closes each SCC after every SCC it reaches, so the SCCs come out in
+    reverse topological order."""
+    n = len(succs)
     order = [0] * n  # visit number from 1; 0 while unvisited
     low = [0] * n
     comp = [-1] * n  # each state's SCC, numbered as they close
@@ -328,54 +327,167 @@ def _reach(indptr: np.ndarray, indices: np.ndarray) -> Reach:
     return Reach(np.array(comp, dtype=np.intp), sccs)
 
 
+Rows = tuple[list[dict[int, float]], list[set[int]]]
+
+
+def _read_kernels(g: np.ndarray, h: np.ndarray, delta: float) -> tuple[Rows, list[list[int]], bool]:
+    """``SweepGraph._read`` of P[(e, rho), (e2, r2)] = H[rho, e, e2] *
+    G[rho, r2] over flat states e * n_rho + rho, straight from the
+    kernels: per state, its nonzero H factors (e2 ascending) times its
+    nonzero G factors (r2 ascending), which is ``_kernel_csr``'s order
+    and arithmetic.  Every row of a kernel has a nonzero entry, so every
+    state has a successor, the lowest first."""
+    n_rho = g.shape[0]
+    n = h.shape[1] * n_rho
+    g_rows = [[] for _ in range(n_rho)]  # per rho: (r2, G[rho, r2]) with G != 0
+    rho, r2 = np.nonzero(g)
+    for a, b, y in zip(rho.tolist(), r2.tolist(), g[rho, r2].tolist()):
+        g_rows[a].append((b, y))
+    rows: list[dict[int, float]] = [{} for _ in range(n)]
+    preds: list[set[int]] = [set() for _ in range(n)]
+    succ: list[list[int]] = [[] for _ in range(n)]
+    e, rho, e2 = np.nonzero(h.transpose(1, 0, 2))  # (e, rho, e2) in flat-state order
+    flat, bases = (e * n_rho + rho).tolist(), (e2 * n_rho).tolist()
+    for s, base, x, gs in zip(flat, bases, h[rho, e, e2].tolist(), [g_rows[a] for a in rho.tolist()]):
+        row, out = rows[s], succ[s]
+        for b, y in gs:
+            j = base + b
+            out.append(j)
+            v = x * y * delta
+            if v:
+                row[j] = v
+                preds[j].add(s)
+    return (rows, preds), succ, all(out[0] >= s for s, out in enumerate(succ))
+
+
+def _kernel_csr(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, indices, probs): the transition over flat states
+    s = e * n_rho + rho in CSR form, P[(e, rho), (e2, r2)] =
+    H[rho, e, e2] * G[rho, r2] over the nonzero factors, columns
+    ascending in each row, read-only."""
+    n_rho = g.shape[0]
+    g_rows, g_cols = np.nonzero(g)  # row-major: per rho, r2 ascending
+    g_ptr = np.searchsorted(g_rows, np.arange(n_rho + 1))
+    e, rho, e2 = np.nonzero(h.transpose(1, 0, 2))  # (e, rho, e2) in flat-state order
+    reps = np.diff(g_ptr)[rho]
+    first = np.cumsum(reps) - reps  # each H entry's first position
+    g_at = np.repeat(g_ptr[rho] - first, reps) + np.arange(int(reps.sum()))
+    indices = np.repeat(e2 * n_rho, reps) + g_cols[g_at]
+    probs = np.repeat(h[rho, e, e2], reps) * g[g_rows[g_at], g_cols[g_at]]
+    row_len = np.count_nonzero(h, axis=2).T * np.diff(g_ptr)  # (n_e, n_rho)
+    indptr = np.concatenate([[0], np.cumsum(row_len.reshape(-1))])
+    for arr in (indptr, indices, probs):
+        arr.flags.writeable = False
+    return indptr, indices, probs
+
+
+def _read_csr(
+    indptr: np.ndarray, indices: np.ndarray, probs: np.ndarray, delta: float
+) -> tuple[Rows, list[list[int]], bool]:
+    """``SweepGraph._read`` of a transition given in CSR form."""
+    n = len(indptr) - 1
+    rows: list[dict[int, float]] = [{} for _ in range(n)]
+    preds: list[set[int]] = [set() for _ in range(n)]
+    ptr, nbr = indptr.tolist(), indices.tolist()
+    row_of = np.repeat(np.arange(n), np.diff(indptr))
+    for p, j, v in zip(row_of.tolist(), nbr, (probs * delta).tolist()):
+        if v:
+            rows[p][j] = v
+            preds[j].add(p)
+    return (rows, preds), [nbr[a:b] for a, b in zip(ptr, ptr[1:])], bool(np.all(indices >= row_of))
+
+
 class SweepGraph:
-    """A transition in CSR form as the index sweep
-    (``gittins._sweep_indices``) reads it, derived once and shared: the
-    sweep's starting rows per discount factor (``sweep_rows``) and the
-    reachability of each state (``reach``).  Both depend on the
-    transition alone, so one agent model's graph (``AgentModel.graph``)
-    serves the index build at every type and report.  The arrays are
-    held, not copied."""
+    """A transition as the index sweep (``gittins._sweep_indices``)
+    reads it, derived once and shared: the sweep's starting rows per
+    discount factor (``sweep_rows``), each state's successors
+    (``succ``), whether every edge goes to an equal or higher state
+    (``forward``), and, where one does not, the strongly connected
+    components (``reach``).  All depend on the transition alone, so one
+    agent model's graph (``AgentModel.graph``) serves the index build at
+    every type and report.
 
-    __slots__ = ("indptr", "indices", "probs", "_rows", "_reach")
+    A graph of kernels (an agent model's G and H) reads them in one pass
+    at the first ``sweep_rows`` and builds the CSR arrays (``csr``) only
+    when they are read.  A graph of bare CSR arrays reads those, and
+    holds them without a copy.  A graph refers to no agent model, so a
+    model and its graph are freed together, by reference counting."""
 
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray, probs: np.ndarray):
-        self.indptr, self.indices, self.probs = indptr, indices, probs
-        self._rows: dict[float, tuple[list[dict[int, float]], list[set[int]]] | None] = {}
+    __slots__ = ("_kernels", "_csr", "_rows", "_succ", "_forward", "_reach")
+
+    def __init__(
+        self,
+        csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+        *,
+        kernels: tuple[np.ndarray, np.ndarray] | None = None,
+    ):
+        self._kernels, self._csr = kernels, csr
+        self._rows: dict[float, Rows | None] = {}
+        self._succ: list[list[int]] | None = None
+        self._forward = False
         self._reach: Reach | None = None
 
-    def sweep_rows(self, delta: float) -> tuple[list[dict[int, float]], list[set[int]]]:
-        """Q = delta * P as one ``{column: value}`` dict per row, in CSR
-        order and without the products that are 0, and per column the
-        set of rows that step to it, for one sweep to fold.  The first
-        sweep at a delta gets them built from the CSR arrays; the graph
-        keeps a pristine build from the second on and hands out copies,
-        so an arm swept once keeps nothing."""
+    @property
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, indices, probs): the transition in CSR form, from the
+        kernels by ``_kernel_csr`` on first read."""
+        if self._csr is None:
+            self._csr = _kernel_csr(*self._kernels)
+        return self._csr
+
+    def _read(self, delta: float) -> Rows:
+        """One pass over the source: Q = delta * P as one ``{column:
+        value}`` dict per row, in ascending column order and without the
+        products that are 0, and per column the set of rows that step to
+        it.  The first pass also keeps ``succ`` and ``forward``."""
+        if self._kernels is not None:
+            rows, succ, forward = _read_kernels(*self._kernels, delta)
+        else:
+            rows, succ, forward = _read_csr(*self._csr, delta)
+        if self._succ is None:
+            self._succ, self._forward = succ, forward
+        return rows
+
+    def sweep_rows(self, delta: float) -> Rows:
+        """The sweep's starting rows (``_read``) for one sweep to fold.
+        The first sweep at a delta gets them read from the source; the
+        graph keeps a pristine read from the second on and hands out
+        copies, so an arm swept once keeps nothing."""
         if delta not in self._rows:
             self._rows[delta] = None
-            return self._build_rows(delta)
+            return self._read(delta)
         kept = self._rows[delta]
         if kept is None:
-            kept = self._rows[delta] = self._build_rows(delta)
+            kept = self._rows[delta] = self._read(delta)
         return list(map(dict.copy, kept[0])), list(map(set.copy, kept[1]))
 
-    def _build_rows(self, delta: float) -> tuple[list[dict[int, float]], list[set[int]]]:
-        n = len(self.indptr) - 1
-        rows: list[dict[int, float]] = [{} for _ in range(n)]
-        preds: list[set[int]] = [set() for _ in range(n)]
-        row_of = np.repeat(np.arange(n), np.diff(self.indptr)).tolist()
-        for p, j, v in zip(row_of, self.indices.tolist(), (self.probs * delta).tolist()):
-            if v:
-                rows[p][j] = v
-                preds[j].add(p)
-        return rows, preds
+    @property
+    def succ(self) -> list[list[int]]:
+        """Each state's successors in the source's order (ascending
+        columns for an agent model), one per stored entry, so a zero
+        probability counts as an edge."""
+        if self._succ is None:
+            self._read(1.0)  # for the structure alone: the rows are dropped
+        return self._succ
+
+    @property
+    def forward(self) -> bool:
+        """Whether every edge goes to an equal or higher state, so that
+        each state is its own SCC and the state order is topological:
+        sponsored search at every cap, the shipped AR(1) chains (one
+        shock value, so the running level only rises) and every
+        one-state arm."""
+        self.succ
+        return self._forward
 
     @property
     def reach(self) -> Reach:
         """The strongly connected components in reverse topological
-        order (``Reach``), built on first use."""
+        order (``Reach``, by ``_reach``: Tarjan's algorithm), built on
+        first use.  A ``forward`` graph needs none: its states, last to
+        first, are already in that order."""
         if self._reach is None:
-            self._reach = _reach(self.indptr, self.indices)
+            self._reach = _reach(self.succ)
         return self._reach
 
 
@@ -400,36 +512,23 @@ class AgentModel:
     def n_states(self) -> int:
         return self.private.n * self.public.n
 
-    @cached_property
+    @property
     def transition(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, indices, probs): the experience transition over flat
-        states s = e * n_rho + rho in CSR form, P[(e, rho), (e2, r2)] =
-        H[rho, e, e2] * G[rho, r2] over the nonzero factors, columns
-        ascending in each row.  It does not depend on theta, so it is
-        built once, on first use, and shared (read-only) by every arm
-        compiled from this agent."""
-        n_rho = self.public.n
-        g, h = self.public.matrix, self.private.matrix
-        g_rows, g_cols = np.nonzero(g)  # row-major: per rho, r2 ascending
-        g_ptr = np.searchsorted(g_rows, np.arange(n_rho + 1))
-        e, rho, e2 = np.nonzero(h.transpose(1, 0, 2))  # (e, rho, e2) in flat-state order
-        reps = np.diff(g_ptr)[rho]
-        first = np.cumsum(reps) - reps  # each H entry's first position
-        g_at = np.repeat(g_ptr[rho] - first, reps) + np.arange(int(reps.sum()))
-        indices = np.repeat(e2 * n_rho, reps) + g_cols[g_at]
-        probs = np.repeat(h[rho, e, e2], reps) * g[g_rows[g_at], g_cols[g_at]]
-        row_len = np.count_nonzero(h, axis=2).T * np.diff(g_ptr)  # (n_e, n_rho)
-        indptr = np.concatenate([[0], np.cumsum(row_len.reshape(-1))])
-        for arr in (indptr, indices, probs):
-            arr.flags.writeable = False
-        return indptr, indices, probs
+        """(indptr, indices, probs): the experience transition in CSR form
+        (``_kernel_csr``).  It does not depend on theta, so it is built
+        once and shared (read-only) by every arm compiled from this
+        agent.  It is built only when something reads it (``graph``'s
+        ``SweepGraph.csr``): a compiled arm's ``CompiledArm.indptr`` and
+        its siblings, and the oracles that use them.  Index builds,
+        prices and fees read the kernels through ``graph`` instead."""
+        return self.graph.csr
 
     @cached_property
     def graph(self) -> SweepGraph:
-        """``transition`` as the index sweep reads it (``SweepGraph``):
-        its starting rows per delta and its reachability, each built on
-        first use and shared by every arm compiled from this agent."""
-        return SweepGraph(*self.transition)
+        """The transition as the index sweep reads it (``SweepGraph``),
+        read from G and H in one pass at the first sweep and shared by
+        every arm compiled from this agent."""
+        return SweepGraph(kernels=(self.public.matrix, self.private.matrix))
 
     @cached_property
     def absorbing(self) -> list[bool]:

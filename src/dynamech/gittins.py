@@ -14,12 +14,14 @@ O(n^4) largest-remaining-index recursion are kept alongside as
 independent cross-checks.
 
 What the sweep reads from the transition alone an agent model compiles
-once (``AgentModel.graph``, an ``environments.SweepGraph``) and every
-arm compiled from it shares: the starting dict rows and predecessor
-sets per discount factor, and the strongly connected components in
-reverse topological order.  An index build then supplies only the
-rewards: it folds a copy of the rows, and clips each index to its
-reachable reward range in one pass over the components.
+once (``AgentModel.graph``, an ``environments.SweepGraph`` read from
+its kernels in one pass) and every arm compiled from it shares: the
+starting dict rows and predecessor sets per discount factor, each
+state's successors, and, on a chain with an edge to a lower state, the
+strongly connected components in reverse topological order.  An index
+build then supplies only the rewards: it folds a copy of the rows, and
+clips each index to its reachable reward range in one reverse pass over
+the states (or the components).
 
 The sweep also keeps each row as it was at retirement and each step's
 fold, so ``HitColumns`` can replay, one state at a time, that state's
@@ -80,32 +82,39 @@ def tail_horizon(delta: float, k: int, v_max: float, eps: float = 1e-4) -> int:
 
 @dataclass(frozen=True)
 class CompiledArm:
-    """One agent's arm for a fixed theta: flat rewards and the
-    transition in CSR form (row s's successors are
-    ``indices[indptr[s]:indptr[s + 1]]`` with probabilities ``probs``
-    there), with ``graph``, what the index sweep derives from the
-    transition alone (``environments.SweepGraph``): the agent model's
-    when compiled from one, else built lazily for this arm.
+    """One agent's arm for a fixed theta: flat rewards and ``graph``,
+    the transition as the index sweep reads it
+    (``environments.SweepGraph``), shared with the agent model when
+    compiled from one.  The transition in CSR form (row s's successors
+    are ``indices[indptr[s]:indptr[s + 1]]`` with probabilities
+    ``probs`` there) is read through the graph, so an arm compiled from
+    an agent model builds it only when something reads it.  An arm of
+    bare CSR arrays takes ``SweepGraph((indptr, indices, probs))``.
 
     States are flattened as s = e * n_rho + rho.
     """
 
     rewards: np.ndarray  # (n,)
-    indptr: np.ndarray  # (n + 1,)
-    indices: np.ndarray  # (nnz,)
-    probs: np.ndarray  # (nnz,)
     delta: float
     n_e: int
     n_rho: int
-    graph: SweepGraph | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.graph is None:
-            object.__setattr__(self, "graph", SweepGraph(self.indptr, self.indices, self.probs))
+    graph: SweepGraph = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.rewards.shape[0]
+
+    @property
+    def indptr(self) -> np.ndarray:  # (n + 1,)
+        return self.graph.csr[0]
+
+    @property
+    def indices(self) -> np.ndarray:  # (nnz,)
+        return self.graph.csr[1]
+
+    @property
+    def probs(self) -> np.ndarray:  # (nnz,)
+        return self.graph.csr[2]
 
     def state_index(self, e: int, rho: int) -> int:
         return e * self.n_rho + rho
@@ -127,12 +136,8 @@ def compile_reward_arm(agent: AgentModel, rewards: np.ndarray, delta: float) -> 
         raise DomainError("reward table shape does not match state spaces")
     if not np.all(np.isfinite(rewards)):
         raise DomainError("non-finite reward on some state")
-    indptr, indices, probs = agent.transition
     return CompiledArm(
         rewards=rewards.reshape(-1).copy(),
-        indptr=indptr,
-        indices=indices,
-        probs=probs,
         delta=delta,
         n_e=agent.private.n,
         n_rho=agent.public.n,
@@ -173,14 +178,35 @@ VI_MAX_SWEEPS = 200_000
 
 def _reward_range(arm: CompiledArm) -> tuple[np.ndarray, np.ndarray]:
     """Min and max reward over each state's reachable set (itself
-    included), in one pass over the strongly connected components in
-    reverse topological order (``SweepGraph.reach``): each takes the
-    extremes of its own rewards and of the components its edges enter,
-    which the pass has already finished."""
-    reach = arm.graph.reach
+    included), in one pass that finishes each state after every state it
+    reaches: each takes its own reward, then the extremes of what its
+    edges enter, in the graph's order.  On a graph whose every edge goes
+    to an equal or higher state (``SweepGraph.forward``: sponsored search
+    and the shipped AR(1) chains) that is a reverse pass over the flat
+    states, each its own component, with no Tarjan pass; a self-loop
+    reads the state's own reward, which moves nothing.  Otherwise it is a
+    pass over the strongly connected components in reverse topological
+    order (``SweepGraph.reach``), each taking its own rewards first.
+    Both compare in the same order, so a forward graph's bounds have the
+    bits its components would give, ties of +0 and -0 included."""
+    graph = arm.graph
     r = arm.rewards.tolist()
-    lo: list[float] = []
-    hi: list[float] = []
+    if graph.forward:
+        succ = graph.succ
+        lo, hi = r[:], r[:]
+        for s in range(len(r) - 1, -1, -1):
+            a = b = r[s]
+            for c in succ[s]:
+                x = lo[c]
+                if x < a:
+                    a = x
+                x = hi[c]
+                if x > b:
+                    b = x
+            lo[s], hi[s] = a, b
+        return np.array(lo), np.array(hi)
+    reach = graph.reach
+    lo, hi = [], []
     for first, rest, succ in reach.sccs:
         a = b = r[first]
         for s in rest:

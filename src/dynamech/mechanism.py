@@ -540,7 +540,7 @@ class Transcript:
     def recompute_utilities(self, env: Environment) -> tuple[float, ...]:
         out = []
         for i in range(len(self.theta)):
-            u = -self.entry_fees[i]
+            u = 0.0 - self.entry_fees[i]  # a zero fee gives 0.0, not -0.0
             for r in self.rounds:
                 if r.winner == i + 1:
                     v = value(env, i, ArmState(self.theta[i], r.true_e[i], r.rho[i]))
@@ -604,7 +604,10 @@ def _run_rounds(
     by the winner, its public state and the others' reports.  With every
     agent truthful, a round the zero arm wins, or one won at an absorbing
     state (``AgentModel.absorbing``), repeats until the horizon, so the
-    later rounds are added without being played.
+    later rounds are added without being played.  The winner of the
+    last round does not move: nothing reads that move, so it is not
+    drawn (a later run on the address draws it when it needs it, as the
+    same pair).
     """
     k = env.k
     res = _EpisodeResult(k)
@@ -699,7 +702,7 @@ def _run_rounds(
                 )
             )
         res.winners.append(winner)
-        if winner > 0:
+        if winner > 0 and t < horizon:  # after the last round nothing reads the move
             p = pos[wi] = pos[wi] + 1
             if p == len(traj[wi]):
                 paths.extend(wi)

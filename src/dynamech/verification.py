@@ -311,7 +311,9 @@ def audit_revenue_bound(
     one path, without its value run: the episode already has the value):
     the period-0 charge's offset term is estimated by the episode's
     realized payments, which cancels them exactly.  The threshold
-    charges the rent walks' mean breakpoint error.
+    charges the rent walks' mean breakpoint error.  An episode whose
+    types leave every agent dormant ends at its type draw: it allocates
+    nothing, so its difference and error are 0.0.
     """
     runtime = runtime or MechanismRuntime(env)
     seed = seeds[0]
@@ -326,6 +328,8 @@ def audit_revenue_bound(
             for i in range(env.k)
         ]
         transforms = _active_transforms(env, runtime, theta)
+        if not transforms:  # every agent dormant: no round allocates, diffs[s] and errors[s] stay 0.0
+            continue
         streams = ExperienceStreams(seed, s, purpose)
         main = _run_rounds(
             env,

@@ -59,3 +59,16 @@ def sponsored_small():
 @pytest.fixture(scope="session")
 def sponsored_small_runtime(sponsored_small):
     return MechanismRuntime(sponsored_small)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """``(built, reached)``: lists that record each build of an agent
+    model's CSR arrays (``environments._kernel_csr``) and each
+    ``environments._reach`` call (Tarjan's algorithm) for the rest of the
+    test."""
+    built, reached = [], []
+    kernel_csr, reach = envs._kernel_csr, envs._reach
+    monkeypatch.setattr(envs, "_kernel_csr", lambda g, h: built.append(g) or kernel_csr(g, h))
+    monkeypatch.setattr(envs, "_reach", lambda succs: reached.append(succs) or reach(succs))
+    return built, reached

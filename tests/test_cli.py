@@ -407,6 +407,14 @@ def test_four_agent_simulate_prices_every_round_exactly(tmp_path):
     assert all(math.isfinite(x) for x in fees)
 
 
+def test_sponsored_simulate_builds_no_csr_and_runs_no_tarjan(tmp_path, builds):
+    # index builds, prices and fees read the kernels (``AgentModel.graph``);
+    # the sponsored-search chain never steps to a lower state
+    built, reached = builds
+    assert main(["--config", str(SPONSORED2), "--out", str(tmp_path), "simulate"]) == 0
+    assert built == [] and reached == []
+
+
 @pytest.mark.parametrize(
     "config, command, status, files",
     [

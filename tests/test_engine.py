@@ -817,3 +817,32 @@ def test_a_correcting_deviation_on_the_posted_arm_draws_nothing(offset, correct_
         won += bool(got.times)
         assert rt.trajectories(streams).states[0] == [0]  # every win stayed at the one state
     assert won > 0
+
+
+def test_a_last_round_win_draws_no_move(monkeypatch, builds):
+    # one priced round on four active sponsored-search agents: nothing
+    # reads the winner's move after it, so nothing is drawn, and the
+    # prices build no CSR and run no Tarjan pass
+    env = envs.sponsored_search(k=4, cap=2, delta=0.8)
+    truthful = [mech.Truthful()] * 4
+    built, reached = builds
+    draws = []
+    draw_pair = ExperienceStreams.draw_pair
+    monkeypatch.setattr(ExperienceStreams, "draw_pair", lambda self, i: draws.append(i) or draw_pair(self, i))
+    profiles = ([0.9, 0.8, 0.7, 0.6], [0.6, 0.95, 0.7, 0.8], [0.55, 0.6, 0.65, 0.99])
+    for seed, theta in enumerate(profiles):
+        rt = mech.MechanismRuntime(env)
+        tr = mech.run_episode(env, truthful, seed, 1, theta=theta, runtime=rt, fee_mode="skip")
+        assert draws == [] and built == [] and reached == []
+        assert tr.rounds[0].winner > 0 and tr.rounds[0].payment > 0.0
+        transforms = mech._active_transforms(env, rt, theta)
+        streams = ExperienceStreams(seed, 0, "episode")
+        want = ref.reference_run_rounds(env, rt, transforms, theta, truthful, streams, 1, record_rounds=True)
+        assert tr.rounds == want.rounds and list(tr.values) == want.values
+        # a longer run on the same address draws the skipped move when it needs it, as the same pair
+        longer = mech.run_episode(env, truthful, seed, 3, theta=theta, runtime=rt, fee_mode="skip")
+        fresh = mech.run_episode(
+            env, truthful, seed, 3, theta=theta, runtime=mech.MechanismRuntime(env), fee_mode="skip"
+        )
+        assert longer.rounds == fresh.rounds
+        draws.clear()

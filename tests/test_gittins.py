@@ -146,12 +146,10 @@ def _chain_arm(rewards: np.ndarray, p: np.ndarray, delta: float) -> gittins.Comp
     t = sp.csr_matrix(p)
     return gittins.CompiledArm(
         rewards=rewards,
-        indptr=t.indptr,
-        indices=t.indices,
-        probs=t.data,
         delta=delta,
         n_e=len(rewards),
         n_rho=1,
+        graph=envs.SweepGraph((t.indptr, t.indices, t.data)),
     )
 
 
@@ -224,8 +222,8 @@ def test_index_refused_above_arm_size_cutoff(monkeypatch):
 
     monkeypatch.setattr(gittins, "DENSE_SWEEP_MAX_STATES", 1)
     monkeypatch.setattr(gittins, "_eliminate", no_sweep)
-    # no transition arrays: the refusal must not touch them
-    bare = dataclasses.replace(arm, indptr=None, indices=None, probs=None)
+    # no transition: the refusal must not read it
+    bare = dataclasses.replace(arm, graph=None)
     for call in (lambda: gittins.index_of_states(bare, np.arange(bare.n)), lambda: gittins.hit_discounts(bare)):
         with pytest.raises(DomainError, match="2 states exceeds DENSE_SWEEP_MAX_STATES = 1"):
             call()
@@ -671,6 +669,10 @@ def _csr_chain(gen, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.array(indptr), np.array(indices, dtype=np.int32), np.array(probs)
 
 
+def _succs(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]:
+    return [indices[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])]
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 100_000), zeros=st.sampled_from(["none", "+0", "-0", "both"]))
 def test_reward_range_equals_fixed_point_relaxation(seed, zeros):
@@ -682,7 +684,7 @@ def test_reward_range_equals_fixed_point_relaxation(seed, zeros):
         signs = {"+0": [1.0], "-0": [-1.0], "both": [1.0, -1.0]}[zeros]
         at = rewards == 0.0
         rewards[at] = np.copysign(0.0, gen.choice(signs, int(at.sum())))
-    arm = gittins.CompiledArm(rewards, indptr, indices, probs, 0.8, n, 1)
+    arm = gittins.CompiledArm(rewards, 0.8, n, 1, envs.SweepGraph((indptr, indices, probs)))
     got, want = gittins._reward_range(arm), reward_range_relaxation(arm)
     if zeros == "both":
         # where a reachable set's extreme is 0.0 and it holds both signs,
@@ -698,7 +700,7 @@ def test_reach_closes_sccs_in_reverse_topological_order():
     for _ in range(50):
         n = int(gen.integers(1, 30))
         indptr, indices, _ = _csr_chain(gen, n)
-        reach = envs._reach(indptr, indices)
+        reach = envs._reach(_succs(indptr, indices))
         closure = np.eye(n, dtype=bool)
         closure[np.repeat(np.arange(n), np.diff(indptr)), indices] = True
         for _ in range(n):
@@ -714,7 +716,7 @@ def test_reach_of_a_long_path_needs_no_recursion():
     n = 20_000  # deeper than the interpreter's recursion limit
     indptr = np.arange(n + 1)
     indices = np.minimum(np.arange(1, n + 1), n - 1)
-    reach = envs._reach(indptr, indices)
+    reach = envs._reach(_succs(indptr, indices))
     assert reach.comp.tolist() == list(range(n - 1, -1, -1))
 
 
@@ -739,6 +741,104 @@ def test_interleaved_sweeps_on_one_agent_model_equal_fresh_models():
     assert shared.graph.sweep_rows(0.8) == _ar1_agent().graph.sweep_rows(0.8)
     arm = gittins.compile_reward_arm(shared, rewards[0], 0.8)
     assert arm.graph is shared.graph  # every compile shares the model's graph
+
+
+def _kernel_agent(g: np.ndarray, h: np.ndarray) -> envs.AgentModel:
+    n_rho, n_e = g.shape[0], h.shape[1]
+    return envs.AgentModel(
+        distribution=envs.uniform_type(1.0),
+        public=envs.PublicKernel(matrix=g, labels=tuple(f"p{r}" for r in range(n_rho))),
+        private=envs.PrivateKernel(matrix=h, labels=tuple(f"e{e}" for e in range(n_e))),
+        value=envs.AdditiveValue(a=lambda t, r: t, da=lambda t, r: 1.0, b=np.zeros((n_e, n_rho))),
+    )
+
+
+def _assert_kernel_read_equals_csr_built(agent: envs.AgentModel, rewards: list[np.ndarray]) -> None:
+    """The graph an agent model reads from G and H in one pass has the
+    CSR-built graph's rows (columns in the same order, values to the
+    bit), predecessor sets and successor lists, builds no CSR, and its
+    reward ranges have the bits of Tarjan's components on the CSR graph;
+    ``_reach`` runs only on a graph with a backward edge."""
+    kernel = envs.SweepGraph(kernels=(agent.public.matrix, agent.private.matrix))
+    csr = envs.SweepGraph(agent.transition)
+    n_e, n_rho = agent.private.n, agent.public.n
+    built, reached = [], []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(envs, "_kernel_csr", lambda g, h: built.append(1))
+        m.setattr(envs, "_reach", lambda succs, reach=envs._reach: reached.append(1) or reach(succs))
+        for delta in (0.8, 0.95):
+            got, want = kernel.sweep_rows(delta), csr.sweep_rows(delta)
+            assert [list(row) for row in got[0]] == [list(row) for row in want[0]]
+            assert _bits([np.array(list(row.values())) for row in got[0]]) == _bits(
+                [np.array(list(row.values())) for row in want[0]]
+            )
+            assert got[1] == want[1]
+        assert kernel.succ == csr.succ
+        indptr, indices, _ = csr.csr
+        rows_of = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+        assert kernel.forward == bool(np.all(indices >= rows_of))
+        got = [gittins._reward_range(gittins.CompiledArm(r, 0.8, n_e, n_rho, kernel)) for r in rewards]
+        assert built == []  # the kernel read builds no CSR
+        assert len(reached) == (not kernel.forward)  # Tarjan once, and only on a backward edge
+        m.setattr(envs.SweepGraph, "forward", property(lambda self: False))
+        want = [gittins._reward_range(gittins.CompiledArm(r, 0.8, n_e, n_rho, csr)) for r in rewards]
+    for a, b in zip(got, want):
+        assert _bits(a) == _bits(b)
+
+
+def _signed_rewards(gen, n: int) -> np.ndarray:
+    """Rewards tied at every extreme, with +0.0 and -0.0 among them."""
+    return gen.choice([-0.5, 0.0, -0.0, 0.25, 1.0], n)
+
+
+@pytest.mark.parametrize(
+    "name", [f"sponsored cap {cap}" for cap in range(1, 6)] + ["ar1", "posted_price", "exponential_control"]
+)
+def test_kernel_read_graph_equals_the_csr_built_one_on_shipped_arms(name):
+    if name.startswith("sponsored cap "):
+        agent = envs.sponsored_search(k=1, cap=int(name[-1]), delta=0.8).agents[0]
+    else:
+        agent = list(_shipped_agents())[1 + ("ar1", "posted_price", "exponential_control").index(name)]
+    gen = substream(5, "kernel-read", name)
+    n = agent.n_states
+    _assert_kernel_read_equals_csr_built(agent, [agent.value.b.reshape(-1), _signed_rewards(gen, n)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 100_000), forward=st.booleans(), tiny=st.booleans())
+def test_kernel_read_graph_equals_the_csr_built_one_on_random_kernels(seed, forward, tiny):
+    # zero factors are no edge; factors near 1e-170 multiply to 0, an
+    # edge with no row entry; ``forward`` keeps every move to an equal
+    # or higher state, else a backward edge is likely
+    gen = substream(seed, "kernel-read")
+    n_rho, n_e = int(gen.integers(1, 5)), int(gen.integers(1, 5))
+
+    def rows(shape):
+        x = gen.random(shape) * (gen.random(shape) < 0.5)
+        if tiny:
+            x[gen.random(shape) < 0.2] = 1e-170
+        if forward:
+            x = np.triu(x)
+        x[..., -1] += x.sum(axis=-1) == 0.0  # the last state is reachable from every row
+        return x / x.sum(axis=-1, keepdims=True)
+
+    agent = _kernel_agent(rows((n_rho, n_rho)), rows((n_rho, n_e, n_e)))
+    n = agent.n_states
+    _assert_kernel_read_equals_csr_built(agent, [_signed_rewards(gen, n) for _ in range(3)])
+
+
+def test_a_chain_with_a_backward_edge_goes_through_tarjan():
+    # state 1 steps back to state 0: one SCC {0, 1}, then the sink 2
+    g = np.array([[0.5, 0.5, 0.0], [0.6, 0.0, 0.4], [0.0, 0.0, 1.0]])
+    agent = _kernel_agent(g, np.ones((3, 1, 1)))
+    assert not agent.graph.forward
+    reached = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(envs, "_reach", lambda succs, reach=envs._reach: reached.append(succs) or reach(succs))
+        arm = gittins.CompiledArm(np.array([1.0, -1.0, 0.5]), 0.8, 1, 3, agent.graph)
+        lo, hi = gittins._reward_range(arm)
+    assert reached == [[[0, 1], [0, 2], [2]]]
+    assert lo.tolist() == [-1.0, -1.0, 0.5] and hi.tolist() == [1.0, 1.0, 0.5]
 
 
 def test_v_max_is_the_same_for_replicated_and_distinct_agent_models(monkeypatch):

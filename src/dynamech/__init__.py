@@ -22,19 +22,14 @@ from .environments import (
     make_environment,
     power_type,
     sponsored_search,
-    step_experience,
     uniform_type,
     validate_assumptions,
     value,
     value_theta_derivative,
 )
 from .gittins import (
-    BruteForceIndex,
     WelfareEstimate,
     allocate,
-    brute_force_index,
-    gittins_index,
-    vwb_indices,
     weighted_welfare,
 )
 from .mechanism import (
@@ -50,8 +45,6 @@ from .mechanism import (
     Transcript,
     Truthful,
     entry_fee_p0,
-    entry_price_P,
-    marginal_contribution,
     per_round_price,
     run_episode,
 )

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import verification as ver
-from .config import ConfigError, RunConfig, build_environment, config_hash, parse_config
+from .config import ConfigError, RunConfig, build_environment, check_seed, config_hash, parse_config
 from .environments import DomainError, validate_assumptions
 from .mechanism import MechanismRuntime, Truthful, run_episode
 
@@ -308,6 +308,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.seed is not None:
+            check_seed("--seed", args.seed)
         cfg = parse_config(args.config)
         env = build_environment(cfg)
     except ConfigError as exc:

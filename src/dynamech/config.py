@@ -154,6 +154,13 @@ def parse_config(path) -> RunConfig:
     return parse_config_text(p.read_text())
 
 
+def check_seed(name: str, seed) -> None:
+    """Seeds key ``numpy.random.SeedSequence`` entropy, which must be a
+    non-negative integer."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"{name} must be a non-negative integer, got {seed!r}")
+
+
 def _validate(cfg: RunConfig) -> None:
     if not isinstance(cfg.delta, (int, float)) or not 0.0 < cfg.delta < 1.0:
         raise ConfigError(f"delta must lie in (0, 1), got {cfg.delta!r}")
@@ -166,6 +173,7 @@ def _validate(cfg: RunConfig) -> None:
         isinstance(cfg.horizon, bool) or not isinstance(cfg.horizon, int) or cfg.horizon < 1
     ):
         raise ConfigError(f"horizon must be a positive integer, got {cfg.horizon!r}")
+    check_seed("master_seed", cfg.master_seed)
     if cfg.schema_version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {cfg.schema_version!r}")
     env = cfg.environment

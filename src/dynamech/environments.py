@@ -41,8 +41,6 @@ __all__ = [
     "value",
     "value_theta_derivative",
     "sample_transition",
-    "step_experience",
-    "check_derivative",
     "AssumptionCheck",
     "ValidityReport",
     "validate_assumptions",
@@ -635,42 +633,6 @@ def sample_transition(
     rho_next = bisect_right(agent.public.sampling_row(rho), u_pub)
     e_next = bisect_right(agent.private.sampling_row(rho, e), u_priv)
     return e_next, rho_next
-
-
-def step_experience(env: Environment, agent_id: int, state: ArmState, rng) -> ArmState:
-    """One allocation step (``sample_transition``); theta is unchanged.
-    ``rng`` is either a numpy Generator or an ExperienceStreams handle.
-    """
-    agent = env.agents[agent_id]
-    _check_state(agent, state)
-    if hasattr(rng, "draw_pair"):
-        u_pub, u_priv = rng.draw_pair(agent_id)
-    else:
-        u = rng.random(2)
-        u_pub, u_priv = float(u[0]), float(u[1])
-    e_next, rho_next = sample_transition(agent, state.e, state.rho, u_pub, u_priv)
-    return ArmState(theta=state.theta, e=e_next, rho=rho_next)
-
-
-def check_derivative(
-    env: Environment,
-    agent_id: int,
-    states: Sequence[ArmState],
-    h: float = 1e-6,
-) -> float:
-    """Max gap between the declared theta-derivative and a central
-    finite difference over the given states."""
-    worst = 0.0
-    theta_bar = env.agents[agent_id].distribution.theta_bar
-    for s in states:
-        lo = max(s.theta - h, 0.0)
-        hi = min(s.theta + h, theta_bar)
-        fd = (
-            value(env, agent_id, ArmState(hi, s.e, s.rho))
-            - value(env, agent_id, ArmState(lo, s.e, s.rho))
-        ) / (hi - lo)
-        worst = max(worst, abs(fd - value_theta_derivative(env, agent_id, s)))
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ ratio, then fold it into the others so that the chain passes through
 it.  One kernel does that pass at every arm size, on dict rows with a
 heap of live ratios, folding live rows only.  Arms above
 ``DENSE_SWEEP_MAX_STATES`` states are refused (DomainError) before
-anything is allocated.  An exhaustive stopping-set oracle and the
-O(n^4) largest-remaining-index recursion are kept alongside as
-independent cross-checks.
+anything is allocated.  The independent cross-checks (an exhaustive
+stopping-set oracle, the O(n^4) largest-remaining-index recursion and
+the exact value of the index policy over the joint state space) live
+with the tests, in ``tests/oracles.py``.
 
 What the sweep reads from the transition alone an agent model compiles
 once (``AgentModel.graph``, an ``environments.SweepGraph`` read from
@@ -40,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .environments import AgentModel, ArmState, DomainError, Environment, SweepGraph, sample_transition
+from .environments import AgentModel, DomainError, Environment, SweepGraph, sample_transition
 from .rng import substream
 from .virtual import VirtualTransform, transform_or_dormant, xi_table
 
@@ -48,17 +49,11 @@ __all__ = [
     "CompiledArm",
     "compile_arm",
     "compile_reward_arm",
-    "gittins_index",
     "index_of_states",
     "hit_discounts",
     "HitColumns",
     "retirement_surplus",
-    "BruteForceIndex",
-    "brute_force_index",
-    "vwb_indices",
     "allocate",
-    "joint_state_count",
-    "index_policy_winners",
     "index_policy_rollout",
     "WelfareEstimate",
     "weighted_welfare",
@@ -150,20 +145,6 @@ def compile_arm(
 ) -> CompiledArm:
     rewards = xi_table(transform, env, agent_id, theta)
     return compile_reward_arm(env.agents[agent_id], rewards, env.delta)
-
-
-def _reachable(arm: CompiledArm, start: int) -> np.ndarray:
-    indptr, indices = arm.indptr, arm.indices
-    seen = np.zeros(arm.n, dtype=bool)
-    seen[start] = True
-    stack = [start]
-    while stack:
-        s = stack.pop()
-        for s2 in indices[indptr[s] : indptr[s + 1]]:
-            if not seen[s2]:
-                seen[s2] = True
-                stack.append(int(s2))
-    return np.nonzero(seen)[0]
 
 
 # Arms up to this many states take the exact sweep; larger ones are
@@ -426,119 +407,6 @@ def index_of_states(arm: CompiledArm, states: np.ndarray) -> np.ndarray:
     return _sweep_indices(arm)[0][states]
 
 
-def gittins_index(
-    env: Environment,
-    agent_id: int,
-    transform: VirtualTransform,
-    theta: float,
-    e: int,
-    rho: int,
-) -> float:
-    """Index of one arm state under the pegged transform."""
-    arm = compile_arm(env, agent_id, transform, theta)
-    return float(index_of_states(arm, np.array([arm.state_index(e, rho)]))[0])
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive stopping-set oracle
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BruteForceIndex:
-    value: float
-    tail_bound: float
-
-
-def brute_force_index(
-    env: Environment,
-    agent_id: int,
-    transform: VirtualTransform,
-    state: ArmState,
-    horizon: int,
-    cap: int = 1024,
-) -> BruteForceIndex:
-    """Truncated-horizon index by enumerating every stationary stopping
-    set over the reachable states (the optimal stopping region for the
-    ratio problem is stationary, so this is exhaustive for the truncated
-    problem up to the reported geometric tail).
-
-    Refuses when |reachable states| * horizon exceeds ``cap`` or the
-    subset enumeration would explode.
-    """
-    arm = compile_arm(env, agent_id, transform, state.theta)
-    s0 = arm.state_index(state.e, state.rho)
-    reach = _reachable(arm, s0)
-    n_r = len(reach)
-    if n_r * horizon > cap:
-        raise DomainError(f"brute force refused: {n_r} states * {horizon} steps > cap {cap}")
-    if n_r > 16:
-        raise DomainError(f"brute force refused: {n_r} states exceeds subset limit 16")
-    pos = {int(s): j for j, s in enumerate(reach)}
-    p = arm.transition[reach][:, reach].toarray()
-    xi = arm.rewards[reach]
-    delta = arm.delta
-    j0 = pos[s0]
-
-    n_sub = 1 << n_r
-    masks = ((np.arange(n_sub)[:, None] >> np.arange(n_r)[None, :]) & 1).astype(float)
-    cont_n = np.zeros((n_sub, n_r))
-    cont_d = np.zeros((n_sub, n_r))
-    for _ in range(horizon - 1):
-        cont_n = masks * (xi[None, :] + delta * (cont_n @ p.T))
-        cont_d = masks * (1.0 + delta * (cont_d @ p.T))
-    num = xi[j0] + delta * (cont_n @ p[j0])
-    den = 1.0 + delta * (cont_d @ p[j0])
-    best = float(np.max(num / den))
-    tail = delta**horizon * float(np.max(np.abs(xi))) / (1.0 - delta)
-    return BruteForceIndex(value=best, tail_bound=tail)
-
-
-# ---------------------------------------------------------------------------
-# Exact largest-remaining-index method (small chains)
-# ---------------------------------------------------------------------------
-
-
-def vwb_indices(rewards: np.ndarray, transition: np.ndarray, delta: float) -> np.ndarray:
-    """Exact Gittins indices of every state of a finite chain via the
-    largest-remaining-index recursion (continuation set grown from the
-    top).  Intended for chains of at most ~64 states.
-    """
-    xi = np.asarray(rewards, dtype=float)
-    p = np.asarray(transition, dtype=float)
-    n = xi.shape[0]
-    if n > 64:
-        raise DomainError("largest-index method limited to 64 states")
-    indices = np.full(n, np.nan)
-    ranked: list[int] = []
-    remaining = set(range(n))
-    top = int(np.argmax(xi))
-    indices[top] = xi[top]
-    ranked.append(top)
-    remaining.discard(top)
-    while remaining:
-        s_list = sorted(remaining)
-        k = len(ranked)
-        p_ss = p[np.ix_(ranked, ranked)]
-        w = np.linalg.inv(np.eye(k) - delta * p_ss)
-        w_xi = w @ xi[ranked]
-        w_one = w @ np.ones(k)
-        w_p = w @ p[np.ix_(ranked, s_list)]  # (k, m) columns per candidate
-        best_ratio, best_s = -np.inf, s_list[0]
-        for col, s in enumerate(s_list):
-            p_s_ranked = p[s, ranked]
-            denom = 1.0 - delta * p[s, s] - delta**2 * float(p_s_ranked @ w_p[:, col])
-            num = (xi[s] + delta * float(p_s_ranked @ w_xi)) / denom
-            dur = (1.0 + delta * float(p_s_ranked @ w_one)) / denom
-            ratio = num / dur
-            if ratio > best_ratio:
-                best_ratio, best_s = ratio, s
-        indices[best_s] = best_ratio
-        ranked.append(best_s)
-        remaining.discard(best_s)
-    return indices
-
-
 # ---------------------------------------------------------------------------
 # Allocation
 # ---------------------------------------------------------------------------
@@ -569,7 +437,6 @@ def allocate(index_values, zero_arm_index: float = 0.0) -> int:
 class WelfareEstimate:
     mean: float
     std_error: float
-    method: str
 
 
 # No index or price calls it; perfbench/tracing.HOOKS names it, and test_trace_shims checks every hook.
@@ -596,26 +463,6 @@ def optimal_stop_value(
     raise RuntimeError(
         f"value iteration at retirement value {retire!r} did not converge in {VI_MAX_SWEEPS} sweeps"
     )
-
-
-def joint_state_count(sizes, state_cap: int) -> int:
-    """Joint states of arms of these sizes; the product-space oracles
-    refuse (DomainError) more than ``state_cap``."""
-    total = math.prod(sizes)
-    if total > state_cap:
-        raise DomainError(f"exact DP refused: {total} joint states > cap {state_cap}")
-    return total
-
-
-def index_policy_winners(tables: list[np.ndarray]) -> np.ndarray:
-    """``allocate`` at every joint state of the arms with these flat
-    index tables: 0 for the zero arm, j for arm j-1.  Joint states are
-    flattened in C order (``np.ravel_multi_index`` over the arms'
-    sizes)."""
-    grid = np.stack(np.meshgrid(*tables, indexing="ij")).reshape(len(tables), -1)
-    winners = np.argmax(grid, axis=0) + 1  # the first maximum: ties to the lowest arm
-    winners[grid.max(axis=0) <= 0.0] = 0  # the zero arm wins ties at its index 0
-    return winners
 
 
 def index_policy_rollout(
@@ -655,50 +502,7 @@ def index_policy_rollout(
     return totals
 
 
-def joint_policy_matrix(arms: list[CompiledArm], winners: np.ndarray):
-    """Transition matrix (``scipy.sparse.csr_matrix``) and per-state
-    reward of a fixed joint policy.
-
-    ``winners[flat]`` is 0 for the zero arm or j for included arm j-1,
-    over the joint states in C order.
-    """
-    import scipy.sparse as sp
-
-    sizes = [a.n for a in arms]
-    strides = [math.prod(sizes[j + 1 :]) for j in range(len(sizes))]
-    total = math.prod(sizes)
-    rows, cols, vals = [], [], []
-    rewards = np.zeros(total)
-    for flat, comp in enumerate(np.ndindex(*sizes)):
-        w = int(winners[flat])
-        if w == 0:
-            rows.append(flat)
-            cols.append(flat)
-            vals.append(1.0)
-            continue
-        j = w - 1
-        arm, s = arms[j], comp[j]
-        rewards[flat] = arm.rewards[s]
-        lo, hi = arm.indptr[s], arm.indptr[s + 1]
-        for s2, pr in zip(arm.indices[lo:hi], arm.probs[lo:hi]):
-            rows.append(flat)
-            cols.append(flat + (int(s2) - s) * strides[j])
-            vals.append(float(pr))
-    t = sp.csr_matrix((vals, (rows, cols)), shape=(total, total))
-    return t, rewards
-
-
-def joint_policy_value(arms: list[CompiledArm], winners: np.ndarray, delta: float) -> np.ndarray:
-    """Exact discounted value of a fixed joint policy (sparse solve)."""
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
-    t, rewards = joint_policy_matrix(arms, winners)
-    total = t.shape[0]
-    system = sp.identity(total, format="csr") - delta * t
-    return spla.spsolve(system.tocsc(), rewards)
-
-
+# No price calls it; perfbench/tracing.HOOKS names it, and test_trace_shims checks every hook.
 def joint_optimal_value(arms: list[CompiledArm], delta: float, tol: float = 1e-10) -> np.ndarray:
     """Unconstrained optimum of the joint allocation MDP by value
     iteration (actions: each included arm or the zero arm)."""
@@ -721,6 +525,7 @@ def joint_optimal_value(arms: list[CompiledArm], delta: float, tol: float = 1e-1
     raise RuntimeError("value iteration did not converge")
 
 
+# Pricing never calls it; perfbench/record_reference.py checks recorded prices against its rollout.
 def weighted_welfare(
     env: Environment,
     reports,
@@ -728,26 +533,24 @@ def weighted_welfare(
     e,
     rho,
     exclude: int | None = None,
-    mode: str = "exact_dp",
+    mode: str = "rollout",
     *,
     n_paths: int = 2000,
     horizon: int | None = None,
     seed: int = 0,
-    state_cap: int = 10_000,
     tail_eps: float = 1e-4,
 ) -> WelfareEstimate:
     """Expected discounted transformed reward of the index policy over
     the included arms plus the zero arm, started from the given joint
-    state: exactly by one sparse solve over the joint space
-    (``exact_dp``, at most ``state_cap`` joint states), or as the mean
-    of ``n_paths`` runs of ``index_policy_rollout`` on ``"welfare"``
-    streams (``rollout``, whose ``std_error`` adds the truncation tail).
+    state, as the mean of ``n_paths`` runs of ``index_policy_rollout``
+    on ``"welfare"`` streams; ``std_error`` adds the truncation tail.
+    ``mode`` must be ``"rollout"``.
 
     Dormant agents are excluded from the arm set (their rewards are
     non-positive pointwise, so this leaves the optimum unchanged while
     matching the mechanism's hard exclusion).
     """
-    if mode not in ("exact_dp", "rollout"):
+    if mode != "rollout":
         raise DomainError(f"unknown welfare mode {mode!r}")
     included: list[int] = []
     transforms: dict[int, VirtualTransform] = {}
@@ -758,26 +561,16 @@ def weighted_welfare(
         if t is not None:
             included.append(i)
             transforms[i] = t
+    if not included:
+        return WelfareEstimate(mean=0.0, std_error=0.0)
     arms = [compile_arm(env, i, transforms[i], float(theta[i])) for i in included]
-    sizes = [a.n for a in arms]
-    start = [arms[j].state_index(int(e[i]), int(rho[i])) for j, i in enumerate(included)]
-    if mode == "exact_dp":
-        joint_state_count(sizes, state_cap)
-    if not arms:
-        return WelfareEstimate(mean=0.0, std_error=0.0, method=mode)
-    tables = [index_of_states(a, np.arange(a.n)) for a in arms]
-    if mode == "exact_dp":
-        v = joint_policy_value(arms, index_policy_winners(tables), env.delta)
-        return WelfareEstimate(
-            mean=float(v[np.ravel_multi_index(start, sizes)]), std_error=0.0, method="exact_dp"
-        )
     if horizon is None:
         horizon = tail_horizon(env.delta, len(arms), env.v_max, tail_eps)
     totals = index_policy_rollout(
         [env.agents[i] for i in included],
-        tables,
+        [index_of_states(a, np.arange(a.n)) for a in arms],
         [a.rewards for a in arms],
-        start,
+        [arms[j].state_index(int(e[i]), int(rho[i])) for j, i in enumerate(included)],
         env.delta,
         horizon,
         n_paths,
@@ -786,4 +579,4 @@ def weighted_welfare(
     )
     tail = env.delta**horizon * len(arms) * env.v_max / (1.0 - env.delta)
     se = float(np.std(totals, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return WelfareEstimate(mean=float(np.mean(totals)), std_error=se + tail, method="rollout")
+    return WelfareEstimate(mean=float(np.mean(totals)), std_error=se + tail)

@@ -64,11 +64,9 @@ __all__ = [
     "Estimate",
     "MechanismRuntime",
     "per_round_price",
-    "entry_price_P",
     "entry_fee_p0",
     "fee_quadrature",
     "run_episode",
-    "marginal_contribution",
     "RoundRecord",
     "Transcript",
 ]
@@ -864,8 +862,8 @@ class _Deviator:
     Agent i wins iff its index b is positive and either b > level or
     b == level with i below the level's holder, which is ``allocate``'s
     rule; on a win i moves on (unless at an absorbing state, which every
-    draw maps back to), and on a loss to a level that is not stuck
-    (``_Levels``) the others' winner does.  Once no change is ahead (the
+    draw maps back to, or in the last round), and on a loss to a level
+    that is not stuck (``_Levels``) the others' winner does.  Once no change is ahead (the
     last segment, no override to come), a loss to a stuck level or a win
     at an absorbing state repeats until the horizon, so the merge adds
     the later rounds and stops.  A run that moved neither side read only
@@ -975,7 +973,9 @@ class _Deviator:
                         price += disc * pay
                     times.extend(range(t + 1, len(discs) + 1))
                     break
-                if not absorbing[s]:  # an absorbing state's move is s again, whatever the draw
+                # an absorbing state's move is s again, whatever the draw, and
+                # after the last round nothing reads the move
+                if not absorbing[s] and t < len(discs):
                     n += 1
                     if n == len(traj):
                         paths.extend(i)
@@ -1268,11 +1268,12 @@ class _RentWalk:
                         sums[r] += disc * x
                     times.extend(range(t + 1, len(discs) + 1))
                     break
-                n += 1
-                if n == len(traj):
-                    paths.extend(i)
-                s = traj[n]
-                b = table[s]
+                if t < len(discs):  # after the last round nothing reads the move
+                    n += 1
+                    if n == len(traj):
+                        paths.extend(i)
+                    s = traj[n]
+                    b = table[s]
             elif m != levels.stuck:
                 m += 1
             else:
@@ -1467,24 +1468,6 @@ def _mean_se(x: np.ndarray) -> tuple[float, float]:
     return float(mean), math.sqrt(var) / math.sqrt(n)
 
 
-def entry_price_P(
-    env: Environment,
-    theta_hat,
-    i: int,
-    nodes: int = 16,
-    rollouts: int = 2000,
-    seed: int = 0,
-    horizon: int | None = None,
-    runtime: MechanismRuntime | None = None,
-) -> Estimate:
-    """Target payment of agent i given the period-0 reports: value minus
-    the information rent integral, over coupled rollouts with the rent
-    integrated exactly on each (``fee_quadrature``; ``nodes`` is unused)."""
-    data = fee_quadrature(env, theta_hat, i, paths=rollouts, seed=seed, horizon=horizon, runtime=runtime)
-    mean, se = _mean_se(data.price_paths())
-    return Estimate(mean=mean, std_error=se, quad_error=data.quad_error())
-
-
 def entry_fee_p0(
     env: Environment,
     theta_hat,
@@ -1495,9 +1478,11 @@ def entry_fee_p0(
     horizon: int | None = None,
     runtime: MechanismRuntime | None = None,
 ) -> Estimate:
-    """Period-0 charge: the target payment minus the expected discounted
-    future per-round payments under truthful continuation, estimated on
-    the same coupled streams (``nodes`` is unused)."""
+    """Period-0 charge: the target payment (value minus the information
+    rent integral, ``FeeQuadData.price_paths``) minus the expected
+    discounted future per-round payments under truthful continuation,
+    both on the same coupled streams.  ``nodes`` is unused; the
+    benchmark's ``record_reference.py`` passes it by position."""
     data = fee_quadrature(env, theta_hat, i, paths=rollouts, seed=seed, horizon=horizon, runtime=runtime)
     mean, se = _mean_se(data.price_paths() - data.payments)
     return Estimate(mean=mean, std_error=se, quad_error=data.quad_error())
@@ -1595,61 +1580,3 @@ def run_episode(
     transcript.utilities = transcript.recompute_utilities(env)
     transcript.values = tuple(res.values)
     return transcript
-
-
-# ---------------------------------------------------------------------------
-# Marginal contribution diagnostic
-# ---------------------------------------------------------------------------
-
-
-def marginal_contribution(
-    env: Environment,
-    transcript: Transcript,
-    t: int,
-    i: int,
-    runtime: MechanismRuntime | None = None,
-) -> float:
-    """Round-t marginal contribution of agent i to the optimal
-    transformed surplus: [W - W_without_i](state_t) minus the discounted
-    expectation of the same gap after the winner's transition, each W
-    by ``MechanismRuntime.w_minus`` over the active arms with and
-    without agent i (no joint state space, so no size cap).
-
-    Equals alpha_i * (v_i - price) on rounds agent i wins and 0
-    otherwise.
-    """
-    runtime = runtime or MechanismRuntime(env)
-    if not 1 <= t <= len(transcript.rounds):
-        raise DomainError(f"round {t} outside transcript")
-    round_rec = transcript.rounds[t - 1]
-    transforms = _active_transforms(env, runtime, transcript.theta_hat0)
-    if i not in transforms:
-        return 0.0
-    active = sorted(transforms)
-    arms = [(j, transforms[j], float(round_rec.theta_hat[j])) for j in active]
-    pos_i = active.index(i)
-    arms_minus = arms[:pos_i] + arms[pos_i + 1 :]
-    comp = [int(round_rec.e_hat[j]) * runtime._n_rho[j] + int(round_rec.rho[j]) for j in active]
-
-    def gap(c: list[int]) -> float:
-        return runtime.w_minus(arms, c) - runtime.w_minus(arms_minus, c[:pos_i] + c[pos_i + 1 :])
-
-    here = gap(comp)
-    winner = round_rec.winner
-    if winner == 0:
-        expected = here
-    else:
-        wi = winner - 1
-        if wi not in active:
-            raise DomainError("transcript winner not in active set")
-        pos_w = active.index(wi)
-        agent = env.agents[wi]
-        e, rho = divmod(comp[pos_w], runtime._n_rho[wi])
-        # next flat state e2 * n_rho + rho2 with probability h[rho, e][e2] * g[rho][rho2]
-        probs = np.outer(agent.private.matrix[rho, e], agent.public.matrix[rho]).reshape(-1)
-        expected = 0.0
-        for s2 in np.nonzero(probs)[0]:
-            nxt = list(comp)
-            nxt[pos_w] = int(s2)
-            expected += float(probs[s2]) * gap(nxt)
-    return here - env.delta * expected

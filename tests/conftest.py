@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dynamech import environments as envs
+from dynamech import gittins
 from dynamech.mechanism import MechanismRuntime
 
 
@@ -10,6 +11,12 @@ def constant_arm_env(delta: float, k: int = 1) -> envs.Environment:
     the top report (inverse hazard vanishes there, so beta = 0)."""
     val = envs.AdditiveValue(a=lambda t, r: t, da=lambda t, r: 1.0, b=np.zeros((1, 1)))
     return envs.finite_chain(delta, k=k, g=[[1.0]], h=[[1.0]], value=val)
+
+
+def index_at(env: envs.Environment, agent_id: int, transform, theta: float, e: int, rho: int) -> float:
+    """Exact index of one arm state under the pegged transform."""
+    arm = gittins.compile_arm(env, agent_id, transform, theta)
+    return float(gittins.index_of_states(arm, np.array([arm.state_index(e, rho)]))[0])
 
 
 def two_state_env(delta: float = 0.5) -> envs.Environment:

@@ -29,8 +29,14 @@ from dynamech.mechanism import ExperienceStreams, Truthful, _active_transforms, 
 from dynamech.rng import substream
 from dynamech.virtual import VirtualTransform, affine_coefficients
 
-from conftest import constant_arm_env, posted_price_env, two_state_env
-from oracles import alloc_times
+from conftest import constant_arm_env, index_at, posted_price_env, two_state_env
+from oracles import (
+    alloc_times,
+    brute_force_index,
+    entry_price_P,
+    exact_dp_policy_value,
+    marginal_contribution,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -48,7 +54,7 @@ def test_criterion_01_constant_arm_fixed_point():
     for _ in range(20):
         xi = float(gen.uniform(-1.0, 1.0))
         tr = VirtualTransform(alpha=1.0, beta=np.array([xi]), pegged_report=1.0)
-        got = gittins.gittins_index(env, 0, tr, 0.0, 0, 0)
+        got = index_at(env, 0, tr, 0.0, 0, 0)
         worst = max(worst, abs(got - xi))
     elapsed = time.time() - start
     _report(
@@ -61,8 +67,8 @@ def test_criterion_01_constant_arm_fixed_point():
 def test_criterion_02_two_state_arm_oracle():
     env = two_state_env(0.5)
     tr = affine_coefficients(env, 0, 1.0)
-    idx = gittins.gittins_index(env, 0, tr, 0.5, 0, 0)
-    bf = gittins.brute_force_index(env, 0, tr, ArmState(0.5, 0, 0), horizon=30)
+    idx = index_at(env, 0, tr, 0.5, 0, 0)
+    bf = brute_force_index(env, 0, tr, ArmState(0.5, 0, 0), horizon=30)
     ok = abs(idx - 0.5) <= 1e-8 and abs(bf.value - 0.5) <= 1e-8
     ok = ok and abs(idx - bf.value) <= 1e-9 + bf.tail_bound
     _report(2, ok, f"two-state index {idx:.10f} vs oracle {bf.value:.10f}")
@@ -94,15 +100,13 @@ def test_criterion_03_index_policy_optimality():
                 )
             )
         env = envs.make_environment(agents, delta)
-        policy = gittins.weighted_welfare(
-            env, [1.0, 1.0], [0.5, 0.5], [0, 0], [0, 0]
-        )
+        policy = exact_dp_policy_value(env, [1.0, 1.0], [0.5, 0.5], [0, 0], [0, 0], "index")
         arms = [
             gittins.compile_reward_arm(env.agents[i], env.agents[i].value.b, delta)
             for i in range(2)
         ]
         opt = float(gittins.joint_optimal_value(arms, delta, tol=1e-12)[0])
-        worst = max(worst, abs(policy.mean - opt))
+        worst = max(worst, abs(policy.policy_value - opt))
     elapsed = time.time() - start
     _report(
         3,
@@ -116,7 +120,7 @@ def test_criterion_04_posted_price_closed_forms(posted_price, posted_price_runti
     env, rt = posted_price, posted_price_runtime
     horizon = tail_horizon(0.5, 1, 1.0, 1e-8)
 
-    est = mech.entry_price_P(env, [0.8], 0, nodes=16, rollouts=2000, seed=3, horizon=horizon, runtime=rt)
+    est = entry_price_P(env, [0.8], 0, rollouts=2000, seed=3, horizon=horizon, runtime=rt)
     tail = 0.5**horizon * 1.0 / 0.5
     ok_p = est.std_error <= 0.01 and abs(est.mean - 1.0) <= 3 * est.std_error + est.quad_error + 3 * tail + 1e-9
 
@@ -274,7 +278,7 @@ def test_criterion_10_vcg_identity(sponsored_small, sponsored_small_runtime):
         for t in rounds:
             rec = transcript.rounds[t - 1]
             for i in range(env.k):
-                m = mech.marginal_contribution(env, transcript, t, i, runtime=rt)
+                m = marginal_contribution(env, transcript, t, i, runtime=rt)
                 if rec.winner == i + 1:
                     tr_i = rt.transform(i, transcript.theta_hat0[i])
                     v = envs.value(env, i, ArmState(rec.theta_hat[i], rec.e_hat[i], rec.rho[i]))

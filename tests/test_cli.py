@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -308,6 +309,33 @@ def test_no_cli_command_loads_scipy(tmp_path):
     assert result["loaded"] == []
 
 
+
+def _scipy_imports(tree: ast.AST, scope: tuple[str, ...] = ()):
+    """(scope, module) for each scipy import under ``tree``, scope being
+    the names of the enclosing classes and functions."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _scipy_imports(node, scope + (node.name,))
+            continue
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            yield from _scipy_imports(node, scope)
+            continue
+        yield from ((scope, m) for m in modules if m == "scipy" or m.startswith("scipy."))
+
+
+def test_the_only_scipy_import_in_src_is_compiled_arm_transition():
+    found = [
+        (path.name, *scope, module)
+        for path in sorted((REPO / "src" / "dynamech").glob("*.py"))
+        for scope, module in _scipy_imports(ast.parse(path.read_text()))
+    ]
+    assert found == [("gittins.py", "CompiledArm", "transition", "scipy.sparse")]
+
+
 def _finite_chain_config(params: dict, **extra) -> str:
     cfg = {"environment": {"name": "finite_chain", "params": params}, "delta": 0.5}
     cfg.update(extra)
@@ -317,28 +345,40 @@ def _finite_chain_config(params: dict, **extra) -> str:
 _VALUE = {"variant": "multiplicative", "b": [[1.0]], "c": [0.0]}
 
 
+_POSTED_PARAMS = {"g": [[1.0]], "h": [[1.0]], "value": _VALUE}
+
+
+# a negative seed would reach numpy's SeedSequence, which refuses it with a traceback
 @pytest.mark.parametrize(
-    "params, message",
+    "params, extra, argv, message",
     [
-        ({"g": [[0.5]], "h": [[1.0]], "value": _VALUE}, "sums to"),
-        ({"g": [[1.0]], "h": [[1.0]]}, "missing required key 'value'"),
+        ({"g": [[0.5]], "h": [[1.0]], "value": _VALUE}, {}, ["simulate"], "sums to"),
+        ({"g": [[1.0]], "h": [[1.0]]}, {}, ["simulate"], "missing required key 'value'"),
+        (_POSTED_PARAMS, {"master_seed": -1}, ["simulate"], "master_seed must be a non-negative integer"),
+        (_POSTED_PARAMS, {"master_seed": -1}, ["bound"], "master_seed must be a non-negative integer"),
+        (_POSTED_PARAMS, {}, ["--seed", "-1", "simulate"], "--seed must be a non-negative integer"),
+        (_POSTED_PARAMS, {}, ["--seed", "-1", "bound"], "--seed must be a non-negative integer"),
+        (_POSTED_PARAMS, {}, ["--seed", "-3", "audit", "--suite", "ic"], "--seed must be a non-negative integer"),
     ],
-    ids=["row-sum", "missing-value"],
+    ids=[
+        "row-sum", "missing-value", "config-seed-simulate", "config-seed-bound",
+        "flag-seed-simulate", "flag-seed-bound", "flag-seed-audit",
+    ],
 )
-def test_cli_environment_errors_exit_2(tmp_path, capsys, params, message):
+def test_cli_environment_errors_exit_2(tmp_path, capsys, params, extra, argv, message):
     bad = tmp_path / "bad.cfg"
-    bad.write_text(_finite_chain_config(params))
-    assert main(["--config", str(bad), "--out", str(tmp_path), "simulate"]) == 2
+    bad.write_text(_finite_chain_config(params, **extra))
+    assert main(["--config", str(bad), "--out", str(tmp_path), *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert not any(tmp_path.glob("*.json")) and not any(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("count", [True, 2.5])
 def test_cli_rejects_non_integer_count(tmp_path, capsys, count):
     bad = tmp_path / "bad.cfg"
-    params = {"g": [[1.0]], "h": [[1.0]], "value": _VALUE}
-    bad.write_text(_finite_chain_config(params, audit_paths=count))
+    bad.write_text(_finite_chain_config(_POSTED_PARAMS, audit_paths=count))
     assert main(["--config", str(bad), "--out", str(tmp_path), "audit"]) == 2
     assert "audit_paths must be a positive integer" in capsys.readouterr().err
 

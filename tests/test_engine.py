@@ -845,4 +845,17 @@ def test_a_last_round_win_draws_no_move(monkeypatch, builds):
             env, truthful, seed, 3, theta=theta, runtime=mech.MechanismRuntime(env), fee_mode="skip"
         )
         assert longer.rounds == fresh.rounds
+        # nor do the winner's one-deviator run and rent walk at horizon 1: on a
+        # new runtime they draw nothing and the run is kept, and both give the
+        # bits they give on the runtime whose trajectories the longer run drew
         draws.clear()
+        i = tr.rounds[0].winner - 1
+        results = []
+        for runtime in (mech.MechanismRuntime(env), rt):
+            streams = ExperienceStreams(seed, 0, "episode")
+            transforms = mech._active_transforms(env, runtime, theta)
+            run = mech._Deviator(env, runtime, transforms, theta, i, mech.Truthful(), 1)
+            walk = mech._RentWalk(env, runtime, transforms, theta, i, runtime.threshold(i), 1)
+            results.append((run.run(streams), walk.integrate(streams)))
+            assert draws == [] and run.fixed is not None
+        assert results[0] == results[1] and results[0][0].times == [1]

@@ -7,6 +7,8 @@ from dynamech import environments as envs
 from dynamech.environments import ArmState, DomainError
 from dynamech.rng import substream
 
+from oracles import check_derivative, step_experience
+
 
 def test_value_multiplicative_direct_product():
     val = envs.MultiplicativeValue(
@@ -59,7 +61,7 @@ def test_derivative_matches_central_difference_sqrt():
     analytic = envs.value_theta_derivative(env, 0, state)
     assert analytic == pytest.approx(1.0, abs=1e-9)
     assert abs(fd - analytic) < 1e-6
-    assert envs.check_derivative(env, 0, [state]) < 1e-6
+    assert check_derivative(env, 0, [state]) < 1e-6
 
 
 def test_unknown_state_rejected():
@@ -75,10 +77,10 @@ def test_step_experience_deterministic_and_identity_kernels():
     g = np.array([[0.0, 1.0], [0.0, 1.0]])  # always move to state 1
     h = np.array([[0.0, 1.0], [0.0, 1.0]])
     env = envs.finite_chain(0.9, g=g, h=h, value=val)
-    out = envs.step_experience(env, 0, ArmState(0.5, 0, 0), substream(0, "step"))
+    out = step_experience(env, 0, ArmState(0.5, 0, 0), substream(0, "step"))
     assert (out.e, out.rho) == (1, 1)
     env_id = envs.finite_chain(0.9, g=np.eye(2), h=np.eye(2), value=val)
-    out = envs.step_experience(env_id, 0, ArmState(0.5, 1, 0), substream(0, "step"))
+    out = step_experience(env_id, 0, ArmState(0.5, 1, 0), substream(0, "step"))
     assert (out.e, out.rho, out.theta) == (1, 0, 0.5)
 
 
@@ -101,10 +103,10 @@ def test_draw_past_a_rows_rounded_total_lands_on_a_state_with_mass():
     row = agent.private.matrix[17, 3]
     assert np.cumsum(row)[-1] == 1.0 - 2.0**-53 and row[-1] == 0.0
     u_priv = 1.0 - 2.0**-53
-    stepped = envs.step_experience(env, 0, ArmState(0.5, 3, 17), _StubDraws(0.5, u_priv))
+    stepped = step_experience(env, 0, ArmState(0.5, 3, 17), _StubDraws(0.5, u_priv))
     assert 0 <= stepped.rho < agent.public.n and agent.public.matrix[17, stepped.rho] > 0.0
     assert 0 <= stepped.e < agent.private.n and row[stepped.e] > 0.0
-    envs.step_experience(env, 0, stepped, _StubDraws(0.5, 0.5))  # the state is usable
+    step_experience(env, 0, stepped, _StubDraws(0.5, 0.5))  # the state is usable
     # the episode engine moves agents through the same sampler
     assert mechanism.sample_transition is envs.sample_transition
     assert envs.sample_transition(agent, 3, 17, 0.5, u_priv) == (stepped.e, stepped.rho)
@@ -120,7 +122,7 @@ def test_beta_bernoulli_click_update_frequency():
     n = 100_000
     ups = 0
     for _ in range(n):
-        nxt = envs.step_experience(env, 0, start, gen)
+        nxt = step_experience(env, 0, start, gen)
         ups += agent.public.labels[nxt.rho] == "b2.1"
     freq = ups / n
     assert freq == pytest.approx(0.5, abs=4 * 0.5 / np.sqrt(n))
@@ -139,8 +141,8 @@ def test_separability_kernel_samples_ignore_theta(theta_a, theta_b, seed):
     start = [ArmState(theta_a, 0, 0), ArmState(theta_b, 0, 0)]
     swapped = [ArmState(theta_b, 0, 0), ArmState(theta_a, 0, 0)]
     for i in range(2):
-        a = envs.step_experience(env, i, start[i], substream(seed, "sep", i))
-        b = envs.step_experience(env, i, swapped[i], substream(seed, "sep", i))
+        a = step_experience(env, i, start[i], substream(seed, "sep", i))
+        b = step_experience(env, i, swapped[i], substream(seed, "sep", i))
         assert (a.e, a.rho) == (b.e, b.rho)
 
 
@@ -201,7 +203,7 @@ def test_ar1_deterministic_shock_recursion():
         expect = a**n * 0.8 + c * (1 - a**n) / (1 - a)
         assert envs.value(env, 0, state) == pytest.approx(expect, abs=1e-9)
         assert envs.value_theta_derivative(env, 0, state) == pytest.approx(a**n)
-        state = envs.step_experience(env, 0, state, gen)
+        state = step_experience(env, 0, state, gen)
 
 
 def test_ar1_frozen_when_idle():

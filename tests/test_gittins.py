@@ -14,8 +14,16 @@ from dynamech.environments import ArmState, DomainError
 from dynamech.rng import substream
 from dynamech.virtual import VirtualTransform, affine_coefficients
 
-from conftest import constant_arm_env, two_state_env
-from oracles import bisect_indices, loop_transition, reward_range_relaxation
+from conftest import constant_arm_env, index_at, two_state_env
+from oracles import (
+    bisect_indices,
+    brute_force_index,
+    exact_dp_policy_value,
+    index_policy_winners,
+    loop_transition,
+    reward_range_relaxation,
+    vwb_indices,
+)
 
 
 def _identity_transform(n_rho: int = 1) -> VirtualTransform:
@@ -45,14 +53,14 @@ def test_two_state_oracle_supremum_is_half():
 def test_two_state_index_matches_oracles():
     env = two_state_env(0.5)
     tr = affine_coefficients(env, 0, 1.0)
-    idx = gittins.gittins_index(env, 0, tr, 0.5, 0, 0)
+    idx = index_at(env, 0, tr, 0.5, 0, 0)
     assert idx == pytest.approx(0.5, abs=1e-8)
-    bf = gittins.brute_force_index(env, 0, tr, ArmState(0.5, 0, 0), horizon=30)
+    bf = brute_force_index(env, 0, tr, ArmState(0.5, 0, 0), horizon=30)
     assert bf.tail_bound < 2e-9
     assert bf.value == pytest.approx(0.5, abs=1e-8)
     assert abs(idx - bf.value) <= 1e-9 + bf.tail_bound + 1e-12
     # the state already paying 1 forever is a constant arm
-    assert gittins.gittins_index(env, 0, tr, 0.5, 1, 0) == pytest.approx(1.0, abs=1e-12)
+    assert index_at(env, 0, tr, 0.5, 1, 0) == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -60,7 +68,7 @@ def test_two_state_index_matches_oracles():
 def test_constant_arm_index_is_exact(xi, theta_scale):
     env = constant_arm_env(0.5)
     tr = VirtualTransform(alpha=1.0, beta=np.array([xi]), pegged_report=1.0)
-    got = gittins.gittins_index(env, 0, tr, 0.0, 0, 0)
+    got = index_at(env, 0, tr, 0.0, 0, 0)
     assert got == xi  # constant reachable reward: bit-exact
 
 
@@ -73,8 +81,8 @@ def test_three_state_cycle_cross_oracle():
     env = envs.finite_chain(0.6, g=[[1.0]], h=h, value=val)
     tr = affine_coefficients(env, 0, 1.0)
     for start in range(3):
-        idx = gittins.gittins_index(env, 0, tr, 0.5, start, 0)
-        bf = gittins.brute_force_index(env, 0, tr, ArmState(0.5, start, 0), horizon=60)
+        idx = index_at(env, 0, tr, 0.5, start, 0)
+        bf = brute_force_index(env, 0, tr, ArmState(0.5, start, 0), horizon=60)
         assert abs(idx - bf.value) <= 1e-9 + bf.tail_bound
 
 
@@ -82,7 +90,7 @@ def test_brute_force_guard_refuses_large_instances():
     env = envs.sponsored_search(k=1, cap=5, delta=0.8)
     tr = affine_coefficients(env, 0, 1.0)
     with pytest.raises(DomainError):
-        gittins.brute_force_index(env, 0, tr, ArmState(0.9, 0, 0), horizon=100)
+        brute_force_index(env, 0, tr, ArmState(0.9, 0, 0), horizon=100)
 
 
 def _click_chain_env(cap: int, delta: float) -> envs.Environment:
@@ -105,7 +113,7 @@ def _click_chain_env(cap: int, delta: float) -> envs.Environment:
 def test_beta_bernoulli_click_arm_exploration_bonus():
     env = _click_chain_env(cap=20, delta=0.9)
     tr = affine_coefficients(env, 0, 1.0)  # top report: identity transform
-    idx = gittins.gittins_index(env, 0, tr, 1.0, 0, 0)
+    idx = index_at(env, 0, tr, 1.0, 0, 0)
     # exploration makes the index exceed the myopic mean 1/2, but it stays
     # below the best reachable posterior mean
     assert 0.5 < idx < 21.0 / 22.0
@@ -114,8 +122,8 @@ def test_beta_bernoulli_click_arm_exploration_bonus():
 def test_beta_bernoulli_small_cap_matches_brute_force():
     env = _click_chain_env(cap=3, delta=0.9)
     tr = affine_coefficients(env, 0, 1.0)
-    idx = gittins.gittins_index(env, 0, tr, 1.0, 0, 0)
-    bf = gittins.brute_force_index(env, 0, tr, ArmState(1.0, 0, 0), horizon=180, cap=2000)
+    idx = index_at(env, 0, tr, 1.0, 0, 0)
+    bf = brute_force_index(env, 0, tr, ArmState(1.0, 0, 0), horizon=180, cap=2000)
     assert abs(idx - bf.value) <= 1e-6 + bf.tail_bound
 
 
@@ -128,7 +136,7 @@ def test_bisection_agrees_with_exact_largest_index_method(seed):
     p = gen.random((n, n))
     p /= p.sum(axis=1, keepdims=True)
     delta = 0.7
-    exact = gittins.vwb_indices(rewards, p, delta)
+    exact = vwb_indices(rewards, p, delta)
     val = envs.AdditiveValue(
         a=lambda t, r: 0.0, da=lambda t, r: 0.0, b=rewards.reshape(n, 1)
     )
@@ -136,7 +144,7 @@ def test_bisection_agrees_with_exact_largest_index_method(seed):
     tr = affine_coefficients(env, 0, 1.0)
     arm = gittins.compile_arm(env, 0, tr, 0.5)
     for s in range(n):  # the sweep, then the bisection oracle
-        assert gittins.gittins_index(env, 0, tr, 0.5, s, 0) == pytest.approx(exact[s], abs=2e-9)
+        assert index_at(env, 0, tr, 0.5, s, 0) == pytest.approx(exact[s], abs=2e-9)
         assert bisect_indices(arm, [s], 1e-9)[0] == pytest.approx(exact[s], abs=2e-9)
 
 
@@ -171,7 +179,7 @@ def _random_arm(seed: int, max_states: int = 40) -> gittins.CompiledArm:
 def test_sweep_agrees_with_largest_index_recursion(seed):
     arm = _random_arm(seed)
     got = gittins.index_of_states(arm, np.arange(arm.n))
-    want = gittins.vwb_indices(arm.rewards, arm.transition.toarray(), arm.delta)
+    want = vwb_indices(arm.rewards, arm.transition.toarray(), arm.delta)
     assert np.max(np.abs(got - want)) <= 1e-12
     again = gittins.index_of_states(arm, np.arange(arm.n))
     assert np.array_equal(got, again)  # rebuilding gives identical bits
@@ -204,7 +212,7 @@ def test_sweep_constant_reachable_rewards_are_bit_exact(reward):
     arm = _chain_arm(rewards, p, 0.93)
     got = gittins.index_of_states(arm, np.arange(5))
     assert np.all(got[:3] == reward)
-    want = gittins.vwb_indices(rewards, p, 0.93)
+    want = vwb_indices(rewards, p, 0.93)
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -240,7 +248,7 @@ def test_bisection_raises_when_value_iteration_does_not_converge(monkeypatch):
 def test_vwb_indices_sorted_and_top_state():
     rewards = np.array([0.3, 0.8, 0.1])
     p = np.full((3, 3), 1.0 / 3.0)
-    out = gittins.vwb_indices(rewards, p, 0.5)
+    out = vwb_indices(rewards, p, 0.5)
     assert out[1] == pytest.approx(0.8)
     assert out[1] >= out[0] >= out[2]
 
@@ -306,7 +314,7 @@ def test_index_policy_winners_match_allocate(data):
         np.array(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5)))
         for _ in range(k)
     ]
-    winners = gittins.index_policy_winners(tables)
+    winners = index_policy_winners(tables)
     states = list(np.ndindex(*[len(t) for t in tables]))
     assert winners.shape == (len(states),)
     for flat, comp in enumerate(states):
@@ -317,40 +325,32 @@ def test_weighted_welfare_constant_arms():
     env = constant_arm_env(0.5, k=2)
     reports = [1.0, 1.0]
     theta = [0.6, 0.2]
-    w = gittins.weighted_welfare(env, reports, theta, [0, 0], [0, 0])
-    assert w.mean == pytest.approx(1.2, abs=1e-9)
-    assert w.std_error == 0.0 and w.method == "exact_dp"
-    w1 = gittins.weighted_welfare(env, reports, theta, [0, 0], [0, 0], exclude=0)
-    assert w1.mean == pytest.approx(0.4, abs=1e-9)
-    w2 = gittins.weighted_welfare(env, reports, [-0.0, 0.0], [0, 0], [0, 0])
-    assert w2.mean == 0.0  # all indices at zero: the zero arm absorbs
+    w = exact_dp_policy_value(env, reports, theta, [0, 0], [0, 0], "index")
+    assert w.policy_value == pytest.approx(1.2, abs=1e-9)
+    w1 = exact_dp_policy_value(env, reports, theta, [0, 0], [0, 0], "index", exclude=0)
+    assert w1.policy_value == pytest.approx(0.4, abs=1e-9)
+    w2 = exact_dp_policy_value(env, reports, [-0.0, 0.0], [0, 0], [0, 0], "index")
+    assert w2.policy_value == 0.0  # all indices at zero: the zero arm absorbs
 
 
 def test_weighted_welfare_negative_rewards_zero_arm():
     env = constant_arm_env(0.5, k=2)
     # theta values below the transform peg make xi negative: never allocate
-    val = gittins.weighted_welfare(env, [1.0, 1.0], [-0.3, -0.1], [0, 0], [0, 0])
-    assert val.mean == 0.0
+    val = exact_dp_policy_value(env, [1.0, 1.0], [-0.3, -0.1], [0, 0], [0, 0], "index")
+    assert val.policy_value == 0.0
 
 
 def test_weighted_welfare_rollout_agrees_with_exact(sponsored_small, sponsored_small_runtime):
     env = sponsored_small
     reports = [0.9, 0.7]
     theta = [0.9, 0.7]
-    exact = gittins.weighted_welfare(env, reports, theta, [0, 0], [0, 0])
-    roll = gittins.weighted_welfare(
-        env, reports, theta, [0, 0], [0, 0], mode="rollout", n_paths=3000, seed=5
+    exact = exact_dp_policy_value(
+        env, reports, theta, [0, 0], [0, 0], "index", runtime=sponsored_small_runtime
     )
-    assert roll.method == "rollout"
-    assert abs(roll.mean - exact.mean) <= 3.5 * roll.std_error
-
-
-def test_weighted_welfare_exact_refuses_oversized():
-    env = envs.sponsored_search(k=2, cap=5, delta=0.8)
-    with pytest.raises(DomainError):
-        gittins.weighted_welfare(
-            env, [0.9, 0.9], [0.9, 0.9], [0, 0], [0, 0], state_cap=1000
-        )
+    roll = gittins.weighted_welfare(env, reports, theta, [0, 0], [0, 0], n_paths=3000, seed=5)
+    assert abs(roll.mean - exact.policy_value) <= 3.5 * roll.std_error
+    with pytest.raises(DomainError, match="unknown welfare mode 'exact_dp'"):
+        gittins.weighted_welfare(env, reports, theta, [0, 0], [0, 0], mode="exact_dp")
 
 
 def _random_small_instance(seed: int):
@@ -390,15 +390,13 @@ def _instance_env(delta, arms):
 def test_index_policy_achieves_joint_optimum(seed):
     delta, arms = _random_small_instance(seed)
     env = _instance_env(delta, arms)
-    policy_val = gittins.weighted_welfare(
-        env, [1.0, 1.0], [0.5, 0.5], [0, 0], [0, 0]
-    )
+    policy_val = exact_dp_policy_value(env, [1.0, 1.0], [0.5, 0.5], [0, 0], [0, 0], "index")
     opt_arms = [
         gittins.compile_reward_arm(env.agents[i], env.agents[i].value.b, delta)
         for i in range(2)
     ]
     opt = gittins.joint_optimal_value(opt_arms, delta, tol=1e-12)
-    assert policy_val.mean == pytest.approx(float(opt[0]), abs=1e-8)
+    assert policy_val.policy_value == pytest.approx(float(opt[0]), abs=1e-8)
 
 
 def test_index_monotone_in_report(sponsored_small):

@@ -16,6 +16,7 @@ from dynamech.virtual import affine_coefficients, dormancy_threshold, xi_table
 
 import engine_reference as ref
 from conftest import constant_arm_env, posted_price_env
+from oracles import entry_price_P, marginal_contribution
 
 
 def _transforms(env, runtime, reports):
@@ -63,26 +64,26 @@ def test_per_round_price_divides_by_alpha():
 
 def test_entry_price_posted_price_closed_forms(posted_price, posted_price_runtime):
     horizon = tail_horizon(0.5, 1, 1.0, 1e-10)
-    est = mech.entry_price_P(
-        posted_price, [0.8], 0, nodes=16, rollouts=64, seed=3,
+    est = entry_price_P(
+        posted_price, [0.8], 0, rollouts=64, seed=3,
         horizon=horizon, runtime=posted_price_runtime,
     )
     assert est.std_error == 0.0  # deterministic environment
     assert est.mean == pytest.approx(1.0, abs=1e-8)
     assert est.quad_error <= 1e-10
-    low = mech.entry_price_P(
-        posted_price, [0.4], 0, nodes=16, rollouts=16, runtime=posted_price_runtime
+    low = entry_price_P(
+        posted_price, [0.4], 0, rollouts=16, runtime=posted_price_runtime
     )
     assert low.mean == 0.0
-    zero = mech.entry_price_P(
-        posted_price, [0.0], 0, nodes=16, rollouts=16, runtime=posted_price_runtime
+    zero = entry_price_P(
+        posted_price, [0.0], 0, rollouts=16, runtime=posted_price_runtime
     )
     assert zero.mean == 0.0
 
 
 def test_entry_fee_equals_price_when_rounds_are_free(posted_price, posted_price_runtime):
     horizon = tail_horizon(0.5, 1, 1.0, 1e-10)
-    p = mech.entry_price_P(
+    p = entry_price_P(
         posted_price, [0.8], 0, rollouts=32, horizon=horizon, runtime=posted_price_runtime
     )
     p0 = mech.entry_fee_p0(
@@ -99,7 +100,7 @@ def test_entry_fee_offsets_future_payments_two_agents():
     env = constant_arm_env(0.5, k=2)
     rt = mech.MechanismRuntime(env)
     horizon = tail_horizon(0.5, 2, 1.0, 1e-10)
-    pp = mech.entry_price_P(env, [1.0, 0.8], 0, rollouts=32, horizon=horizon, runtime=rt)
+    pp = entry_price_P(env, [1.0, 0.8], 0, rollouts=32, horizon=horizon, runtime=rt)
     fee = mech.entry_fee_p0(env, [1.0, 0.8], 0, rollouts=32, horizon=horizon, runtime=rt)
     assert fee.mean == pytest.approx(pp.mean - 1.2, abs=1e-8)
     # by hand: V = 2.0, integral of 2 * 1{z > 0.8} over [0, 1] = 0.4; the
@@ -425,12 +426,12 @@ def test_marginal_contribution_identity_constant_arms():
     )
     assert all(r.winner == 1 for r in tr.rounds)
     for t in (1, 3, 10):
-        m0 = mech.marginal_contribution(env, tr, t, 0, runtime=rt)
+        m0 = marginal_contribution(env, tr, t, 0, runtime=rt)
         assert m0 == pytest.approx(0.4, abs=1e-9)
         rec = tr.rounds[t - 1]
         v = envs.value(env, 0, envs.ArmState(0.8, rec.true_e[0], rec.rho[0]))
         assert m0 == pytest.approx(1.0 * (v - rec.payment), abs=1e-9)
-        assert mech.marginal_contribution(env, tr, t, 1, runtime=rt) == pytest.approx(
+        assert marginal_contribution(env, tr, t, 1, runtime=rt) == pytest.approx(
             0.0, abs=1e-9
         )
 
@@ -447,7 +448,7 @@ def test_marginal_contribution_vcg_identity_over_four_arms():
     worst = 0.0
     for t, rec in enumerate(tr.rounds, 1):
         for i in range(4):
-            m = mech.marginal_contribution(env, tr, t, i, runtime=rt)
+            m = marginal_contribution(env, tr, t, i, runtime=rt)
             target = 0.0
             if rec.winner == i + 1:
                 v = envs.value(env, i, envs.ArmState(theta[i], rec.true_e[i], rec.rho[i]))
@@ -462,7 +463,7 @@ def test_marginal_contribution_single_agent_is_xi():
     tr = mech.run_episode(
         env, [mech.Truthful()], seed=1, horizon=5, theta=[0.8], runtime=rt, fee_mode="skip"
     )
-    m = mech.marginal_contribution(env, tr, 1, 0, runtime=rt)
+    m = marginal_contribution(env, tr, 1, 0, runtime=rt)
     assert m == pytest.approx(0.6, abs=1e-9)  # xi = 2 * 0.8 - 1
     rec = tr.rounds[0]
     assert m == pytest.approx(0.8 - rec.payment, abs=1e-9)

@@ -28,8 +28,9 @@ tree goes first.  Recorded per tree:
   other z are not);
 - ``draw_pair_calls``: ``ExperienceStreams.draw_pair`` calls made by
   one operation of each kind above;
-- ``additive_table_builds_per_path``: ``MechanismRuntime.build_table``
-  calls of the additive fee call, per path;
+- ``additive_table_builds_per_path``: index tables the additive fee
+  call builds at points of its walk (``mechanism.index_of_states``
+  calls), per path;
 - ``sweep_ms``: best of ``SWEEP_CALLS`` index sweeps of the
   experience-reward arms of sponsored search at caps 2-5 and 7 and of
   the AR(1) environment above: index-only (``gittins._sweep_indices``),
@@ -201,17 +202,17 @@ def _measure() -> dict:
     ar1_rt = MechanismRuntime(ar1)
     fee_quadrature(ar1, [0.8, 0.7], 0, paths=1, seed=WARM_UP, runtime=ar1_rt)
     builds = [0]
-    build_table = MechanismRuntime.build_table
+    index_of_states = mech.index_of_states
 
-    def counted_build(self, *args):
+    def counted_build(*args):
         builds[0] += 1
-        return build_table(self, *args)
+        return index_of_states(*args)
 
-    MechanismRuntime.build_table = counted_build
+    mech.index_of_states = counted_build
     additive_s, _ = timed(
         lambda: fee_quadrature(ar1, [0.8, 0.7], 0, paths=FEE_PATHS, seed=1, runtime=ar1_rt)
     )
-    MechanismRuntime.build_table = build_table
+    mech.index_of_states = index_of_states
     ExperienceStreams.draw_pair = draw_pair
     sweep_ms, simulate_columns = _sweep_ms()
     index_build_us = _index_build_us()

@@ -25,7 +25,6 @@ from .environments import (
     uniform_type,
     validate_assumptions,
     value,
-    value_theta_derivative,
 )
 from .gittins import (
     WelfareEstimate,
@@ -53,8 +52,6 @@ from .virtual import (
     affine_coefficients,
     dormancy_threshold,
     inverse_hazard,
-    virtual_value,
-    xi,
 )
 
 __version__ = "0.1.0"

@@ -4,8 +4,9 @@ Config files are JSON or YAML.  A text that parses as JSON is read as
 JSON, strictly: NaN and infinities are rejected, and exponents need no
 dot (``2e-1`` is a number, where YAML 1.1 reads a string).  Any other
 text is read as YAML, whose parser is imported only then.  Unknown keys
-are rejected by name; serialization round-trips losslessly through
-JSON, and the canonical dump's SHA-256 is embedded in every output
+are rejected by name, and so are environment parameters of the wrong
+type or out of range, before any environment is built.  The SHA-256 of
+the canonical JSON dump (``config_hash``) is embedded in every output
 file.
 """
 
@@ -26,7 +27,6 @@ __all__ = [
     "RunConfig",
     "parse_config",
     "parse_config_text",
-    "serialize_config",
     "config_hash",
     "build_environment",
 ]
@@ -189,10 +189,6 @@ def _validate(cfg: RunConfig) -> None:
     _reject_unknown(params, _ENV_PARAM_KEYS[name], f"environment.params ({name})")
 
 
-def serialize_config(cfg: RunConfig) -> str:
-    return json.dumps(asdict(cfg), sort_keys=True, indent=2) + "\n"
-
-
 def config_hash(cfg: RunConfig) -> str:
     canonical = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
@@ -203,18 +199,60 @@ def config_hash(cfg: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _count(params: dict, key: str, default: int, least: int) -> int:
+    """An integer parameter (a bool is not one) of at least ``least``."""
+    v = params.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, int) or v < least:
+        raise ConfigError(f"{key} must be an integer >= {least}, got {v!r}")
+    return v
+
+
+def _positive(v, key: str) -> float:
+    """A positive finite number; a numeric string converts, since YAML 1.1
+    reads bare scientific notation like 1e-8 as a string."""
+    if isinstance(v, str):
+        try:
+            v = float(v)
+        except ValueError:
+            pass
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0.0 < v < math.inf:
+        raise ConfigError(f"{key} must be a positive finite number, got {v!r}")
+    return float(v)
+
+
+def _prior(params: dict, key: str) -> tuple[float, float]:
+    v = params.get(key, (1.0, 1.0))
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
+        raise ConfigError(f"{key} must be a pair of positive numbers, got {v!r}")
+    return _positive(v[0], f"{key}[0]"), _positive(v[1], f"{key}[1]")
+
+
+def _finite_table(v, key: str, ndim: int | None = None) -> np.ndarray:
+    """A non-empty table of finite numbers, with ``ndim`` axes if given."""
+    what = f"{key} must be a non-empty {f'{ndim}-d ' if ndim else ''}table of finite numbers"
+    try:
+        table = np.asarray(v, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(what) from exc
+    if not table.size or (ndim and table.ndim != ndim) or not np.all(np.isfinite(table)):
+        raise ConfigError(what)
+    return table
+
+
 def _build_distribution(spec, theta_bar: float) -> envs.TypeDistribution:
     if spec is None:
         return envs.uniform_type(theta_bar)
+    if not isinstance(spec, dict):
+        raise ConfigError("distribution must be a mapping")
     _reject_unknown(spec, {"name", "p", "rate", "theta_bar"}, "distribution")
-    theta_bar = float(spec.get("theta_bar", theta_bar))
+    theta_bar = _positive(spec.get("theta_bar", theta_bar), "distribution.theta_bar")
     name = spec.get("name", "uniform")
     if name == "uniform":
         return envs.uniform_type(theta_bar)
     if name == "power":
-        return envs.power_type(theta_bar, float(spec.get("p", 2.0)))
+        return envs.power_type(theta_bar, _positive(spec.get("p", 2.0), "distribution.p"))
     if name == "capped_exponential":
-        return envs.capped_exponential_type(float(spec.get("rate", 1.0)), theta_bar)
+        return envs.capped_exponential_type(_positive(spec.get("rate", 1.0), "distribution.rate"), theta_bar)
     raise ConfigError(f"unknown distribution name {name!r}")
 
 
@@ -241,12 +279,14 @@ def _theta_form(spec) -> tuple:
 
 
 def _build_value(spec) -> envs.AdditiveValue | envs.MultiplicativeValue:
+    if not isinstance(spec, dict):
+        raise ConfigError("value must be a mapping")
     _reject_unknown(spec, {"variant", "a", "b", "c"}, "value")
     variant = spec.get("variant")
     a, da = _theta_form(spec.get("a", {"form": "linear"}))
-    b = np.asarray(spec.get("b"), dtype=float)
+    b = _finite_table(spec.get("b"), "value.b", ndim=2)
     if variant == "multiplicative":
-        c = np.asarray(spec.get("c", np.zeros(b.shape[1])), dtype=float)
+        c = _finite_table(spec["c"], "value.c") if "c" in spec else np.zeros(b.shape[1])
         return envs.MultiplicativeValue(a=a, da=da, b=b, c=c)
     if variant == "additive":
         return envs.AdditiveValue(
@@ -256,57 +296,70 @@ def _build_value(spec) -> envs.AdditiveValue | envs.MultiplicativeValue:
 
 
 def build_environment(cfg: RunConfig) -> envs.Environment:
-    """The configured environment.  Parameters that the environment
-    builders reject (a missing key, a kernel row that does not sum to 1,
-    a table of the wrong shape or type) raise ConfigError."""
+    """The configured environment.  Parameters of the wrong type or out
+    of range, parameters that the environment builders reject (a missing
+    key, a kernel row that does not sum to 1, a table of the wrong shape
+    or type), and values whose tail scale k * v_max / (1 - delta)
+    overflows raise ConfigError."""
     try:
-        return _build_environment(cfg)
+        env = _build_environment(cfg)
     except ConfigError:
         raise
     except KeyError as exc:
         raise ConfigError(f"missing required key {exc.args[0]!r} in environment.params") from exc
     except (TypeError, ValueError) as exc:  # DomainError is a ValueError
         raise ConfigError(str(exc)) from exc
+    if not math.isfinite(env.k * env.v_max / (1.0 - env.delta)):
+        raise ConfigError(
+            f"tail scale k * v_max / (1 - delta) overflows (k {env.k}, v_max {env.v_max!r}, "
+            f"delta {env.delta!r}): scale down theta_bar or the value tables"
+        )
+    return env
 
 
 def _build_environment(cfg: RunConfig) -> envs.Environment:
     name = cfg.environment["name"]
     params = dict(cfg.environment.get("params", {}))
     if name == "sponsored_search":
-        dist_spec = params.pop("distribution", None)
-        theta_bar = float(params.pop("theta_bar", 1.0))
+        dist_spec = params.get("distribution")
+        theta_bar = _positive(params.get("theta_bar", 1.0), "theta_bar")
+        k, cap = _count(params, "k", 1, 1), _count(params, "cap", 20, 0)
+        click_prior, purchase_prior = _prior(params, "click_prior"), _prior(params, "purchase_prior")
         dist = _build_distribution(dist_spec, theta_bar) if dist_spec else None
         return envs.sponsored_search(
-            k=int(params.pop("k", 1)),
+            k=k,
             theta_bar=theta_bar,
-            click_prior=tuple(params.pop("click_prior", (1.0, 1.0))),
-            purchase_prior=tuple(params.pop("purchase_prior", (1.0, 1.0))),
-            cap=int(params.pop("cap", 20)),
+            click_prior=click_prior,
+            purchase_prior=purchase_prior,
+            cap=cap,
             delta=cfg.delta,
             dist=dist,
         )
     if name == "finite_chain":
+        k = _count(params, "k", 1, 1)
         dist = _build_distribution(params.get("distribution"), 1.0)
         value = _build_value(params["value"])
         return envs.finite_chain(
             cfg.delta,
-            k=int(params.get("k", 1)),
-            g=np.asarray(params["g"], dtype=float),
-            h=np.asarray(params["h"], dtype=float),
+            k=k,
+            g=_finite_table(params["g"], "g"),
+            h=_finite_table(params["h"], "h"),
             value=value,
             dist=dist,
             e_labels=params.get("e_labels"),
             rho_labels=params.get("rho_labels"),
         )
     if name == "ar1":
+        k, alloc_cap = _count(params, "k", 1, 1), _count(params, "alloc_cap", 25, 0)
+        grid_step = _positive(params.get("grid_step", 0.05), "grid_step")
         dist = _build_distribution(params.get("distribution"), 1.0)
         return envs.ar1(
-            k=int(params.get("k", 1)),
+            k=k,
             coeff=float(params["coeff"]),
-            shock=np.asarray(params["shock"], dtype=float),
+            shock=_finite_table(params["shock"], "shock"),
             delta=cfg.delta,
             dist=dist,
-            grid_step=float(params.get("grid_step", 0.05)),
-            alloc_cap=int(params.get("alloc_cap", 25)),
+            grid_step=grid_step,
+            alloc_cap=alloc_cap,
         )
     raise ConfigError(f"unknown environment name {name!r}")

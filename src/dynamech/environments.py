@@ -39,7 +39,6 @@ __all__ = [
     "Environment",
     "make_environment",
     "value",
-    "value_theta_derivative",
     "sample_transition",
     "AssumptionCheck",
     "ValidityReport",
@@ -225,9 +224,22 @@ class PrivateKernel(_Sampled):
 # ---------------------------------------------------------------------------
 
 
+class _Separable:
+    """Both forms as v(theta, e, rho) = A(theta, rho) * W[e, rho] +
+    K[e, rho]: ``a_row`` and ``da_row`` give A and dA/dtheta per public
+    state, ``weights`` is W, and ``table`` and ``slope`` give v and
+    dv/dtheta over all (e, rho) cells at theta, shape (n_e, n_rho).
+    Every reader of v or dv/dtheta goes through these; only the code
+    whose mathematics differs by form (the checks, the value bound and
+    the transform) looks at the form."""
+
+    def slope(self, theta: float) -> np.ndarray:
+        return self.da_row(theta) * self.weights
+
+
 @dataclass(frozen=True)
-class AdditiveValue:
-    """v(theta, e, rho) = a(theta, rho) + b[e, rho]."""
+class AdditiveValue(_Separable):
+    """v(theta, e, rho) = a(theta, rho) + b[e, rho]: W = 1, K = b."""
 
     a: Callable[[float, int], float]
     da: Callable[[float, int], float]
@@ -235,11 +247,22 @@ class AdditiveValue:
 
     def __post_init__(self):
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
+        object.__setattr__(self, "weights", np.ones_like(self.b))
+
+    def a_row(self, theta: float) -> np.ndarray:
+        return np.array([self.a(theta, rho) for rho in range(self.b.shape[1])], dtype=float)
+
+    def da_row(self, theta: float) -> np.ndarray:
+        return np.array([self.da(theta, rho) for rho in range(self.b.shape[1])], dtype=float)
+
+    def table(self, theta: float) -> np.ndarray:
+        return self.a_row(theta) + self.b
 
 
 @dataclass(frozen=True)
-class MultiplicativeValue:
-    """v(theta, e, rho) = a(theta) * b[e, rho] - c[rho]."""
+class MultiplicativeValue(_Separable):
+    """v(theta, e, rho) = a(theta) * b[e, rho] - c[rho]: A = a, W = b,
+    K = -c."""
 
     a: Callable[[float], float]
     da: Callable[[float], float]
@@ -249,6 +272,16 @@ class MultiplicativeValue:
     def __post_init__(self):
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
+        object.__setattr__(self, "weights", self.b)
+
+    def a_row(self, theta: float) -> np.ndarray:
+        return np.full(self.b.shape[1], self.a(theta), dtype=float)
+
+    def da_row(self, theta: float) -> np.ndarray:
+        return np.full(self.b.shape[1], self.da(theta), dtype=float)
+
+    def table(self, theta: float) -> np.ndarray:
+        return self.a(theta) * self.b - self.c
 
 
 SeparableValue = AdditiveValue | MultiplicativeValue
@@ -606,19 +639,7 @@ def _check_state(agent: AgentModel, state: ArmState) -> None:
 def value(env: Environment, agent_id: int, state: ArmState) -> float:
     agent = env.agents[agent_id]
     _check_state(agent, state)
-    val = agent.value
-    if isinstance(val, MultiplicativeValue):
-        return val.a(state.theta) * float(val.b[state.e, state.rho]) - float(val.c[state.rho])
-    return val.a(state.theta, state.rho) + float(val.b[state.e, state.rho])
-
-
-def value_theta_derivative(env: Environment, agent_id: int, state: ArmState) -> float:
-    agent = env.agents[agent_id]
-    _check_state(agent, state)
-    val = agent.value
-    if isinstance(val, MultiplicativeValue):
-        return val.da(state.theta) * float(val.b[state.e, state.rho])
-    return val.da(state.theta, state.rho)
+    return float(agent.value.table(state.theta)[state.e, state.rho])
 
 
 def sample_transition(

@@ -23,14 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .environments import (
-    ArmState,
-    DomainError,
-    Environment,
-    MultiplicativeValue,
-    sample_transition,
-    value,
-)
+from .environments import DomainError, Environment, MultiplicativeValue, sample_transition
 from .gittins import (
     HitColumns,
     allocate,
@@ -365,14 +358,6 @@ class MechanismRuntime:
             base = self._bases[id(agent)] = hit_discounts(arm)
         return base
 
-    def build_table(self, agent_id: int, transform: VirtualTransform, theta: float) -> np.ndarray:
-        """Index table at (pegged report, theta), not cached."""
-        scale = self._homogeneous_scale(agent_id, transform, theta)
-        if scale is not None:
-            return scale * self._base(agent_id)[0]
-        arm = compile_arm(self.env, agent_id, transform, theta)
-        return index_of_states(arm, np.arange(arm.n))
-
     def index_flat(self, agent_id: int, transform: VirtualTransform, theta: float) -> np.ndarray:
         """Index table at (pegged report, theta), cached.  A key that is
         not scale-homogeneous takes one ``hit_discounts`` sweep for both
@@ -382,10 +367,11 @@ class MechanismRuntime:
         self._use(key)
         out = self._tables.get(key)
         if out is None:
-            if self._homogeneous_scale(agent_id, transform, theta) is None:
+            scale = self._homogeneous_scale(agent_id, transform, theta)
+            if scale is None:
                 self._sweep_key(key, transform)
             else:
-                self._tables[key] = self.build_table(agent_id, transform, theta)
+                self._tables[key] = scale * self._base(agent_id)[0]
             out = self._tables[key]
         return out
 
@@ -539,10 +525,11 @@ class Transcript:
         out = []
         for i in range(len(self.theta)):
             u = 0.0 - self.entry_fees[i]  # a zero fee gives 0.0, not -0.0
-            for r in self.rounds:
-                if r.winner == i + 1:
-                    v = value(env, i, ArmState(self.theta[i], r.true_e[i], r.rho[i]))
-                    u += self.delta ** (r.t - 1) * (v - r.payment)
+            won = [r for r in self.rounds if r.winner == i + 1]
+            if won:
+                values = env.agents[i].value.table(self.theta[i]).tolist()
+            for r in won:
+                u += self.delta ** (r.t - 1) * (values[r.true_e[i]][r.rho[i]] - r.payment)
             out.append(u)
         return tuple(out)
 
@@ -674,15 +661,13 @@ def _run_rounds(
                     )
                 res.prices[wi] += disc * payment
             if value_cache[wi] is None:
-                value_cache[wi] = _value_flat(env, wi, theta[wi])
+                value_cache[wi] = env.agents[wi].value.table(theta[wi]).reshape(-1)
             x = value_cache[wi][s]
             res.values[wi] += disc * x
             if track_virtual:
                 if virtual_cache[wi] is None:
                     ih = inverse_hazard(env.agents[wi].distribution, theta[wi])
-                    virtual_cache[wi] = _value_flat(env, wi, theta[wi]) - ih * _deriv_flat(
-                        env, wi, theta[wi]
-                    )
+                    virtual_cache[wi] = value_cache[wi] - ih * env.agents[wi].value.slope(theta[wi]).reshape(-1)
                 res.virtual += disc * virtual_cache[wi][s]
         if record_rounds:
             true_e = tuple([x // n for x, n in zip(state, n_rho)])
@@ -728,24 +713,6 @@ def _experience_error(i: int, t: int, e_hat: int, n_e: int) -> DomainError:
     return DomainError(
         f"agent {i} reports experience {e_hat} at round {t}; its private states are 0..{n_e - 1}"
     )
-
-
-def _value_flat(env: Environment, agent_id: int, theta: float) -> np.ndarray:
-    agent = env.agents[agent_id]
-    val = agent.value
-    if isinstance(val, MultiplicativeValue):
-        return (val.a(theta) * val.b - val.c[None, :]).reshape(-1)
-    a_row = np.array([val.a(theta, r) for r in range(agent.public.n)])
-    return (a_row[None, :] + val.b).reshape(-1)
-
-
-def _deriv_flat(env: Environment, agent_id: int, theta: float) -> np.ndarray:
-    agent = env.agents[agent_id]
-    val = agent.value
-    if isinstance(val, MultiplicativeValue):
-        return (val.da(theta) * val.b).reshape(-1)
-    da_row = np.array([val.da(theta, r) for r in range(agent.public.n)])
-    return np.broadcast_to(da_row[None, :], val.b.shape).reshape(-1).copy()
 
 
 @functools.lru_cache(maxsize=64)
@@ -863,10 +830,11 @@ class _Deviator:
     b == level with i below the level's holder, which is ``allocate``'s
     rule; on a win i moves on (unless at an absorbing state, which every
     draw maps back to, or in the last round), and on a loss to a level
-    that is not stuck (``_Levels``) the others' winner does.  Once no change is ahead (the
-    last segment, no override to come), a loss to a stuck level or a win
-    at an absorbing state repeats until the horizon, so the merge adds
-    the later rounds and stops.  A run that moved neither side read only
+    that is not stuck (``_Levels``) the others' winner does (again not in
+    the last round).  Once no change is ahead (the last segment, no
+    override to come), a loss to a stuck level or a win at an absorbing
+    state repeats until the horizon, so the merge adds the later rounds
+    and stops.  A run that moved neither side read only
     the start states, which every path shares: it is kept (``fixed``, as
     is a dormant agent's) and returned for every later path.
 
@@ -908,7 +876,7 @@ class _Deviator:
         if self.transform is None:  # dormant at its period-0 report: never allocated
             self.fixed = _Run(0.0, 0.0, [])
         else:
-            self.values = _value_flat(env, i, self.theta).tolist()
+            self.values = env.agents[i].value.table(self.theta).reshape(-1).tolist()
             self.beta = self.transform.beta.tolist()
             self.changes = self._changes(schedule._replace(overrides=overrides), horizon)
 
@@ -981,7 +949,7 @@ class _Deviator:
                         paths.extend(i)
                     s = traj[n]
                 b = table[s]  # an override round is followed by a change
-            elif m != levels.stuck:
+            elif m != levels.stuck and t < len(discs):  # after the last round nothing reads level m + 1
                 m += 1
             elif not ahead:
                 break  # level m takes this round and, with nothing moving, every later one
@@ -1204,10 +1172,7 @@ class _RentWalk:
         self.n_rho = agent.public.n
         self.absorbing = agent.absorbing
         self.value = agent.value
-        if isinstance(self.value, MultiplicativeValue):
-            self.weights = self.value.b.reshape(-1).tolist()
-        else:
-            self.weights = [1.0] * agent.n_states
+        self.weights = self.value.weights.reshape(-1).tolist()
         self.max_pieces = horizon * (horizon + 1) // 2 + 1
         self.fixed: tuple[float, float, int] | None = None  # every path's result, once one read no draw
         self._draw_free = True  # no merge of the current walk has moved either side
@@ -1220,16 +1185,6 @@ class _RentWalk:
             # Brent's smallest step is xtol / 2, which must move z
             self.xtol = max(self.tol, 2.0 * math.ulp(self.hi))
             self.tables = {self.hi: runtime.index_flat(i, transforms[i], self.hi).tolist()}
-
-    def _a(self, z: float) -> np.ndarray:
-        if isinstance(self.value, MultiplicativeValue):
-            return np.full(self.n_rho, self.value.a(z))
-        return np.array([self.value.a(z, r) for r in range(self.n_rho)])
-
-    def _da(self, z: float) -> np.ndarray:
-        if isinstance(self.value, MultiplicativeValue):
-            return np.full(self.n_rho, self.value.da(z))
-        return np.array([self.value.da(z, r) for r in range(self.n_rho)])
 
     def _scale(self, z: float) -> float:
         return _scale_at(z, self.env, self.i)
@@ -1274,7 +1229,7 @@ class _RentWalk:
                         paths.extend(i)
                     s = traj[n]
                     b = table[s]
-            elif m != levels.stuck:
+            elif m != levels.stuck and t < len(discs):  # after the last round nothing reads level m + 1
                 m += 1
             else:
                 break  # level m takes this round and, with nothing moving, every later one
@@ -1326,7 +1281,7 @@ class _RentWalk:
             piece = self._merge(paths, levels, self.base, scale)
             sums = np.array(piece.sums)
             if above is not None:
-                err += above[2] * abs(float((above[0] - sums) @ self._da(above[1])))
+                err += above[2] * abs(float((above[0] - sums) @ self.value.da_row(above[1])))
             if not piece.times:
                 return total, err, pieces
             crit = piece.crit
@@ -1336,7 +1291,7 @@ class _RentWalk:
                     f"fee walk for agent {self.i} did not descend: scale {scale!r} -> "
                     f"{crit!r}, z {z_top!r} -> {z_bot!r}"
                 )
-            total += float(sums @ (self._a(z_top) - self._a(z_bot)))
+            total += float(sums @ (self.value.a_row(z_top) - self.value.a_row(z_bot)))
             if z_bot <= self.lo:
                 return total, err, pieces
             above = (sums, z_bot, width)
@@ -1346,8 +1301,8 @@ class _RentWalk:
     def _table(self, z: float) -> list:
         table = self.tables.get(z)
         if table is None:
-            tr = transform_or_dormant(self.env, self.i, z)
-            table = self.runtime.build_table(self.i, tr, z).tolist()
+            arm = compile_arm(self.env, self.i, transform_or_dormant(self.env, self.i, z), z)
+            table = index_of_states(arm, np.arange(arm.n)).tolist()
             if len(self.tables) < _PROBE_TABLES:
                 self.tables[z] = table
         return table
@@ -1383,7 +1338,7 @@ class _RentWalk:
             pieces += 1
             if f_lo > 0.0:  # the piece reaches the threshold
                 self._reproduces(top, self.lo, paths, levels)
-                total += float(sums @ (self._a(c_top) - self._a(self.lo)))
+                total += float(sums @ (self.value.a_row(c_top) - self.value.a_row(self.lo)))
                 return total, err, pieces + 1
             evals = [0]
 
@@ -1399,8 +1354,8 @@ class _RentWalk:
             self._reproduces(top, b, paths, levels)
             pieces += evals[0] + 2
             c = 0.5 * (a + b)
-            total += float(sums @ (self._a(c_top) - self._a(c)))
-            err += abs(float((sums - np.array(below.sums)) @ (self._a(b) - self._a(a))))
+            total += float(sums @ (self.value.a_row(c_top) - self.value.a_row(c)))
+            err += abs(float((sums - np.array(below.sums)) @ (self.value.a_row(b) - self.value.a_row(a))))
             top, z_top, c_top = below, a, c
         raise self._too_many_pieces()
 
@@ -1502,7 +1457,6 @@ def run_episode(
     theta=None,
     runtime: MechanismRuntime | None = None,
     fee_mode: str = "full",
-    entry_fees=None,
     fee_rollouts: int = 2000,
     monitored: bool = False,
     tail_eps: float = 1e-4,
@@ -1510,10 +1464,10 @@ def run_episode(
     """Execute one full episode of the mechanism.
 
     fee_mode: "full" estimates period-0 charges with the fee machinery,
-    "skip" records zero fees (for audits that difference them out);
-    explicit ``entry_fees`` override both.  ``monitored`` replaces the
-    reported private experience with the true one inside allocation and
-    pricing (the complete-monitoring counterfactual).
+    "skip" records zero fees (for audits that difference them out).
+    ``monitored`` replaces the reported private experience with the true
+    one inside allocation and pricing (the complete-monitoring
+    counterfactual).
     """
     runtime = runtime or MechanismRuntime(env)
     if horizon is None:
@@ -1530,11 +1484,7 @@ def run_episode(
     ]
     transforms = _active_transforms(env, runtime, theta_hat0)
     dormant = tuple(i not in transforms for i in range(env.k))
-    if entry_fees is not None:
-        fees = tuple(float(f) for f in entry_fees)
-        fee_se = tuple(0.0 for _ in fees)
-        fee_tag = "provided"
-    elif fee_mode == "skip":
+    if fee_mode == "skip":
         fees = tuple(0.0 for _ in range(env.k))
         fee_se = fees
         fee_tag = "skipped"

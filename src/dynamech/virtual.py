@@ -15,26 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environments import (
-    AdditiveValue,
-    ArmState,
-    DomainError,
-    Environment,
-    MultiplicativeValue,
-    TypeDistribution,
-    value,
-    value_theta_derivative,
-)
+from .environments import DomainError, Environment, MultiplicativeValue, TypeDistribution
 
 __all__ = [
     "VirtualTransform",
     "inverse_hazard",
-    "virtual_value",
     "affine_coefficients",
     "multiplicative_alpha",
     "transform_or_dormant",
     "dormancy_threshold",
-    "xi",
     "xi_table",
 ]
 
@@ -66,11 +55,6 @@ def inverse_hazard(dist: TypeDistribution, theta: float) -> float:
     return survival / density
 
 
-def virtual_value(env: Environment, agent_id: int, state: ArmState) -> float:
-    ih = inverse_hazard(env.agents[agent_id].distribution, state.theta)
-    return value(env, agent_id, state) - ih * value_theta_derivative(env, agent_id, state)
-
-
 def affine_coefficients(env: Environment, agent_id: int, report: float) -> VirtualTransform:
     """(alpha, beta) evaluated at the pegged report.
 
@@ -94,8 +78,7 @@ def _affine(agent, report: float) -> VirtualTransform | None:
         if alpha is None:
             return None
         return VirtualTransform(alpha=alpha, beta=(alpha - 1.0) * val.c, pegged_report=report)
-    ih = inverse_hazard(agent.distribution, report)
-    beta = np.array([-ih * val.da(report, rho) for rho in range(agent.public.n)])
+    beta = -inverse_hazard(agent.distribution, report) * val.da_row(report)
     return VirtualTransform(alpha=1.0, beta=beta, pegged_report=report)
 
 
@@ -159,18 +142,6 @@ def dormancy_threshold(env: Environment, agent_id: int, tol: float = 1e-12) -> f
     return hi
 
 
-def xi(transform: VirtualTransform, env: Environment, agent_id: int, state: ArmState) -> float:
-    """Transformed per-step reward alpha * v(state) + beta[rho]."""
-    return transform.alpha * value(env, agent_id, state) + float(transform.beta[state.rho])
-
-
 def xi_table(transform: VirtualTransform, env: Environment, agent_id: int, theta: float) -> np.ndarray:
     """xi over all (e, rho) cells for a fixed theta, shape (n_e, n_rho)."""
-    agent = env.agents[agent_id]
-    val = agent.value
-    if isinstance(val, MultiplicativeValue):
-        v = val.a(theta) * val.b - val.c[None, :]
-    else:
-        a_row = np.array([val.a(theta, rho) for rho in range(agent.public.n)])
-        v = a_row[None, :] + val.b
-    return transform.alpha * v + transform.beta[None, :]
+    return transform.alpha * env.agents[agent_id].value.table(theta) + transform.beta

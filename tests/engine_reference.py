@@ -26,7 +26,7 @@ import numpy as np
 
 from dynamech import mechanism as mech
 from dynamech.environments import sample_transition
-from dynamech.gittins import allocate
+from dynamech.gittins import allocate, compile_arm, index_of_states
 from dynamech.rng import ExperienceStreams
 from dynamech.virtual import dormancy_threshold, inverse_hazard, transform_or_dormant
 
@@ -87,11 +87,12 @@ def reference_run_rounds(
             if track_prices:
                 payment = mech.per_round_price(env, transforms, theta_hats, e_used, rho, wi, runtime)
                 res.prices[wi] += disc * payment
-            res.values[wi] += disc * mech._value_flat(env, wi, theta[wi])[s]
+            val = agents[wi].value
+            res.values[wi] += disc * val.table(theta[wi]).reshape(-1)[s]
             if track_virtual:
                 ih = inverse_hazard(agents[wi].distribution, theta[wi])
-                virtual = mech._value_flat(env, wi, theta[wi]) - ih * mech._deriv_flat(env, wi, theta[wi])
-                res.virtual += disc * virtual[s]
+                virtual = val.table(theta[wi]) - ih * val.slope(theta[wi])
+                res.virtual += disc * virtual.reshape(-1)[s]
         if record_rounds:
             res.rounds.append(
                 mech.RoundRecord(
@@ -189,14 +190,14 @@ class ReplayRentWalk(mech._RentWalk):
             probe = self._replay(z_top, self.base, scale, streams_of())
             sums = np.array(probe.sums)
             if above is not None:
-                err += above[2] * abs(float((above[0] - sums) @ self._da(above[1])))
+                err += above[2] * abs(float((above[0] - sums) @ self.value.da_row(above[1])))
             if not probe.times:
                 return total, err, replays
             crit = probe.crit
             z_bot, width = self._z_at_scale(crit, z_top)
             if not (crit < scale and z_bot <= z_top):
                 raise RuntimeError("fee walk did not descend")
-            total += float(sums @ (self._a(z_top) - self._a(z_bot)))
+            total += float(sums @ (self.value.a_row(z_top) - self.value.a_row(z_bot)))
             if z_bot <= self.lo:
                 return total, err, replays
             above = (sums, z_bot, width)
@@ -206,8 +207,8 @@ class ReplayRentWalk(mech._RentWalk):
     def _probe_table(self, z):
         table = self.probe_tables.get(z)
         if table is None:
-            tr = transform_or_dormant(self.env, self.i, z)
-            table = self.probe_tables[z] = self.runtime.build_table(self.i, tr, z).tolist()
+            arm = compile_arm(self.env, self.i, transform_or_dormant(self.env, self.i, z), z)
+            table = self.probe_tables[z] = index_of_states(arm, np.arange(arm.n)).tolist()
         return table
 
     def _probe_at(self, z, streams):
@@ -232,7 +233,7 @@ class ReplayRentWalk(mech._RentWalk):
             if f_lo > 0.0:
                 if self._probe_at(self.lo, streams_of()).times != top.times:
                     raise RuntimeError("the replay at the threshold left the piece")
-                total += float(sums @ (self._a(c_top) - self._a(self.lo)))
+                total += float(sums @ (self.value.a_row(c_top) - self.value.a_row(self.lo)))
                 return total, err, count + 1
             evals = []
             x, fx, y, _ = mech._brent_steps(
@@ -246,8 +247,8 @@ class ReplayRentWalk(mech._RentWalk):
             if self._probe_at(b, streams_of()).times != top.times:
                 raise RuntimeError("the replay at the bracket's top left the piece")
             c = 0.5 * (a + b)
-            total += float(sums @ (self._a(c_top) - self._a(c)))
-            err += abs(float((sums - np.array(below.sums)) @ (self._a(b) - self._a(a))))
+            total += float(sums @ (self.value.a_row(c_top) - self.value.a_row(c)))
+            err += abs(float((sums - np.array(below.sums)) @ (self.value.a_row(b) - self.value.a_row(a))))
             top, z_top, c_top = below, a, c
         raise self._too_many_pieces()
 
@@ -279,7 +280,7 @@ class BisectRentWalk(mech._RentWalk):
                 merges += 1
             sums = np.array(top.sums)
             if bottom.times == top.times:
-                total += float(sums @ (self._a(c_top) - self._a(self.lo)))
+                total += float(sums @ (self.value.a_row(c_top) - self.value.a_row(self.lo)))
                 return total, err, merges
             a, b, below = self.lo, z_top, bottom
             while b - a > self.tol:
@@ -291,8 +292,8 @@ class BisectRentWalk(mech._RentWalk):
                 else:
                     a, below = mid, piece
             c = 0.5 * (a + b)
-            total += float(sums @ (self._a(c_top) - self._a(c)))
-            err += abs(float((sums - np.array(below.sums)) @ (self._a(b) - self._a(a))))
+            total += float(sums @ (self.value.a_row(c_top) - self.value.a_row(c)))
+            err += abs(float((sums - np.array(below.sums)) @ (self.value.a_row(b) - self.value.a_row(a))))
             top, z_top, c_top = below, a, c
         raise self._too_many_pieces()
 

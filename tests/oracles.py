@@ -17,6 +17,11 @@ command and no benchmark workload calls any of them.
   finite-difference check of a value's theta-derivative, and the
   per-entry loop that built an agent's flat transition matrix before
   ``AgentModel.transition`` built it vectorised.
+- Per-state values: dv/dtheta, the virtual value v - [(1-F)/f] dv/dtheta
+  and the transformed reward alpha * v + beta[rho] of one arm state,
+  each spelled out per value form; the library reads whole tables
+  (``AdditiveValue.table``/``slope``, ``MultiplicativeValue``'s, and
+  ``virtual.xi_table``).
 - ``alloc_times``: an agent's allocation times read off a
   ``_run_rounds`` result's winners.
 """
@@ -33,7 +38,7 @@ import scipy.sparse.linalg as spla
 
 from dynamech import environments as envs
 from dynamech import gittins
-from dynamech.environments import AgentModel, ArmState, DomainError, Environment
+from dynamech.environments import AgentModel, ArmState, DomainError, Environment, MultiplicativeValue
 from dynamech.gittins import CompiledArm, compile_arm, compile_reward_arm, joint_optimal_value
 from dynamech.mechanism import (
     Estimate,
@@ -43,7 +48,7 @@ from dynamech.mechanism import (
     _mean_se,
     fee_quadrature,
 )
-from dynamech.virtual import VirtualTransform, xi_table
+from dynamech.virtual import VirtualTransform, inverse_hazard, xi_table
 
 # ---------------------------------------------------------------------------
 # Index oracles
@@ -438,7 +443,7 @@ def check_derivative(
             envs.value(env, agent_id, ArmState(hi, s.e, s.rho))
             - envs.value(env, agent_id, ArmState(lo, s.e, s.rho))
         ) / (hi - lo)
-        worst = max(worst, abs(fd - envs.value_theta_derivative(env, agent_id, s)))
+        worst = max(worst, abs(fd - value_theta_derivative(env, agent_id, s)))
     return worst
 
 
@@ -465,3 +470,30 @@ def loop_transition(agent: AgentModel) -> sp.csr_matrix:
 def alloc_times(res, agent_id: int) -> list[int]:
     """Rounds (from 1) at which ``agent_id`` won in a ``_run_rounds`` result."""
     return [t for t, w in enumerate(res.winners, 1) if w == agent_id + 1]
+
+
+# ---------------------------------------------------------------------------
+# Per-state values
+# ---------------------------------------------------------------------------
+
+
+def value_theta_derivative(env: Environment, agent_id: int, state: ArmState) -> float:
+    """dv/dtheta at one arm state: A'(theta) B[e, rho] for a
+    multiplicative value, A'(theta, rho) for an additive one."""
+    agent = env.agents[agent_id]
+    envs._check_state(agent, state)
+    val = agent.value
+    if isinstance(val, MultiplicativeValue):
+        return val.da(state.theta) * float(val.b[state.e, state.rho])
+    return val.da(state.theta, state.rho)
+
+
+def virtual_value(env: Environment, agent_id: int, state: ArmState) -> float:
+    """v - [(1-F)/f] * dv/dtheta at one arm state."""
+    ih = inverse_hazard(env.agents[agent_id].distribution, state.theta)
+    return envs.value(env, agent_id, state) - ih * value_theta_derivative(env, agent_id, state)
+
+
+def xi(transform: VirtualTransform, env: Environment, agent_id: int, state: ArmState) -> float:
+    """Transformed per-step reward alpha * v(state) + beta[rho]."""
+    return transform.alpha * envs.value(env, agent_id, state) + float(transform.beta[state.rho])

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,6 @@ from dynamech.config import (
     config_hash,
     parse_config,
     parse_config_text,
-    serialize_config,
 )
 
 REPO = Path(__file__).resolve().parents[1]
@@ -66,6 +66,11 @@ def test_parse_rejects_unknown_keys_by_name():
 def test_parse_rejects_unknown_environment():
     with pytest.raises(ConfigError, match="lemonade_stand"):
         parse_config_text('{"environment": {"name": "lemonade_stand"}, "delta": 0.5}')
+
+
+def serialize_config(cfg: RunConfig) -> str:
+    """The config as indented JSON, for the round-trip test."""
+    return json.dumps(asdict(cfg), sort_keys=True, indent=2) + "\n"
 
 
 def test_config_round_trip():
@@ -310,34 +315,67 @@ def test_no_cli_command_loads_scipy(tmp_path):
 
 
 
-def _scipy_imports(tree: ast.AST, scope: tuple[str, ...] = ()):
-    """(scope, module) for each scipy import under ``tree``, scope being
-    the names of the enclosing classes and functions."""
+def _scoped(tree: ast.AST, scope: tuple[str, ...] = ()):
+    """(scope, node) for each node under ``tree`` that is not a class or
+    function, scope being the names of the enclosing classes and
+    functions."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _scipy_imports(node, scope + (node.name,))
-            continue
+            yield from _scoped(node, scope + (node.name,))
+        else:
+            yield scope, node
+            yield from _scoped(node, scope)
+
+
+def _src_modules():
+    return [(path.name, ast.parse(path.read_text())) for path in sorted((REPO / "src" / "dynamech").glob("*.py"))]
+
+
+def _scipy_imports(tree: ast.AST):
+    """(scope, module) for each scipy import under ``tree``."""
+    for scope, node in _scoped(tree):
         if isinstance(node, ast.Import):
             modules = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             modules = [node.module or ""]
         else:
-            yield from _scipy_imports(node, scope)
             continue
         yield from ((scope, m) for m in modules if m == "scipy" or m.startswith("scipy."))
 
 
 def test_the_only_scipy_import_in_src_is_compiled_arm_transition():
-    found = [
-        (path.name, *scope, module)
-        for path in sorted((REPO / "src" / "dynamech").glob("*.py"))
-        for scope, module in _scipy_imports(ast.parse(path.read_text()))
-    ]
+    found = [(name, *scope, module) for name, tree in _src_modules() for scope, module in _scipy_imports(tree)]
     assert found == [("gittins.py", "CompiledArm", "transition", "scipy.sparse")]
 
 
-def _finite_chain_config(params: dict, **extra) -> str:
-    cfg = {"environment": {"name": "finite_chain", "params": params}, "delta": 0.5}
+def _form_checks(tree: ast.AST):
+    """The scope of each ``isinstance`` check against a value form class
+    under ``tree``."""
+    forms = {"AdditiveValue", "MultiplicativeValue"}
+    for scope, node in _scoped(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if any(getattr(kind, "id", getattr(kind, "attr", None)) in forms for kind in kinds):
+                yield scope
+
+
+def test_value_form_branches_only_where_the_mathematics_differs():
+    # every reader of v, dv/dtheta, A or A' goes through the value classes
+    # (``table``, ``slope``, ``a_row``, ``da_row``, ``weights``); a branch on
+    # the form is left only in the checks and the transform, whose formulas
+    # differ by form
+    found = sorted((name, ".".join(scope)) for name, tree in _src_modules() for scope in _form_checks(tree))
+    assert found == [
+        ("environments.py", "AgentModel.__post_init__"),
+        ("environments.py", "_check_values"),
+        ("environments.py", "_value_bound"),
+        ("mechanism.py", "MechanismRuntime.__init__"),
+        ("virtual.py", "_affine"),
+    ]
+
+
+def _config(environment: dict, **extra) -> str:
+    cfg = {"environment": environment, "delta": 0.5}
     cfg.update(extra)
     return json.dumps(cfg)
 
@@ -348,26 +386,66 @@ _VALUE = {"variant": "multiplicative", "b": [[1.0]], "c": [0.0]}
 _POSTED_PARAMS = {"g": [[1.0]], "h": [[1.0]], "value": _VALUE}
 
 
-# a negative seed would reach numpy's SeedSequence, which refuses it with a traceback
+def _chain(params: dict) -> dict:
+    return {"name": "finite_chain", "params": params}
+
+
+def _sponsored(**changes) -> dict:
+    """``sponsored_search_2.cfg``'s environment at cap 2, with ``changes``."""
+    params = {"k": 2, "theta_bar": 1.0, "click_prior": [1, 1], "purchase_prior": [1, 1], "cap": 2}
+    return {"name": "sponsored_search", "params": {**params, **changes}}
+
+
+def _ar1(**changes) -> dict:
+    """``ar1_additive.cfg``'s environment, with ``changes``."""
+    params = {"k": 2, "coeff": 0.5, "shock": [[0.2]], "grid_step": 0.1, "alloc_cap": 6}
+    return {"name": "ar1", "params": {**params, **changes}}
+
+
+_RATE = {"name": "capped_exponential", "rate": 0}
+
+
+# a negative seed would reach numpy's SeedSequence, which refuses it with a
+# traceback; the parameter rows raised ZeroDivisionError, IndexError or a
+# math domain error, or ran with a count or type bound rounded or ignored
 @pytest.mark.parametrize(
-    "params, extra, argv, message",
+    "environment, extra, argv, message",
     [
-        ({"g": [[0.5]], "h": [[1.0]], "value": _VALUE}, {}, ["simulate"], "sums to"),
-        ({"g": [[1.0]], "h": [[1.0]]}, {}, ["simulate"], "missing required key 'value'"),
-        (_POSTED_PARAMS, {"master_seed": -1}, ["simulate"], "master_seed must be a non-negative integer"),
-        (_POSTED_PARAMS, {"master_seed": -1}, ["bound"], "master_seed must be a non-negative integer"),
-        (_POSTED_PARAMS, {}, ["--seed", "-1", "simulate"], "--seed must be a non-negative integer"),
-        (_POSTED_PARAMS, {}, ["--seed", "-1", "bound"], "--seed must be a non-negative integer"),
-        (_POSTED_PARAMS, {}, ["--seed", "-3", "audit", "--suite", "ic"], "--seed must be a non-negative integer"),
+        (_chain({"g": [[0.5]], "h": [[1.0]], "value": _VALUE}), {}, ["simulate"], "sums to"),
+        (_chain({"g": [[1.0]], "h": [[1.0]]}), {}, ["simulate"], "missing required key 'value'"),
+        (_chain(_POSTED_PARAMS), {"master_seed": -1}, ["simulate"], "master_seed must be a non-negative integer"),
+        (_chain(_POSTED_PARAMS), {"master_seed": -1}, ["bound"], "master_seed must be a non-negative integer"),
+        (_chain(_POSTED_PARAMS), {}, ["--seed", "-1", "simulate"], "--seed must be a non-negative integer"),
+        (_chain(_POSTED_PARAMS), {}, ["--seed", "-1", "bound"], "--seed must be a non-negative integer"),
+        (_chain(_POSTED_PARAMS), {}, ["--seed", "-3", "audit", "--suite", "ic"], "--seed must be a non-negative integer"),
+        (_sponsored(k=1.5), {}, ["simulate"], "k must be an integer >= 1, got 1.5"),
+        (_sponsored(k=True), {}, ["simulate"], "k must be an integer >= 1, got True"),
+        (_sponsored(cap=2.5), {}, ["simulate"], "cap must be an integer >= 0, got 2.5"),
+        (_sponsored(cap=-2), {}, ["simulate"], "cap must be an integer >= 0, got -2"),
+        (_sponsored(theta_bar=-1), {}, ["simulate"], "theta_bar must be a positive finite number, got -1"),
+        (_sponsored(theta_bar=0), {}, ["validate-env"], "theta_bar must be a positive finite number, got 0"),
+        (_sponsored(theta_bar=1e308), {}, ["simulate"], "tail scale k * v_max / (1 - delta) overflows"),
+        (_sponsored(click_prior=[0, 0]), {}, ["simulate"], "click_prior[0] must be a positive finite number"),
+        (_sponsored(click_prior=[1]), {}, ["simulate"], "click_prior must be a pair of positive numbers"),
+        (_chain({**_POSTED_PARAMS, "value": {**_VALUE, "b": [[1e308]]}}), {}, ["simulate"], "tail scale"),
+        (_chain({**_POSTED_PARAMS, "value": {**_VALUE, "b": [1.0]}}), {}, ["simulate"], "value.b must be a non-empty 2-d table"),
+        (_chain({**_POSTED_PARAMS, "distribution": _RATE}), {}, ["simulate"], "distribution.rate must be"),
+        (_chain({**_POSTED_PARAMS, "distribution": {**_RATE, "rate": -1}}), {}, ["simulate"], "distribution.rate"),
+        (_ar1(grid_step=0), {}, ["simulate"], "grid_step must be a positive finite number, got 0"),
+        (_ar1(alloc_cap=2.5), {}, ["simulate"], "alloc_cap must be an integer >= 0, got 2.5"),
+        (_ar1(shock=[]), {}, ["simulate"], "shock must be a non-empty table of finite numbers"),
     ],
     ids=[
         "row-sum", "missing-value", "config-seed-simulate", "config-seed-bound",
         "flag-seed-simulate", "flag-seed-bound", "flag-seed-audit",
+        "k-float", "k-bool", "cap-float", "cap-negative", "theta_bar-negative", "theta_bar-zero",
+        "theta_bar-overflow", "prior-zero", "prior-short", "b-overflow", "b-1d", "rate-zero",
+        "rate-negative", "grid_step-zero", "alloc_cap-float", "shock-empty",
     ],
 )
-def test_cli_environment_errors_exit_2(tmp_path, capsys, params, extra, argv, message):
+def test_cli_environment_errors_exit_2(tmp_path, capsys, environment, extra, argv, message):
     bad = tmp_path / "bad.cfg"
-    bad.write_text(_finite_chain_config(params, **extra))
+    bad.write_text(_config(environment, **extra))
     assert main(["--config", str(bad), "--out", str(tmp_path), *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
@@ -378,7 +456,7 @@ def test_cli_environment_errors_exit_2(tmp_path, capsys, params, extra, argv, me
 @pytest.mark.parametrize("count", [True, 2.5])
 def test_cli_rejects_non_integer_count(tmp_path, capsys, count):
     bad = tmp_path / "bad.cfg"
-    bad.write_text(_finite_chain_config(_POSTED_PARAMS, audit_paths=count))
+    bad.write_text(_config(_chain(_POSTED_PARAMS), audit_paths=count))
     assert main(["--config", str(bad), "--out", str(tmp_path), "audit"]) == 2
     assert "audit_paths must be a positive integer" in capsys.readouterr().err
 

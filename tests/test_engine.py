@@ -241,10 +241,10 @@ def test_table_walk_fails_loudly_on_a_table_that_rises_as_z_falls(monkeypatch, r
     mask = np.ones(env.agents[0].n_states)
     if raised != "every state":
         mask[top.states] = 0.0
-    build = mech.MechanismRuntime.build_table
+    table = mech._RentWalk._table
     monkeypatch.setattr(
-        mech.MechanismRuntime, "build_table",
-        lambda self, j, tr, z: build(self, j, tr, z) + 10.0 * (z < probe.hi) * mask,
+        mech._RentWalk, "_table",
+        lambda self, z: (np.array(table(self, z)) + 10.0 * (z < probe.hi) * mask).tolist(),
     )
     walk = mech._RentWalk(*args)  # no tables cached before the patch
     check = "the threshold" if raised == "every state" else "the bracket's top"
@@ -749,6 +749,31 @@ def test_kept_runs_equal_a_fresh_run_per_path(world):
                     data.error.tolist(), data.pieces.tolist())
             )
             assert got == _fresh_fee_paths(env, theta, i, 12, 5, horizon)
+
+
+def test_horizon_one_losing_runs_are_kept():
+    # at horizon 1 a run that loses round 1 reads level 0 alone, and so
+    # does a rent walk whose last merge loses: agent 1's truthful run (it
+    # loses to agent 0) and both agents' walks are kept after one path,
+    # and every path gives the bits of a fresh runtime on that path
+    env = envs.sponsored_search(k=2, cap=2, delta=0.8)
+    theta = [0.9, 0.7]
+
+    def run_and_walk(rt, i):
+        transforms = mech._active_transforms(env, rt, theta)
+        run = mech._Deviator(env, rt, transforms, theta, i, mech.Truthful(), 1)
+        return run, mech._RentWalk(env, rt, transforms, theta, i, rt.threshold(i), 1)
+
+    rt = mech.MechanismRuntime(env)
+    for i in range(2):
+        run, walk = run_and_walk(rt, i)
+        for j in range(4):
+            streams = ExperienceStreams(5, j, "kept")
+            got = (run.run(streams), walk.integrate(streams))
+            assert run.fixed is not None and walk.fixed is not None
+            fresh_run, fresh_walk = run_and_walk(mech.MechanismRuntime(env), i)
+            assert repr(got) == repr((fresh_run.run(streams), fresh_walk.integrate(streams)))
+        assert (run.fixed.times == []) == (i == 1)
 
 
 def test_posted_arm_merges_once_per_deviator(monkeypatch):

@@ -7,7 +7,7 @@ from dynamech import environments as envs
 from dynamech.environments import ArmState, DomainError
 from dynamech.rng import substream
 
-from oracles import check_derivative, step_experience
+from oracles import check_derivative, step_experience, value_theta_derivative
 
 
 def test_value_multiplicative_direct_product():
@@ -16,14 +16,14 @@ def test_value_multiplicative_direct_product():
     )
     env = envs.finite_chain(0.9, g=[[1.0]], h=[[1.0]], value=val)
     assert envs.value(env, 0, ArmState(0.5, 0, 0)) == pytest.approx(0.2, abs=1e-15)
-    assert envs.value_theta_derivative(env, 0, ArmState(0.7, 0, 0)) == pytest.approx(0.4)
+    assert value_theta_derivative(env, 0, ArmState(0.7, 0, 0)) == pytest.approx(0.4)
 
 
 def test_value_additive_identity():
     val = envs.AdditiveValue(a=lambda t, r: t, da=lambda t, r: 1.0, b=np.zeros((1, 1)))
     env = envs.finite_chain(0.9, g=[[1.0]], h=[[1.0]], value=val)
     assert envs.value(env, 0, ArmState(0.3, 0, 0)) == pytest.approx(0.3)
-    assert envs.value_theta_derivative(env, 0, ArmState(0.3, 0, 0)) == 1.0
+    assert value_theta_derivative(env, 0, ArmState(0.3, 0, 0)) == 1.0
 
 
 def test_sponsored_search_value_is_product_of_posterior_means():
@@ -58,7 +58,7 @@ def test_derivative_matches_central_difference_sqrt():
         envs.value(env, 0, ArmState(0.25 + h, 0, 0))
         - envs.value(env, 0, ArmState(0.25 - h, 0, 0))
     ) / (2 * h)
-    analytic = envs.value_theta_derivative(env, 0, state)
+    analytic = value_theta_derivative(env, 0, state)
     assert analytic == pytest.approx(1.0, abs=1e-9)
     assert abs(fd - analytic) < 1e-6
     assert check_derivative(env, 0, [state]) < 1e-6
@@ -202,7 +202,7 @@ def test_ar1_deterministic_shock_recursion():
     for n in range(5):
         expect = a**n * 0.8 + c * (1 - a**n) / (1 - a)
         assert envs.value(env, 0, state) == pytest.approx(expect, abs=1e-9)
-        assert envs.value_theta_derivative(env, 0, state) == pytest.approx(a**n)
+        assert value_theta_derivative(env, 0, state) == pytest.approx(a**n)
         state = step_experience(env, 0, state, gen)
 
 

@@ -133,7 +133,7 @@ def test_fee_walk_matches_dense_midpoint_sum(sponsored_small, sponsored_small_ru
                 mech.ExperienceStreams(seed, j, "fee"), horizon, track_prices=False,
                 record_rounds=True,
             )
-            deriv = mech._deriv_flat(env, i, th[i])
+            deriv = env.agents[i].value.slope(th[i]).reshape(-1)
             derivs.append(
                 sum(
                     env.delta ** (r.t - 1) * deriv[r.true_e[i] * n_rho + r.rho[i]]
@@ -182,7 +182,7 @@ def test_table_walk_builds_few_tables_per_breakpoint(monkeypatch):
         parse_config_text(json.dumps({"environment": {"name": "ar1", "params": params}, "delta": 0.8}))
     )
     builds, per_breakpoint = [0], []
-    build, steps = mech.MechanismRuntime.build_table, mech._brent_steps
+    build, steps = mech.index_of_states, mech._brent_steps
 
     def counted_build(*a):
         builds[0] += 1
@@ -194,7 +194,7 @@ def test_table_walk_builds_few_tables_per_breakpoint(monkeypatch):
         per_breakpoint.append(builds[0] - before)
         return out
 
-    monkeypatch.setattr(mech.MechanismRuntime, "build_table", counted_build)
+    monkeypatch.setattr(mech, "index_of_states", counted_build)  # the walk's tables at z alone call it
     monkeypatch.setattr(mech, "_brent_steps", counted_steps)
     for seed in range(400, 416):
         ver.audit_revenue_bound(env, episodes=2, seeds=(seed,))
@@ -304,7 +304,7 @@ def test_index_tables_replay_no_hit_column(monkeypatch):
     rt = mech.MechanismRuntime(env)
     tr = rt.transform(0, 0.9)
     assert rt.index_flat(0, tr, 0.8).max() > 0.0
-    assert rt.build_table(0, rt.transform(0, 0.7), 0.6).max() > 0.0
+    assert rt.index_flat(0, rt.transform(0, 0.7), 0.6).max() > 0.0
     assert rt.index_flat(1, rt.transform(1, 0.9), 0.9).max() > 0.0
     assert sweeps == [36] and replays == []
     assert rt.w_minus([(0, tr, 0.8)], [3]) > 0.0
@@ -323,7 +323,9 @@ def test_additive_key_is_swept_once_for_index_and_prices(monkeypatch):
     assert {r.winner for r in tr.rounds} >= {1, 2}  # both agents win, so each prices the other
     assert sweeps == [35, 35] and replays
     del replays[:]
-    rt.build_table(0, rt.transform(0, 0.9), 0.85)
+    theta = [0.9, 0.8]
+    walk = mech._RentWalk(env, rt, mech._active_transforms(env, rt, theta), theta, 0, rt.threshold(0), 10)
+    walk._table(0.85)
     assert sweeps == [35, 35, 35] and replays == []
 
 

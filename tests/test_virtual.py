@@ -9,6 +9,8 @@ from dynamech import environments as envs
 from dynamech import virtual
 from dynamech.environments import ArmState, DomainError
 
+from oracles import virtual_value, xi
+
 
 def _mult_env(dist=None, b=None, c=None, a=None, da=None, delta=0.5, k=1):
     b = np.ones((1, 1)) if b is None else np.asarray(b, dtype=float)
@@ -44,18 +46,18 @@ def test_inverse_hazard_vanishing_interior_density_rejected():
 
 def test_virtual_value_uniform_is_myerson_transform():
     env = _mult_env()
-    assert virtual.virtual_value(env, 0, ArmState(0.75, 0, 0)) == pytest.approx(0.5)
+    assert virtual_value(env, 0, ArmState(0.75, 0, 0)) == pytest.approx(0.5)
 
 
 def test_virtual_value_additive_shifts_by_b():
     val = envs.AdditiveValue(a=lambda t, r: t, da=lambda t, r: 1.0, b=np.array([[0.3]]))
     env = envs.finite_chain(0.5, g=[[1.0]], h=[[1.0]], value=val)
-    assert virtual.virtual_value(env, 0, ArmState(0.6, 0, 0)) == pytest.approx(0.2 + 0.3)
+    assert virtual_value(env, 0, ArmState(0.6, 0, 0)) == pytest.approx(0.2 + 0.3)
 
 
 def test_virtual_value_triangular():
     env = _mult_env(dist=envs.power_type(1.0, p=2.0))
-    assert virtual.virtual_value(env, 0, ArmState(0.5, 0, 0)) == pytest.approx(-0.25)
+    assert virtual_value(env, 0, ArmState(0.5, 0, 0)) == pytest.approx(-0.25)
 
 
 def test_affine_multiplicative_uniform():
@@ -66,7 +68,7 @@ def test_affine_multiplicative_uniform():
     assert tr.alpha == pytest.approx(2.0 / 3.0)
     assert np.allclose(tr.beta, 0.0)
     s = ArmState(0.75, 0, 0)
-    assert virtual.xi(tr, env, 0, s) == pytest.approx(virtual.virtual_value(env, 0, s), abs=1e-12)
+    assert xi(tr, env, 0, s) == pytest.approx(virtual_value(env, 0, s), abs=1e-12)
 
 
 def test_affine_additive_is_unit_slope():
@@ -97,11 +99,11 @@ def test_xi_identity_and_degenerate():
     env = _mult_env()
     ident = virtual.VirtualTransform(alpha=1.0, beta=np.zeros(1), pegged_report=1.0)
     s = ArmState(0.6, 0, 0)
-    assert virtual.xi(ident, env, 0, s) == envs.value(env, 0, s)
+    assert xi(ident, env, 0, s) == envs.value(env, 0, s)
     scaled = virtual.VirtualTransform(alpha=2.0 / 3.0, beta=np.zeros(1), pegged_report=0.75)
-    assert virtual.xi(scaled, env, 0, ArmState(0.75, 0, 0)) == pytest.approx(0.5)
+    assert xi(scaled, env, 0, ArmState(0.75, 0, 0)) == pytest.approx(0.5)
     degenerate = virtual.VirtualTransform(alpha=0.0, beta=np.array([-0.3]), pegged_report=0.5)
-    assert virtual.xi(degenerate, env, 0, s) == pytest.approx(-0.3)
+    assert xi(degenerate, env, 0, s) == pytest.approx(-0.3)
 
 
 def _consistency_max_gap(env, agent_id, grid=64):
@@ -113,8 +115,8 @@ def _consistency_max_gap(env, agent_id, grid=64):
         for e in range(agent.private.n):
             for rho in range(agent.public.n):
                 s = ArmState(float(theta), e, rho)
-                got = virtual.xi(tr, env, agent_id, s)
-                want = virtual.virtual_value(env, agent_id, s)
+                got = xi(tr, env, agent_id, s)
+                want = virtual_value(env, agent_id, s)
                 worst = max(worst, abs(got - want))
     return worst
 

@@ -173,7 +173,7 @@ def _measure() -> dict:
     horizon = tail_horizon(env.delta, env.k, env.v_max, 1e-6)
     deviators = []
     for _, strategy in ver.default_deviations(env, 0):
-        theta_hat0 = [strategy.report(0, theta[0], 0, env.agents[0].distribution.theta_bar).theta_hat, theta[1]]
+        theta_hat0 = [strategy.schedule(theta[0], env.agents[0].distribution.theta_bar).theta_hat0, theta[1]]
         transforms = mech._active_transforms(env, rt, theta_hat0)
         deviators.append(mech._Deviator(env, rt, transforms, theta, 0, strategy, horizon))
     strategic_streams = [ExperienceStreams(1, j, "strategic") for j in range(STRATEGIC_PATHS)]

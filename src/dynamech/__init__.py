@@ -38,7 +38,6 @@ from .mechanism import (
     MisreportExperience,
     MisreportTheta0,
     MisreportThetaAlways,
-    Report,
     ReportSchedule,
     Strategy,
     Transcript,

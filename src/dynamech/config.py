@@ -207,17 +207,34 @@ def _count(params: dict, key: str, default: int, least: int) -> int:
     return v
 
 
-def _positive(v, key: str) -> float:
-    """A positive finite number; a numeric string converts, since YAML 1.1
-    reads bare scientific notation like 1e-8 as a string."""
+def _finite(v, key: str, *, positive: bool = False) -> float:
+    """A finite number (a bool is not one), positive if asked; a numeric
+    string converts, since YAML 1.1 reads bare scientific notation like
+    1e-8 as a string."""
     if isinstance(v, str):
         try:
             v = float(v)
         except ValueError:
             pass
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0.0 < v < math.inf:
-        raise ConfigError(f"{key} must be a positive finite number, got {v!r}")
-    return float(v)
+    if not isinstance(v, bool) and isinstance(v, (int, float)):
+        try:
+            x = float(v)
+        except OverflowError:  # an int past the float range
+            x = math.inf
+        if math.isfinite(x) and (x > 0.0 or not positive):
+            return x
+    raise ConfigError(f"{key} must be a {'positive ' if positive else ''}finite number, got {v!r}")
+
+
+def _positive(v, key: str) -> float:
+    return _finite(v, key, positive=True)
+
+
+def _labels(params: dict, key: str) -> list[str] | None:
+    v = params.get(key)
+    if v is not None and (not isinstance(v, list) or not all(isinstance(x, str) for x in v)):
+        raise ConfigError(f"{key} must be a list of strings, got {v!r}")
+    return v
 
 
 def _prior(params: dict, key: str) -> tuple[float, float]:
@@ -257,23 +274,27 @@ def _build_distribution(spec, theta_bar: float) -> envs.TypeDistribution:
 
 
 def _theta_form(spec) -> tuple:
-    """Parametric theta-dependence for config-defined value functions."""
+    """Parametric theta-dependence for config-defined value functions.
+    The sign of ``scale`` and ``slope`` is left to ``validate_assumptions``:
+    the ``decreasing`` form is a negative control."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"value.a must be a mapping, got {spec!r}")
     _reject_unknown(spec, {"form", "p", "scale", "shift", "slope"}, "value.a")
     form = spec.get("form", "linear")
     if form == "linear":
         return (lambda t: t), (lambda t: 1.0)
     if form == "power":
-        p = float(spec.get("p", 2.0))
+        p = _positive(spec.get("p", 2.0), "value.a.p")
         return (lambda t: t**p), (lambda t: p * t ** (p - 1.0) if t > 0 else (1.0 if p == 1.0 else 0.0 if p > 1.0 else float("inf")))
     if form == "sqrt":
         return (lambda t: t**0.5), (lambda t: 0.5 * t**-0.5 if t > 0 else float("inf"))
     if form == "affine":
-        scale = float(spec.get("scale", 1.0))
-        shift = float(spec.get("shift", 0.0))
+        scale = _finite(spec.get("scale", 1.0), "value.a.scale")
+        shift = _finite(spec.get("shift", 0.0), "value.a.shift")
         return (lambda t: scale * t + shift), (lambda t: scale)
     if form == "decreasing":
-        shift = float(spec.get("shift", 1.5))
-        slope = float(spec.get("slope", 1.0))
+        shift = _finite(spec.get("shift", 1.5), "value.a.shift")
+        slope = _finite(spec.get("slope", 1.0), "value.a.slope")
         return (lambda t: shift - slope * t), (lambda t: -slope)
     raise ConfigError(f"unknown value form {form!r}")
 
@@ -346,8 +367,8 @@ def _build_environment(cfg: RunConfig) -> envs.Environment:
             h=_finite_table(params["h"], "h"),
             value=value,
             dist=dist,
-            e_labels=params.get("e_labels"),
-            rho_labels=params.get("rho_labels"),
+            e_labels=_labels(params, "e_labels"),
+            rho_labels=_labels(params, "rho_labels"),
         )
     if name == "ar1":
         k, alloc_cap = _count(params, "k", 1, 1), _count(params, "alloc_cap", 25, 0)

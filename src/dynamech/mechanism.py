@@ -46,7 +46,6 @@ from .virtual import (
 )
 
 __all__ = [
-    "Report",
     "ReportSchedule",
     "Strategy",
     "Truthful",
@@ -68,14 +67,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Reports and strategies
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Report:
-    """One agent's report: theta_hat always, e_hat from t >= 1 on."""
-
-    theta_hat: float
-    e_hat: int | None = None
 
 
 class ReportSchedule(NamedTuple):
@@ -102,21 +93,36 @@ def _clamp(x: float, theta_bar: float) -> float:
 
 
 class Strategy:
-    """A reporting strategy, given by its report schedule for a true type
-    (``schedule(theta, theta_bar)``); ``report`` is derived from it.  The
-    episode engine (``run_episode``) asks ``report`` round by round, so
-    any object with a ``report`` method plays there; the one-deviator
-    merge behind the audits (``_Deviator``) plays the schedule itself and
-    raises TypeError on an object without one."""
+    """A reporting strategy: its report schedule for a true type,
+    ``schedule(theta, theta_bar)``.  Every engine plays the schedule, read
+    through ``_schedule``."""
 
     def schedule(self, theta: float, theta_bar: float) -> ReportSchedule:
         raise NotImplementedError
 
-    def report(self, t: int, theta: float, e: int, theta_bar: float) -> Report:
-        schedule = self.schedule(theta, theta_bar)
-        if t == 0:
-            return Report(theta_hat=schedule.theta_hat0)
-        return Report(theta_hat=schedule.theta_hat(t), e_hat=schedule.overrides.get(t, e))
+
+def _schedule(strategy, env: Environment, i: int, theta: float) -> ReportSchedule:
+    """Agent i's report schedule under ``strategy`` at true type ``theta``,
+    with ``int`` experience overrides.  An object without a ``schedule``
+    raises TypeError, and an override outside the agent's private states
+    DomainError, at any round, before any round is played."""
+    build = getattr(strategy, "schedule", None)
+    if build is None:
+        raise TypeError(
+            f"{type(strategy).__name__} has no report schedule: a strategy needs "
+            f"a schedule(theta, theta_bar) method returning a ReportSchedule"
+        )
+    schedule = build(theta, env.agents[i].distribution.theta_bar)
+    if not schedule.overrides:
+        return schedule
+    n_e = env.agents[i].private.n
+    overrides = {t: int(e_hat) for t, e_hat in schedule.overrides.items()}
+    for t, e_hat in overrides.items():
+        if not 0 <= e_hat < n_e:
+            raise DomainError(
+                f"agent {i} reports experience {e_hat} at round {t}; its private states are 0..{n_e - 1}"
+            )
+    return schedule._replace(overrides=overrides)
 
 
 class Truthful(Strategy):
@@ -582,10 +588,9 @@ def _run_rounds(
     ``streams``' address (``runtime.trajectories``), played from their
     start.  Each agent has a position on its trajectory, and only the
     winner's advances.  A truthful agent presents its table at its
-    state; a strategic agent's index goes through its report of the
-    round (any object with a ``report`` method), on the same trajectory,
-    and an experience report outside its private states raises
-    DomainError.  Prices are memoized within the path
+    state; a strategic agent's index goes through its report schedule
+    (``_schedule``, read once before round 1), on the same trajectory.
+    Prices are memoized within the path
     by the winner, its public state and the others' reports.  With every
     agent truthful, a round the zero arm wins, or one won at an absorbing
     state (``AgentModel.absorbing``), repeats until the horizon, so the
@@ -601,11 +606,10 @@ def _run_rounds(
     n_rho = runtime._n_rho
     active = sorted(transforms)
     slot = {i: p for p, i in enumerate(active)}
-    # truthful reports are the hot path: skip Report construction for them
+    # truthful reports are the hot path: no schedule is read for them
     truthful = [isinstance(strategies[i], Truthful) for i in range(k)]
     strategic = [i for i in range(k) if not truthful[i]]
-    theta_bars = [env.agents[i].distribution.theta_bar for i in range(k)]
-    n_e = [agent.private.n for agent in env.agents]
+    schedules = {i: _schedule(strategies[i], env, i, theta[i]) for i in strategic}
     state = [0] * k  # true flat states, e * n_rho + rho
     pos = [0] * k  # allocations so far: state[i] == traj[i][pos[i]]
     # reported flat states: a strategic agent's e_hat with its true rho
@@ -619,20 +623,17 @@ def _run_rounds(
         if truthful[i]:
             tables[i] = runtime.index_flat(i, transforms[i], theta[i])
             vals[p] = tables[i][0]
-    strategic_slots = [(i, slot.get(i)) for i in strategic]
+    strategic_slots = [(i, slot.get(i), schedules[i]) for i in strategic]
     value_cache: list[np.ndarray | None] = [None] * k
     virtual_cache: list[np.ndarray | None] = [None] * k
     prices: dict[tuple, float] = {}
     delta = env.delta
     disc = 1.0
     for t in range(1, horizon + 1):
-        for i, p in strategic_slots:
+        for i, p, schedule in strategic_slots:
             n = n_rho[i]
-            rep = strategies[i].report(t, theta[i], state[i] // n, theta_bars[i])
-            th = theta_hats[i] = rep.theta_hat
-            e_i = e_hats[i] = int(rep.e_hat)
-            if not 0 <= e_i < n_e[i]:
-                raise _experience_error(i, t, e_i, n_e[i])
+            th = theta_hats[i] = schedule.theta_hat(t)
+            e_hats[i] = schedule.overrides.get(t, state[i] // n)
             if reported is not state:
                 reported[i] = e_hats[i] * n + state[i] % n
             if p is not None:
@@ -707,12 +708,6 @@ def _run_rounds(
             break
         disc *= delta
     return res
-
-
-def _experience_error(i: int, t: int, e_hat: int, n_e: int) -> DomainError:
-    return DomainError(
-        f"agent {i} reports experience {e_hat} at round {t}; its private states are 0..{n_e - 1}"
-    )
 
 
 @functools.lru_cache(maxsize=64)
@@ -815,16 +810,13 @@ class _Deviator:
 
     The others' levels on the path (``_Levels``) do not depend on what i
     does, so a run is one merge of i's trajectory against them.  Agent i
-    plays its strategy's report schedule (``Strategy.schedule``), built
+    plays its strategy's report schedule (``_schedule``), built
     once here for its type and resolved into the rounds where what i
     presents changes (``changes``): each segment's start, with the index
     table at its reported type (``_table``), and each experience
     override's round and the round after it.  Between them i presents
     that table at its state (the override's experience and its true
-    public state at an override round), re-read only when i moves; no
-    ``report`` is called.  A strategy without a schedule raises
-    TypeError, and an experience override outside the agent's private
-    states DomainError.
+    public state at an override round), re-read only when i moves.
 
     Agent i wins iff its index b is positive and either b > level or
     b == level with i below the level's holder, which is ``allocate``'s
@@ -849,21 +841,10 @@ class _Deviator:
         self, env, runtime, transforms, theta, i: int, strategy, horizon: int, *,
         track_prices: bool = True,
     ):
-        build = getattr(strategy, "schedule", None)
-        if build is None:
-            raise TypeError(
-                f"{type(strategy).__name__} has no report schedule: a one-deviator run needs "
-                f"a schedule(theta, theta_bar) method returning a ReportSchedule"
-            )
         self.runtime = runtime
         self.i = i
         self.theta = float(theta[i])
-        schedule = build(self.theta, env.agents[i].distribution.theta_bar)
-        n_e = env.agents[i].private.n
-        overrides = {t: int(e_hat) for t, e_hat in schedule.overrides.items()}
-        for t, e_hat in overrides.items():
-            if not 0 <= e_hat < n_e:
-                raise _experience_error(i, t, e_hat, n_e)
+        schedule = _schedule(strategy, env, i, self.theta)
         self.track_prices = track_prices
         self.transform = transforms.get(i)
         self.opponents = _opponents(runtime, transforms, theta, i)
@@ -878,7 +859,7 @@ class _Deviator:
         else:
             self.values = env.agents[i].value.table(self.theta).reshape(-1).tolist()
             self.beta = self.transform.beta.tolist()
-            self.changes = self._changes(schedule._replace(overrides=overrides), horizon)
+            self.changes = self._changes(schedule, horizon)
 
     def _table(self, theta_hat: float) -> list[float]:
         table = self.tables.get(theta_hat)
@@ -971,7 +952,7 @@ class FeeQuadData:
     values[j] / payments[j]: agent i's discounted value and payments on
     coupled path j under truthful play at the given reports.
     integral[j]: the information rent on path j, the integral over z in
-    [lower, report] of agent i's discounted allocated theta-sensitivity
+    [dormancy threshold, report] of agent i's discounted allocated theta-sensitivity
     with its pegged report and type both set to z; identical experience
     trajectories at every z and in the value run (the j-th allocation
     consumes the j-th draw everywhere).  Computed by ``_RentWalk``.
@@ -985,7 +966,6 @@ class FeeQuadData:
     merge) comes on top.
     """
 
-    lower: float
     values: np.ndarray
     payments: np.ndarray
     integral: np.ndarray
@@ -994,9 +974,6 @@ class FeeQuadData:
 
     def price_paths(self) -> np.ndarray:
         return self.values - self.integral
-
-    def integral_paths(self) -> np.ndarray:
-        return self.integral
 
     def quad_error(self) -> float:
         """Bound on the error of the mean integral."""
@@ -1385,12 +1362,11 @@ def fee_quadrature(
     if horizon is None:
         horizon = tail_horizon(env.delta, env.k, env.v_max)
     theta_hat = [float(x) for x in theta_hat]
-    lo = runtime.threshold(i)
     values, payments, integral, error = (np.zeros(paths) for _ in range(4))
     pieces = np.zeros(paths, dtype=int)
     transforms = _active_transforms(env, runtime, theta_hat)
     if i in transforms:
-        walk = _RentWalk(env, runtime, transforms, theta_hat, i, lo, horizon)
+        walk = _RentWalk(env, runtime, transforms, theta_hat, i, runtime.threshold(i), horizon)
         truthful = _Deviator(env, runtime, transforms, theta_hat, i, Truthful(), horizon)
         for j in range(paths):
             streams = ExperienceStreams(seed, path_offset + j, stream_purpose)
@@ -1401,7 +1377,6 @@ def fee_quadrature(
                     x[j + 1 :] = x[j]
                 break
     return FeeQuadData(
-        lower=lo,
         values=values,
         payments=payments,
         integral=integral,
@@ -1478,10 +1453,7 @@ def run_episode(
             for i in range(env.k)
         ]
     theta = [float(t) for t in theta]
-    theta_hat0 = [
-        strategies[i].report(0, theta[i], 0, env.agents[i].distribution.theta_bar).theta_hat
-        for i in range(env.k)
-    ]
+    theta_hat0 = [_schedule(strategies[i], env, i, theta[i]).theta_hat0 for i in range(env.k)]
     transforms = _active_transforms(env, runtime, theta_hat0)
     dormant = tuple(i not in transforms for i in range(env.k))
     if fee_mode == "skip":

@@ -33,6 +33,7 @@ from .mechanism import (
     _mean_se,
     _RentWalk,
     _run_rounds,
+    _schedule,
     fee_quadrature,
 )
 from .rng import ExperienceStreams, substream
@@ -171,9 +172,7 @@ def _utility_paths(
     copy."""
     theta = [float(t) for t in theta]
     theta_hat0 = list(theta)
-    theta_hat0[agent_id] = strategy.report(
-        0, theta[agent_id], 0, env.agents[agent_id].distribution.theta_bar
-    ).theta_hat
+    theta_hat0[agent_id] = _schedule(strategy, env, agent_id, theta[agent_id]).theta_hat0
     transforms = _active_transforms(env, runtime, theta_hat0)
     run = _Deviator(env, runtime, transforms, theta, agent_id, strategy, horizon)
     out = np.zeros(n_paths)
@@ -252,7 +251,7 @@ def audit_envelope(
         env, theta, agent_id, paths=paths, seed=seed, horizon=horizon, runtime=runtime,
         stream_purpose="envelope",
     )
-    rhs_paths = data.integral_paths()
+    rhs_paths = data.integral
     lhs_core = data.values - data.payments  # same streams as rhs_paths
     fee = _FeeCache(env, runtime, fee_paths, seed, horizon)
     p0_paths = fee.fee_paths(agent_id, theta)
@@ -402,9 +401,7 @@ def audit_ic(
             fee_truth = fee.fee_paths(i, theta)
             for name, dev in devs:
                 theta_hat0 = list(theta)
-                theta_hat0[i] = dev.report(
-                    0, theta[i], 0, env.agents[i].distribution.theta_bar
-                ).theta_hat
+                theta_hat0[i] = _schedule(dev, env, i, theta[i]).theta_hat0
                 u_dev = _utility_paths(env, runtime, theta, dev, i, seed, "ic", paths, horizon)
                 core = u_truth - u_dev
                 if tuple(theta_hat0) == tuple(theta):

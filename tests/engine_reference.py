@@ -15,12 +15,16 @@ by 40 halvings of [threshold, report] each, one merge per halving.
 
 ``REFERENCE_STRATEGIES`` are the five built-in strategy families written
 as plain per-round ``report`` methods, the oracles of the report
-schedules (``Strategy.schedule``) the library's strategies declare.
+schedules (``Strategy.schedule``) the library's strategies declare:
+``reference_run_rounds`` plays a library strategy through its per-round
+copy (``per_round``), so it never reads a schedule.  ``schedule_report``
+reads one round's report off a schedule, for comparison with them.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,12 +60,13 @@ def reference_run_rounds(
     cur_theta_hat = [None] * k
     cur_table = [None] * k
     theta_bars = [agent.distribution.theta_bar for agent in agents]
+    strategies = [per_round(s) for s in strategies]
     disc = 1.0
     for t in range(1, horizon + 1):
         theta_hats = list(theta)
         e_hats = list(true_e)
         for i in range(k):
-            if not isinstance(strategies[i], mech.Truthful):
+            if not isinstance(strategies[i], Truthful):
                 rep = strategies[i].report(t, theta[i], true_e[i], theta_bars[i])
                 theta_hats[i] = rep.theta_hat
                 e_hats[i] = int(rep.e_hat)
@@ -314,13 +319,20 @@ def replay_fee_walk(env, theta_hat, i, paths, seed, horizon, runtime, purpose="f
 # ---------------------------------------------------------------------------
 
 
+class Report(NamedTuple):
+    """One agent's report: theta_hat always, e_hat from t >= 1 on."""
+
+    theta_hat: float
+    e_hat: int | None = None
+
+
 def _clamp(x, theta_bar):
     return min(max(x, 0.0), theta_bar)
 
 
 class Truthful:
     def report(self, t, theta, e, theta_bar):
-        return mech.Report(theta_hat=theta, e_hat=None if t == 0 else e)
+        return Report(theta_hat=theta, e_hat=None if t == 0 else e)
 
 
 class MisreportTheta0:
@@ -329,7 +341,7 @@ class MisreportTheta0:
 
     def report(self, t, theta, e, theta_bar):
         th = _clamp(theta + self.offset, theta_bar) if t == 0 else theta
-        return mech.Report(theta_hat=th, e_hat=None if t == 0 else e)
+        return Report(theta_hat=th, e_hat=None if t == 0 else e)
 
 
 class MisreportThetaAlways:
@@ -338,7 +350,7 @@ class MisreportThetaAlways:
 
     def report(self, t, theta, e, theta_bar):
         th = _clamp(theta + self.offset, theta_bar)
-        return mech.Report(theta_hat=th, e_hat=None if t == 0 else e)
+        return Report(theta_hat=th, e_hat=None if t == 0 else e)
 
 
 class MisreportExperience:
@@ -348,7 +360,7 @@ class MisreportExperience:
 
     def report(self, t, theta, e, theta_bar):
         e_hat = self.fake_e if t == self.round_t else e
-        return mech.Report(theta_hat=theta, e_hat=None if t == 0 else e_hat)
+        return Report(theta_hat=theta, e_hat=None if t == 0 else e_hat)
 
 
 class CorrectingDeviation:
@@ -358,7 +370,7 @@ class CorrectingDeviation:
 
     def report(self, t, theta, e, theta_bar):
         th = _clamp(theta + self.offset, theta_bar) if t < self.correct_round else theta
-        return mech.Report(theta_hat=th, e_hat=None if t == 0 else e)
+        return Report(theta_hat=th, e_hat=None if t == 0 else e)
 
 
 REFERENCE_STRATEGIES = {
@@ -368,3 +380,23 @@ REFERENCE_STRATEGIES = {
     mech.MisreportExperience: MisreportExperience,
     mech.CorrectingDeviation: CorrectingDeviation,
 }
+
+
+def per_round(strategy):
+    """The per-round copy of a library strategy; any other object as given."""
+    copy = REFERENCE_STRATEGIES.get(type(strategy))
+    return strategy if copy is None else copy(**vars(strategy))
+
+
+def schedule_report(strategy, t, theta, e, theta_bar):
+    """Round t's report read off ``strategy.schedule(theta, theta_bar)``
+    at true experience ``e``."""
+    schedule = strategy.schedule(theta, theta_bar)
+    if t == 0:
+        return Report(schedule.theta_hat0)
+    return Report(schedule.theta_hat(t), schedule.overrides.get(t, e))
+
+
+def period0_report(strategy, theta, theta_bar):
+    """The per-round copy's period-0 type report."""
+    return per_round(strategy).report(0, theta, 0, theta_bar).theta_hat

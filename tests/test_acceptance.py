@@ -140,7 +140,7 @@ def test_criterion_04_posted_price_closed_forms(posted_price, posted_price_runti
     ok_rev = abs(rev_mean - 0.5) <= 3 * rev_se
 
     data = mech.fee_quadrature(env, [0.8], 0, 400, 3, horizon, rt, stream_purpose="envelope")
-    rhs = float(np.mean(data.integral_paths()))
+    rhs = float(np.mean(data.integral))
     fee = mech.entry_fee_p0(env, [0.8], 0, 16, 400, 3, horizon, rt)
     lhs = float(np.mean(data.values - data.payments)) - fee.mean
     env_audit = ver.audit_envelope(env, [0.8], 0, paths=400, fee_paths=400, runtime=rt)

@@ -405,9 +405,15 @@ def _ar1(**changes) -> dict:
 _RATE = {"name": "capped_exponential", "rate": 0}
 
 
+def _value_a(a) -> dict:
+    """``posted_price.cfg``'s chain with value form ``a``."""
+    return _chain({**_POSTED_PARAMS, "value": {**_VALUE, "a": a}})
+
+
 # a negative seed would reach numpy's SeedSequence, which refuses it with a
 # traceback; the parameter rows raised ZeroDivisionError, IndexError or a
-# math domain error, or ran with a count or type bound rounded or ignored
+# math domain error, OverflowError (an int past the float range), named
+# no key, or ran with a count or type bound rounded or ignored
 @pytest.mark.parametrize(
     "environment, extra, argv, message",
     [
@@ -434,6 +440,13 @@ _RATE = {"name": "capped_exponential", "rate": 0}
         (_ar1(grid_step=0), {}, ["simulate"], "grid_step must be a positive finite number, got 0"),
         (_ar1(alloc_cap=2.5), {}, ["simulate"], "alloc_cap must be an integer >= 0, got 2.5"),
         (_ar1(shock=[]), {}, ["simulate"], "shock must be a non-empty table of finite numbers"),
+        (_value_a({"form": "power", "p": -1}), {}, ["validate-env"], "value.a.p must be a positive finite number, got -1"),
+        (_value_a({"form": "power", "p": "x"}), {}, ["simulate"], "value.a.p must be a positive finite number, got 'x'"),
+        (_value_a({"form": "affine", "scale": True}), {}, ["simulate"], "value.a.scale must be a finite number, got True"),
+        (_value_a(5), {}, ["simulate"], "value.a must be a mapping, got 5"),
+        (_chain({**_POSTED_PARAMS, "e_labels": 5}), {}, ["simulate"], "e_labels must be a list of strings, got 5"),
+        (_chain({**_POSTED_PARAMS, "rho_labels": [1]}), {}, ["simulate"], "rho_labels must be a list of strings, got [1]"),
+        (_sponsored(theta_bar=10**400), {}, ["simulate"], "theta_bar must be a positive finite number, got 1000"),
     ],
     ids=[
         "row-sum", "missing-value", "config-seed-simulate", "config-seed-bound",
@@ -441,6 +454,8 @@ _RATE = {"name": "capped_exponential", "rate": 0}
         "k-float", "k-bool", "cap-float", "cap-negative", "theta_bar-negative", "theta_bar-zero",
         "theta_bar-overflow", "prior-zero", "prior-short", "b-overflow", "b-1d", "rate-zero",
         "rate-negative", "grid_step-zero", "alloc_cap-float", "shock-empty",
+        "power-p-negative", "power-p-string", "affine-scale-bool", "a-not-mapping",
+        "e_labels-int", "rho_labels-int", "theta_bar-int-overflow",
     ],
 )
 def test_cli_environment_errors_exit_2(tmp_path, capsys, environment, extra, argv, message):

@@ -53,7 +53,7 @@ def _strategy(kind: int, offset: float, round_t: int, n_e: int):
 
 def _both_engines(env, runtime, theta, strategies, streams, horizon, monitored):
     theta_hat0 = [
-        s.report(0, theta[i], 0, env.agents[i].distribution.theta_bar).theta_hat
+        ref.period0_report(s, theta[i], env.agents[i].distribution.theta_bar)
         for i, s in enumerate(strategies)
     ]
     transforms = mech._active_transforms(env, runtime, theta_hat0)
@@ -287,7 +287,7 @@ def test_trajectory_cache_stays_within_its_cap(sponsored_small):
 
 def _transforms(env, runtime, theta, i, strategy):
     theta_hat0 = list(theta)
-    theta_hat0[i] = strategy.report(0, theta[i], 0, env.agents[i].distribution.theta_bar).theta_hat
+    theta_hat0[i] = ref.period0_report(strategy, theta[i], env.agents[i].distribution.theta_bar)
     return mech._active_transforms(env, runtime, theta_hat0)
 
 
@@ -452,17 +452,12 @@ def _families(n_e: int):
 
 @pytest.mark.parametrize("world", ["cap2", "cap5"])
 def test_deviator_plays_every_schedule_like_the_per_round_oracle(
-    sponsored_small, sponsored_small_runtime, sponsored2, sponsored2_runtime, world, monkeypatch
+    sponsored_small, sponsored_small_runtime, sponsored2, sponsored2_runtime, world
 ):
     # the oracle is the per-round engine playing the per-round copies of
-    # the strategies; the deviator asks no report of any round
+    # the strategies
     env, rt = (sponsored_small, sponsored_small_runtime) if world == "cap2" else (sponsored2, sponsored2_runtime)
     horizon = tail_horizon(env.delta, env.k, env.v_max, 1e-3)
-    report_calls = []
-    report = mech.Strategy.report
-    monkeypatch.setattr(
-        mech.Strategy, "report", lambda self, *a: report_calls.append(a) or report(self, *a)
-    )
     for theta in ([0.9, 0.7], [0.62, 0.95]):
         for i in range(env.k):
             for cls, args in _families(env.agents[i].private.n):
@@ -479,14 +474,13 @@ def test_deviator_plays_every_schedule_like_the_per_round_oracle(
                     )
                     times = [t for t, w in enumerate(want.winners, 1) if w == i + 1]
                     _assert_run(got, (want.values[i], want.prices[i], times))
-    assert report_calls == []
 
 
 class _ReportOnly:
     """A strategy with per-round reports and no schedule."""
 
     def report(self, t, theta, e, theta_bar):
-        return mech.Report(theta_hat=theta, e_hat=None if t == 0 else e)
+        return ref.Report(theta_hat=theta, e_hat=None if t == 0 else e)
 
 
 def test_deviator_refuses_a_strategy_without_a_schedule(sponsored_small, sponsored_small_runtime):
@@ -494,26 +488,31 @@ def test_deviator_refuses_a_strategy_without_a_schedule(sponsored_small, sponsor
     transforms = mech._active_transforms(env, rt, theta)
     with pytest.raises(TypeError, match="_ReportOnly has no report schedule"):
         mech._Deviator(env, rt, transforms, theta, 0, _ReportOnly(), 20)
-    # the episode engine still plays it round by round, as it plays Truthful
-    got, want = (
-        mech.run_episode(env, [s, mech.Truthful()], 3, 20, theta=theta, runtime=rt, fee_mode="skip")
-        for s in (_ReportOnly(), mech.Truthful())
-    )
-    assert got.rounds == want.rounds and got.values == want.values
+    # the episode engine refuses it too: both engines play schedules alone
+    with pytest.raises(TypeError, match="_ReportOnly has no report schedule"):
+        mech.run_episode(env, [_ReportOnly(), mech.Truthful()], 3, 20, theta=theta, runtime=rt, fee_mode="skip")
 
 
-@pytest.mark.parametrize("fake_e", [-1, 99])
+# the past-horizon override is refused although no round plays it
+@pytest.mark.parametrize("round_t, fake_e", [(1, -1), (1, 99), (50, 99)], ids=["-1", "99", "past-horizon"])
 def test_experience_reports_outside_the_private_states_are_refused(
-    sponsored_small, sponsored_small_runtime, fake_e
+    sponsored_small, sponsored_small_runtime, round_t, fake_e, monkeypatch
 ):
     env, rt, theta = sponsored_small, sponsored_small_runtime, [0.9, 0.7]
     assert env.agents[0].private.n == 6
-    strategy = mech.MisreportExperience(1, fake_e)
+    strategy = mech.MisreportExperience(round_t, fake_e)
     transforms = mech._active_transforms(env, rt, theta)
-    with pytest.raises(envs.DomainError, match=f"reports experience {fake_e} at round 1"):
+    refused = f"reports experience {fake_e} at round {round_t}"
+    with pytest.raises(envs.DomainError, match=refused):
         mech._Deviator(env, rt, transforms, theta, 0, strategy, 20)
-    with pytest.raises(envs.DomainError, match=f"reports experience {fake_e} at round 1"):
+    with pytest.raises(envs.DomainError, match=refused):
         mech.run_episode(env, [strategy, mech.Truthful()], 3, 20, theta=theta, runtime=rt, fee_mode="skip")
+    # with fees on, the refusal comes before any fee is computed
+    fees = []
+    monkeypatch.setattr(mech, "fee_quadrature", lambda *a, **kw: fees.append(a))
+    with pytest.raises(envs.DomainError, match=refused):
+        mech.run_episode(env, [strategy, mech.Truthful()], 3, 20, theta=theta, runtime=rt, fee_rollouts=4)
+    assert fees == []
     # the edge states themselves are fine in both engines
     for e_hat in (0, 5):
         got, want, _ = _deviator_and_reference(

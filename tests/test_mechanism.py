@@ -546,7 +546,7 @@ def test_strategies_clamp_reports_to_support(theta, offset, t):
         mech.MisreportThetaAlways(offset),
         mech.CorrectingDeviation(offset),
     ):
-        rep = strat.report(t, theta, 0, 1.0)
+        rep = ref.schedule_report(strat, t, theta, 0, 1.0)
         assert 0.0 <= rep.theta_hat <= 1.0
         if t == 0:
             assert rep.e_hat is None
@@ -582,16 +582,14 @@ def test_schedule_reports_equal_the_per_round_reports(family, t, theta_bar, q, e
         mech.MisreportExperience: (round_t, fake_e),
         mech.CorrectingDeviation: (offset, round_t),
     }[family]
-    got = family(*args).report(t, theta, e, theta_bar)
+    got = ref.schedule_report(family(*args), t, theta, e, theta_bar)
     want = ref.REFERENCE_STRATEGIES[family](*args).report(t, theta, e, theta_bar)
     assert got == want
 
 
 def test_misreport_experience_swaps_one_round():
     strat = mech.MisreportExperience(2, fake_e=5)
-    assert strat.report(1, 0.5, 3, 1.0).e_hat == 3
-    assert strat.report(2, 0.5, 3, 1.0).e_hat == 5
-    assert strat.report(3, 0.5, 3, 1.0).e_hat == 3
+    assert [ref.schedule_report(strat, t, 0.5, 3, 1.0).e_hat for t in (1, 2, 3)] == [3, 5, 3]
 
 
 def test_sampled_types_when_theta_omitted(posted_price, posted_price_runtime):

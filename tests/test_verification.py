@@ -53,7 +53,7 @@ def test_envelope_posted_price_closed_form(posted_price, posted_price_runtime):
     data = mech.fee_quadrature(
         posted_price, [0.8], 0, 16, 0, 40, posted_price_runtime
     )
-    assert float(np.mean(data.integral_paths())) == pytest.approx(0.6, abs=1e-8)
+    assert float(np.mean(data.integral)) == pytest.approx(0.6, abs=1e-8)
 
 
 def test_envelope_zero_and_subthreshold_types(posted_price, posted_price_runtime):
@@ -230,7 +230,7 @@ def test_ic_audit_keeps_at_most_the_table_cap_and_the_same_bits(monkeypatch):
 def test_ic_audit_refuses_a_strategy_without_a_schedule(posted_price, posted_price_runtime):
     class ReportOnly:
         def report(self, t, theta, e, theta_bar):
-            return mech.Report(theta_hat=theta, e_hat=None if t == 0 else e)
+            return theta if t == 0 else (theta, e)
 
     with pytest.raises(TypeError, match="ReportOnly has no report schedule"):
         ver.audit_ic(

@@ -373,10 +373,13 @@ def _build_environment(cfg: RunConfig) -> envs.Environment:
     if name == "ar1":
         k, alloc_cap = _count(params, "k", 1, 1), _count(params, "alloc_cap", 25, 0)
         grid_step = _positive(params.get("grid_step", 0.05), "grid_step")
+        coeff = _finite(params["coeff"], "coeff")
+        if not 0.0 <= coeff < 1.0:
+            raise ConfigError(f"coeff must lie in [0, 1), got {params['coeff']!r}")
         dist = _build_distribution(params.get("distribution"), 1.0)
         return envs.ar1(
             k=k,
-            coeff=float(params["coeff"]),
+            coeff=coeff,
             shock=_finite_table(params["shock"], "shock"),
             delta=cfg.delta,
             dist=dist,

@@ -365,9 +365,9 @@ def _read_kernels(g: np.ndarray, h: np.ndarray, delta: float) -> tuple[Rows, lis
     """``SweepGraph._read`` of P[(e, rho), (e2, r2)] = H[rho, e, e2] *
     G[rho, r2] over flat states e * n_rho + rho, straight from the
     kernels: per state, its nonzero H factors (e2 ascending) times its
-    nonzero G factors (r2 ascending), which is ``_kernel_csr``'s order
-    and arithmetic.  Every row of a kernel has a nonzero entry, so every
-    state has a successor, the lowest first."""
+    nonzero G factors (r2 ascending), so columns ascend in each row.
+    Every row of a kernel has a nonzero entry, so every state has a
+    successor, the lowest first."""
     n_rho = g.shape[0]
     n = h.shape[1] * n_rho
     g_rows = [[] for _ in range(n_rho)]  # per rho: (r2, G[rho, r2]) with G != 0
@@ -391,43 +391,6 @@ def _read_kernels(g: np.ndarray, h: np.ndarray, delta: float) -> tuple[Rows, lis
     return (rows, preds), succ, all(out[0] >= s for s, out in enumerate(succ))
 
 
-def _kernel_csr(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(indptr, indices, probs): the transition over flat states
-    s = e * n_rho + rho in CSR form, P[(e, rho), (e2, r2)] =
-    H[rho, e, e2] * G[rho, r2] over the nonzero factors, columns
-    ascending in each row, read-only."""
-    n_rho = g.shape[0]
-    g_rows, g_cols = np.nonzero(g)  # row-major: per rho, r2 ascending
-    g_ptr = np.searchsorted(g_rows, np.arange(n_rho + 1))
-    e, rho, e2 = np.nonzero(h.transpose(1, 0, 2))  # (e, rho, e2) in flat-state order
-    reps = np.diff(g_ptr)[rho]
-    first = np.cumsum(reps) - reps  # each H entry's first position
-    g_at = np.repeat(g_ptr[rho] - first, reps) + np.arange(int(reps.sum()))
-    indices = np.repeat(e2 * n_rho, reps) + g_cols[g_at]
-    probs = np.repeat(h[rho, e, e2], reps) * g[g_rows[g_at], g_cols[g_at]]
-    row_len = np.count_nonzero(h, axis=2).T * np.diff(g_ptr)  # (n_e, n_rho)
-    indptr = np.concatenate([[0], np.cumsum(row_len.reshape(-1))])
-    for arr in (indptr, indices, probs):
-        arr.flags.writeable = False
-    return indptr, indices, probs
-
-
-def _read_csr(
-    indptr: np.ndarray, indices: np.ndarray, probs: np.ndarray, delta: float
-) -> tuple[Rows, list[list[int]], bool]:
-    """``SweepGraph._read`` of a transition given in CSR form."""
-    n = len(indptr) - 1
-    rows: list[dict[int, float]] = [{} for _ in range(n)]
-    preds: list[set[int]] = [set() for _ in range(n)]
-    ptr, nbr = indptr.tolist(), indices.tolist()
-    row_of = np.repeat(np.arange(n), np.diff(indptr))
-    for p, j, v in zip(row_of.tolist(), nbr, (probs * delta).tolist()):
-        if v:
-            rows[p][j] = v
-            preds[j].add(p)
-    return (rows, preds), [nbr[a:b] for a, b in zip(ptr, ptr[1:])], bool(np.all(indices >= row_of))
-
-
 class SweepGraph:
     """A transition as the index sweep (``gittins._sweep_indices``)
     reads it, derived once and shared: the sweep's starting rows per
@@ -438,50 +401,35 @@ class SweepGraph:
     agent model's graph (``AgentModel.graph``) serves the index build at
     every type and report.
 
-    A graph of kernels (an agent model's G and H) reads them in one pass
-    at the first ``sweep_rows`` and builds the CSR arrays (``csr``) only
-    when they are read.  A graph of bare CSR arrays reads those, and
-    holds them without a copy.  A graph refers to no agent model, so a
-    model and its graph are freed together, by reference counting."""
+    The transition is given by its kernels G (n_rho, n_rho) and H
+    (n_rho, n_e, n_e), read in one pass at the first ``sweep_rows``; a
+    chain given as one matrix P is the one-public-state case G = [[1]],
+    H = P[None].  A graph refers to no agent model, so a model and its
+    graph are freed together, by reference counting."""
 
-    __slots__ = ("_kernels", "_csr", "_rows", "_succ", "_forward", "_reach")
+    __slots__ = ("kernels", "_rows", "_succ", "_forward", "_reach")
 
-    def __init__(
-        self,
-        csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-        *,
-        kernels: tuple[np.ndarray, np.ndarray] | None = None,
-    ):
-        self._kernels, self._csr = kernels, csr
+    def __init__(self, g: np.ndarray, h: np.ndarray):
+        self.kernels = (g, h)
         self._rows: dict[float, Rows | None] = {}
         self._succ: list[list[int]] | None = None
         self._forward = False
         self._reach: Reach | None = None
 
-    @property
-    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, indices, probs): the transition in CSR form, from the
-        kernels by ``_kernel_csr`` on first read."""
-        if self._csr is None:
-            self._csr = _kernel_csr(*self._kernels)
-        return self._csr
-
     def _read(self, delta: float) -> Rows:
-        """One pass over the source: Q = delta * P as one ``{column:
-        value}`` dict per row, in ascending column order and without the
-        products that are 0, and per column the set of rows that step to
-        it.  The first pass also keeps ``succ`` and ``forward``."""
-        if self._kernels is not None:
-            rows, succ, forward = _read_kernels(*self._kernels, delta)
-        else:
-            rows, succ, forward = _read_csr(*self._csr, delta)
+        """One pass over the kernels (``_read_kernels``): Q = delta * P as
+        one ``{column: value}`` dict per row, in ascending column order
+        and without the products that are 0, and per column the set of
+        rows that step to it.  The first pass also keeps ``succ`` and
+        ``forward``."""
+        rows, succ, forward = _read_kernels(*self.kernels, delta)
         if self._succ is None:
             self._succ, self._forward = succ, forward
         return rows
 
     def sweep_rows(self, delta: float) -> Rows:
         """The sweep's starting rows (``_read``) for one sweep to fold.
-        The first sweep at a delta gets them read from the source; the
+        The first sweep at a delta gets them read from the kernels; the
         graph keeps a pristine read from the second on and hands out
         copies, so an arm swept once keeps nothing."""
         if delta not in self._rows:
@@ -494,9 +442,9 @@ class SweepGraph:
 
     @property
     def succ(self) -> list[list[int]]:
-        """Each state's successors in the source's order (ascending
-        columns for an agent model), one per stored entry, so a zero
-        probability counts as an edge."""
+        """Each state's successors in ascending order, one per pair of
+        nonzero factors, so a product that rounds to 0 counts as an
+        edge."""
         if self._succ is None:
             self._read(1.0)  # for the structure alone: the rows are dropped
         return self._succ
@@ -543,23 +491,13 @@ class AgentModel:
     def n_states(self) -> int:
         return self.private.n * self.public.n
 
-    @property
-    def transition(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, indices, probs): the experience transition in CSR form
-        (``_kernel_csr``).  It does not depend on theta, so it is built
-        once and shared (read-only) by every arm compiled from this
-        agent.  It is built only when something reads it (``graph``'s
-        ``SweepGraph.csr``): a compiled arm's ``CompiledArm.indptr`` and
-        its siblings, and the oracles that use them.  Index builds,
-        prices and fees read the kernels through ``graph`` instead."""
-        return self.graph.csr
-
     @cached_property
     def graph(self) -> SweepGraph:
         """The transition as the index sweep reads it (``SweepGraph``),
         read from G and H in one pass at the first sweep and shared by
-        every arm compiled from this agent."""
-        return SweepGraph(kernels=(self.public.matrix, self.private.matrix))
+        every arm compiled from this agent.  It does not depend on theta,
+        and it is the one form of the transition the library keeps."""
+        return SweepGraph(self.public.matrix, self.private.matrix)
 
     @cached_property
     def absorbing(self) -> list[bool]:

@@ -79,12 +79,8 @@ def tail_horizon(delta: float, k: int, v_max: float, eps: float = 1e-4) -> int:
 class CompiledArm:
     """One agent's arm for a fixed theta: flat rewards and ``graph``,
     the transition as the index sweep reads it
-    (``environments.SweepGraph``), shared with the agent model when
-    compiled from one.  The transition in CSR form (row s's successors
-    are ``indices[indptr[s]:indptr[s + 1]]`` with probabilities
-    ``probs`` there) is read through the graph, so an arm compiled from
-    an agent model builds it only when something reads it.  An arm of
-    bare CSR arrays takes ``SweepGraph((indptr, indices, probs))``.
+    (``environments.SweepGraph``, built from the kernels G and H),
+    shared with the agent model when compiled from one.
 
     States are flattened as s = e * n_rho + rho.
     """
@@ -99,29 +95,24 @@ class CompiledArm:
     def n(self) -> int:
         return self.rewards.shape[0]
 
-    @property
-    def indptr(self) -> np.ndarray:  # (n + 1,)
-        return self.graph.csr[0]
-
-    @property
-    def indices(self) -> np.ndarray:  # (nnz,)
-        return self.graph.csr[1]
-
-    @property
-    def probs(self) -> np.ndarray:  # (nnz,)
-        return self.graph.csr[2]
-
     def state_index(self, e: int, rho: int) -> int:
         return e * self.n_rho + rho
 
     @cached_property
     def transition(self):
-        """The transition as a ``scipy.sparse.csr_matrix``, for the value
-        iterations and the product-space oracles; imports scipy on first
-        use."""
+        """The transition as a ``scipy.sparse.csr_matrix``, P[(e, rho),
+        (e2, r2)] = H[rho, e, e2] * G[rho, r2] over the nonzero factors,
+        columns ascending in each row, for the value iterations and the
+        product-space oracles.  Built from the graph's kernels on first
+        use, one Kronecker block H[rho] x G[rho] per public state with
+        its rows moved to e * n_rho + rho; imports scipy then."""
         import scipy.sparse as sp
 
-        return sp.csr_matrix((self.probs, self.indices, self.indptr), shape=(self.n, self.n))
+        g, h = self.graph.kernels
+        blocks = sp.vstack([sp.kron(h[rho], g[rho : rho + 1], format="csr") for rho in range(self.n_rho)], format="csr")
+        p = blocks[np.arange(self.n).reshape(self.n_rho, self.n_e).T.reshape(-1)]  # row rho * n_e + e moves to s
+        p.sort_indices()
+        return p
 
 
 def compile_reward_arm(agent: AgentModel, rewards: np.ndarray, delta: float) -> CompiledArm:

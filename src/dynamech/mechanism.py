@@ -1439,11 +1439,14 @@ def run_episode(
     """Execute one full episode of the mechanism.
 
     fee_mode: "full" estimates period-0 charges with the fee machinery,
-    "skip" records zero fees (for audits that difference them out).
+    "skip" records zero fees (for audits that difference them out); any
+    other value raises DomainError.
     ``monitored`` replaces the reported private experience with the true
     one inside allocation and pricing (the complete-monitoring
     counterfactual).
     """
+    if fee_mode not in ("full", "skip"):
+        raise DomainError(f"unknown fee_mode {fee_mode!r}: use 'full' or 'skip'")
     runtime = runtime or MechanismRuntime(env)
     if horizon is None:
         horizon = tail_horizon(env.delta, env.k, env.v_max, tail_eps)

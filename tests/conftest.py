@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -70,12 +72,14 @@ def sponsored_small_runtime(sponsored_small):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """``(built, reached)``: lists that record each build of an agent
-    model's CSR arrays (``environments._kernel_csr``) and each
-    ``environments._reach`` call (Tarjan's algorithm) for the rest of the
-    test."""
+    """``(built, reached)``: lists that record each arm whose scipy
+    transition matrix (``gittins.CompiledArm.transition``) is built and
+    each ``environments._reach`` call (Tarjan's algorithm) for the rest
+    of the test."""
     built, reached = [], []
-    kernel_csr, reach = envs._kernel_csr, envs._reach
-    monkeypatch.setattr(envs, "_kernel_csr", lambda g, h: built.append(g) or kernel_csr(g, h))
+    transition, reach = gittins.CompiledArm.__dict__["transition"].func, envs._reach
+    counted = cached_property(lambda arm: built.append(arm) or transition(arm))
+    counted.__set_name__(gittins.CompiledArm, "transition")
+    monkeypatch.setattr(gittins.CompiledArm, "transition", counted)
     monkeypatch.setattr(envs, "_reach", lambda succs: reached.append(succs) or reach(succs))
     return built, reached

@@ -14,9 +14,12 @@ command and no benchmark workload calls any of them.
 - Payment diagnostics: the target payment P, and the round-t marginal
   contribution behind the VCG identity.
 - Environment helpers: one allocation step of an arm state, a central
-  finite-difference check of a value's theta-derivative, and the
-  per-entry loop that built an agent's flat transition matrix before
-  ``AgentModel.transition`` built it vectorised.
+  finite-difference check of a value's theta-derivative, the per-entry
+  loop that builds an agent's flat transition matrix, against which
+  ``CompiledArm.transition`` (one scipy Kronecker block per public
+  state) is checked, and ``read_csr``, the sweep's starting rows read
+  from a matrix's CSR arrays, against which the library's one-pass
+  kernel read (``environments._read_kernels``) is checked.
 - Per-state values: dv/dtheta, the virtual value v - [(1-F)/f] dv/dtheta
   and the transformed reward alpha * v + beta[rho] of one arm state,
   each spelled out per value form; the library reads whole tables
@@ -62,7 +65,7 @@ class BruteForceIndex:
 
 
 def _reachable(arm: CompiledArm, start: int) -> np.ndarray:
-    indptr, indices = arm.indptr, arm.indices
+    indptr, indices = arm.transition.indptr, arm.transition.indices
     seen = np.zeros(arm.n, dtype=bool)
     seen[start] = True
     stack = [start]
@@ -212,13 +215,14 @@ def reward_range_relaxation(arm: CompiledArm) -> tuple[np.ndarray, np.ndarray]:
     """Min and max reward over each state's reachable set (itself
     included), by relaxing along every stored transition entry to a
     fixed point, a zero probability included."""
-    rows = np.nonzero(np.diff(arm.indptr))[0]  # reduceat needs nonempty segments
-    starts = arm.indptr[rows]
+    indptr, indices = arm.transition.indptr, arm.transition.indices
+    rows = np.nonzero(np.diff(indptr))[0]  # reduceat needs nonempty segments
+    starts = indptr[rows]
     lo, hi = arm.rewards.copy(), arm.rewards.copy()
     while len(rows):
         new_lo, new_hi = lo.copy(), hi.copy()
-        new_lo[rows] = np.minimum(lo[rows], np.minimum.reduceat(lo[arm.indices], starts))
-        new_hi[rows] = np.maximum(hi[rows], np.maximum.reduceat(hi[arm.indices], starts))
+        new_lo[rows] = np.minimum(lo[rows], np.minimum.reduceat(lo[indices], starts))
+        new_hi[rows] = np.maximum(hi[rows], np.maximum.reduceat(hi[indices], starts))
         if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
             break
         lo, hi = new_lo, new_hi
@@ -260,8 +264,9 @@ def joint_policy_value(arms: list[CompiledArm], winners: np.ndarray, delta: floa
         j = w - 1
         arm, s = arms[j], comp[j]
         rewards[flat] = arm.rewards[s]
-        lo, hi = arm.indptr[s], arm.indptr[s + 1]
-        for s2, pr in zip(arm.indices[lo:hi], arm.probs[lo:hi]):
+        t = arm.transition
+        lo, hi = t.indptr[s], t.indptr[s + 1]
+        for s2, pr in zip(t.indices[lo:hi], t.data[lo:hi]):
             rows.append(flat)
             cols.append(flat + (int(s2) - s) * strides[j])
             vals.append(float(pr))
@@ -465,6 +470,26 @@ def loop_transition(agent: AgentModel) -> sp.csr_matrix:
                     cols.append(int(e2) * n_rho + int(r2))
                     vals.append(pe * g_row[r2])
     return sp.csr_matrix((vals, (rows, cols)), shape=(n_e * n_rho, n_e * n_rho))
+
+
+def read_csr(
+    indptr: np.ndarray, indices: np.ndarray, probs: np.ndarray, delta: float
+) -> tuple[tuple[list[dict[int, float]], list[set[int]]], list[list[int]], bool]:
+    """``(rows, preds), succ, forward`` as ``SweepGraph`` reads them, from
+    a transition's CSR arrays: Q = delta * P as one ``{column: value}``
+    dict per row without the products that are 0, per column the rows
+    that step to it, each row's stored columns (a zero included) and
+    whether every stored column is at least its row."""
+    n = len(indptr) - 1
+    rows: list[dict[int, float]] = [{} for _ in range(n)]
+    preds: list[set[int]] = [set() for _ in range(n)]
+    ptr, nbr = indptr.tolist(), indices.tolist()
+    row_of = np.repeat(np.arange(n), np.diff(indptr))
+    for p, j, v in zip(row_of.tolist(), nbr, (probs * delta).tolist()):
+        if v:
+            rows[p][j] = v
+            preds[j].add(p)
+    return (rows, preds), [nbr[a:b] for a, b in zip(ptr, ptr[1:])], bool(np.all(indices >= row_of))
 
 
 def alloc_times(res, agent_id: int) -> list[int]:

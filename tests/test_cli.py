@@ -413,7 +413,8 @@ def _value_a(a) -> dict:
 # a negative seed would reach numpy's SeedSequence, which refuses it with a
 # traceback; the parameter rows raised ZeroDivisionError, IndexError or a
 # math domain error, OverflowError (an int past the float range), named
-# no key, or ran with a count or type bound rounded or ignored
+# no key, or ran with a count or type bound rounded or ignored (an ar1
+# ``coeff`` of false ran as 0.0)
 @pytest.mark.parametrize(
     "environment, extra, argv, message",
     [
@@ -447,6 +448,13 @@ def _value_a(a) -> dict:
         (_chain({**_POSTED_PARAMS, "e_labels": 5}), {}, ["simulate"], "e_labels must be a list of strings, got 5"),
         (_chain({**_POSTED_PARAMS, "rho_labels": [1]}), {}, ["simulate"], "rho_labels must be a list of strings, got [1]"),
         (_sponsored(theta_bar=10**400), {}, ["simulate"], "theta_bar must be a positive finite number, got 1000"),
+        (_ar1(coeff=10**400), {}, ["simulate"], "coeff must be a finite number, got 1000"),
+        (_ar1(coeff="x"), {}, ["simulate"], "coeff must be a finite number, got 'x'"),
+        (_ar1(coeff=[0.5]), {}, ["simulate"], "coeff must be a finite number, got [0.5]"),
+        (_ar1(coeff=None), {}, ["simulate"], "coeff must be a finite number, got None"),
+        (_ar1(coeff=False), {}, ["simulate"], "coeff must be a finite number, got False"),
+        (_ar1(coeff=True), {}, ["simulate"], "coeff must be a finite number, got True"),
+        (_ar1(coeff=1), {}, ["simulate"], "coeff must lie in [0, 1), got 1"),
     ],
     ids=[
         "row-sum", "missing-value", "config-seed-simulate", "config-seed-bound",
@@ -456,6 +464,8 @@ def _value_a(a) -> dict:
         "rate-negative", "grid_step-zero", "alloc_cap-float", "shock-empty",
         "power-p-negative", "power-p-string", "affine-scale-bool", "a-not-mapping",
         "e_labels-int", "rho_labels-int", "theta_bar-int-overflow",
+        "coeff-int-overflow", "coeff-string", "coeff-list", "coeff-null", "coeff-false", "coeff-true",
+        "coeff-one",
     ],
 )
 def test_cli_environment_errors_exit_2(tmp_path, capsys, environment, extra, argv, message):
@@ -541,11 +551,14 @@ def test_four_agent_simulate_prices_every_round_exactly(tmp_path):
 
 
 def test_sponsored_simulate_builds_no_csr_and_runs_no_tarjan(tmp_path, builds):
-    # index builds, prices and fees read the kernels (``AgentModel.graph``);
-    # the sponsored-search chain never steps to a lower state
+    # index builds, prices, fees and audits read the kernels
+    # (``AgentModel.graph``), never the scipy transition matrix; the
+    # sponsored-search, posted-price and AR(1) chains never step to a
+    # lower state
     built, reached = builds
-    assert main(["--config", str(SPONSORED2), "--out", str(tmp_path), "simulate"]) == 0
-    assert built == [] and reached == []
+    for config, argv in ((SPONSORED2, ["simulate"]), (POSTED, ["audit", "--suite", "all"]), (AR1_ADDITIVE, ["bound"])):
+        assert main(["--config", str(config), "--out", str(tmp_path / config.stem), *argv]) == 0
+        assert built == [] and reached == [], config.stem
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,9 @@
 import dataclasses
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +21,7 @@ from oracles import (
     exact_dp_policy_value,
     index_policy_winners,
     loop_transition,
+    read_csr,
     reward_range_relaxation,
     vwb_indices,
 )
@@ -149,15 +150,14 @@ def test_bisection_agrees_with_exact_largest_index_method(seed):
 
 
 def _chain_arm(rewards: np.ndarray, p: np.ndarray, delta: float) -> gittins.CompiledArm:
-    """Arm of a chain given as a dense transition matrix, built from
-    the matrix's CSR arrays."""
-    t = sp.csr_matrix(p)
+    """Arm of a chain given as a dense transition matrix: one public
+    state, G = [[1]] and H = P[None]."""
     return gittins.CompiledArm(
         rewards=rewards,
         delta=delta,
         n_e=len(rewards),
         n_rho=1,
-        graph=envs.SweepGraph((t.indptr, t.indices, t.data)),
+        graph=envs.SweepGraph(np.ones((1, 1)), p[None]),
     )
 
 
@@ -637,18 +637,35 @@ def _shipped_agents():
 
 def test_transition_arrays_equal_the_per_entry_build():
     for agent in _shipped_agents():
-        want = loop_transition(agent)
-        indptr, indices, probs = agent.transition
-        assert np.array_equal(indptr, want.indptr)
-        assert np.array_equal(indices, want.indices)
-        assert np.array_equal(probs, want.data)  # bit for bit
-        arm = gittins.compile_reward_arm(agent, agent.value.b, 0.8)
-        assert arm.indptr is indptr  # every compile shares the agent's arrays
+        _assert_transition_equals_the_per_entry_build(agent)
+
+
+def _assert_transition_equals_the_per_entry_build(agent: envs.AgentModel) -> None:
+    """An arm's scipy transition, built from the agent model's kernels,
+    has the per-entry build's arrays bit for bit, stored zeros included,
+    and every compile shares the model's graph."""
+    arm = gittins.compile_reward_arm(agent, agent.value.b, 0.8)
+    assert arm.graph is agent.graph
+    want, got = loop_transition(agent), arm.transition
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert _bits([got.data]) == _bits([want.data])
 
 
 # ---------------------------------------------------------------------------
 # What an agent model compiles once: the sweep's rows and its reachability
 # ---------------------------------------------------------------------------
+
+
+def _random_chain(gen, n: int) -> np.ndarray:
+    """A random transition matrix on n states: 1 to 3 successors a
+    state, each at a positive probability, so cycles and self-loops
+    mix."""
+    p = np.zeros((n, n))
+    for s in range(n):
+        k = int(gen.integers(1, min(n, 3) + 1))
+        p[s, gen.choice(n, k, replace=False)] = 1.0 - gen.random(k)  # in (0, 1]
+    return p / p.sum(axis=1, keepdims=True)
 
 
 def _csr_chain(gen, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -676,13 +693,13 @@ def _succs(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]:
 def test_reward_range_equals_fixed_point_relaxation(seed, zeros):
     gen = substream(seed, "reward-range")
     n = int(gen.integers(1, 40))
-    indptr, indices, probs = _csr_chain(gen, n)
+    p = _random_chain(gen, n)
     rewards = gen.choice([-0.5, 0.25, 0.0, 1.0], n)  # ties at every extreme
     if zeros != "none":
         signs = {"+0": [1.0], "-0": [-1.0], "both": [1.0, -1.0]}[zeros]
         at = rewards == 0.0
         rewards[at] = np.copysign(0.0, gen.choice(signs, int(at.sum())))
-    arm = gittins.CompiledArm(rewards, 0.8, n, 1, envs.SweepGraph((indptr, indices, probs)))
+    arm = _chain_arm(rewards, p, 0.8)
     got, want = gittins._reward_range(arm), reward_range_relaxation(arm)
     if zeros == "both":
         # where a reachable set's extreme is 0.0 and it holds both signs,
@@ -753,35 +770,36 @@ def _kernel_agent(g: np.ndarray, h: np.ndarray) -> envs.AgentModel:
 
 def _assert_kernel_read_equals_csr_built(agent: envs.AgentModel, rewards: list[np.ndarray]) -> None:
     """The graph an agent model reads from G and H in one pass has the
-    CSR-built graph's rows (columns in the same order, values to the
-    bit), predecessor sets and successor lists, builds no CSR, and its
-    reward ranges have the bits of Tarjan's components on the CSR graph;
-    ``_reach`` runs only on a graph with a backward edge."""
-    kernel = envs.SweepGraph(kernels=(agent.public.matrix, agent.private.matrix))
-    csr = envs.SweepGraph(agent.transition)
+    rows that the reference CSR reader (``oracles.read_csr``) reads from
+    the per-entry transition (``oracles.loop_transition``): columns in
+    the same order, values to the bit, the same predecessor sets,
+    successor lists and ``forward``.  Its reward ranges have the bits of
+    Tarjan's components on the CSR successors, and ``_reach`` runs only
+    on a graph with a backward edge.  An arm's scipy transition equals
+    the per-entry one bit for bit."""
+    kernel = envs.SweepGraph(agent.public.matrix, agent.private.matrix)
+    csr = loop_transition(agent)
     n_e, n_rho = agent.private.n, agent.public.n
-    built, reached = [], []
+    reached = []
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(envs, "_kernel_csr", lambda g, h: built.append(1))
         m.setattr(envs, "_reach", lambda succs, reach=envs._reach: reached.append(1) or reach(succs))
         for delta in (0.8, 0.95):
-            got, want = kernel.sweep_rows(delta), csr.sweep_rows(delta)
+            got = kernel.sweep_rows(delta)
+            want, succ, forward = read_csr(csr.indptr, csr.indices, csr.data, delta)
             assert [list(row) for row in got[0]] == [list(row) for row in want[0]]
             assert _bits([np.array(list(row.values())) for row in got[0]]) == _bits(
                 [np.array(list(row.values())) for row in want[0]]
             )
             assert got[1] == want[1]
-        assert kernel.succ == csr.succ
-        indptr, indices, _ = csr.csr
-        rows_of = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-        assert kernel.forward == bool(np.all(indices >= rows_of))
+        assert kernel.succ == succ
+        assert kernel.forward == forward
         got = [gittins._reward_range(gittins.CompiledArm(r, 0.8, n_e, n_rho, kernel)) for r in rewards]
-        assert built == []  # the kernel read builds no CSR
         assert len(reached) == (not kernel.forward)  # Tarjan once, and only on a backward edge
-        m.setattr(envs.SweepGraph, "forward", property(lambda self: False))
-        want = [gittins._reward_range(gittins.CompiledArm(r, 0.8, n_e, n_rho, csr)) for r in rewards]
+    tarjan = SimpleNamespace(forward=False, succ=succ, reach=envs._reach(succ))
+    want = [gittins._reward_range(gittins.CompiledArm(r, 0.8, n_e, n_rho, tarjan)) for r in rewards]
     for a, b in zip(got, want):
         assert _bits(a) == _bits(b)
+    _assert_transition_equals_the_per_entry_build(agent)
 
 
 def _signed_rewards(gen, n: int) -> np.ndarray:

@@ -401,6 +401,19 @@ def test_run_episode_below_threshold_never_allocates(posted_price, posted_price_
     assert tr.utilities[0] == 0.0
 
 
+@pytest.mark.parametrize("fee_mode", ["skipp", "estimated", "", None])
+def test_run_episode_refuses_an_unknown_fee_mode(posted_price, posted_price_runtime, monkeypatch, fee_mode):
+    # any value but "skip" used to run the fee machinery as "full"
+    calls = []
+    monkeypatch.setattr(mech, "entry_fee_p0", lambda *a, **kw: calls.append(a))
+    with pytest.raises(DomainError, match="unknown fee_mode .*'full' or 'skip'"):
+        mech.run_episode(
+            posted_price, [mech.Truthful()], seed=11, horizon=5, theta=[0.8],
+            runtime=posted_price_runtime, fee_mode=fee_mode,
+        )
+    assert calls == []
+
+
 def test_run_episode_tie_goes_to_lowest_id():
     env = constant_arm_env(0.5, k=2)
     rt = mech.MechanismRuntime(env)

@@ -52,6 +52,14 @@ tree goes first.  Recorded per tree:
   the 441-state sponsored-search arm (cap 5) at its experience rewards;
   each on one agent model that earlier builds have used ("warm"), and
   as the first build on a new agent model ("first");
+- ``stream_us``: the cost of a stream address, in microseconds: one
+  ``ExperienceStreams.draw_pair``, the first on a fresh address (mean
+  over ``STREAM_ADDRESSES`` addresses of one seed and purpose, as the
+  audits' episodes use them), and one type draw of the revenue audit
+  on the posted-price arm, amortised over a batch of
+  ``STREAM_EPISODES`` episodes as ``audit_revenue_bound`` draws them
+  (keys in one pass and a re-keyed generator where the tree has
+  ``rng.stream_keys``, else one ``substream`` per draw);
 - ``posted_audit_suite_ms``: each suite of ``audit --suite all`` on the
   ``posted-audit`` benchmark's config (``perfbench/workloads.py``), as
   the CLI runs them, one runtime per operation, and their total, in
@@ -114,8 +122,9 @@ TIMES = (
     "fee_ms_per_path", "episode_ms", "posted_audit_ic_s", "additive_fee_ms_per_path", "strategic_run_us",
 )
 COUNTS = ("draw_pair_calls", "additive_table_builds_per_path", "simulate_columns")  # identical in every repetition
-TABLES = ("sweep_ms", "index_build_us", "posted_audit_suite_ms")  # {label: time}, a median per label
+TABLES = ("sweep_ms", "index_build_us", "stream_us", "posted_audit_suite_ms")  # {label: time}, a median per label
 AUDIT_OPS = 8
+STREAM_ADDRESSES, STREAM_EPISODES = 500, 200
 INTERLEAVED_PAIRS = 30
 INTERLEAVED = {  # workloads of the benchmark and their CLI commands, as perfbench/workloads.py runs them
     "posted-audit": ["audit", "--suite", "all"],
@@ -216,6 +225,7 @@ def _measure() -> dict:
     ExperienceStreams.draw_pair = draw_pair
     sweep_ms, simulate_columns = _sweep_ms()
     index_build_us = _index_build_us()
+    stream_us = _stream_us(posted)
     posted_audit_suite_ms = _posted_audit_suite_ms()
     return {
         "fee_ms_per_path": 1e3 * fee_s / FEE_PATHS,
@@ -232,7 +242,42 @@ def _measure() -> dict:
         "sweep_ms": sweep_ms,
         "index_build_us": index_build_us,
         "simulate_columns": simulate_columns,
+        "stream_us": stream_us,
         "posted_audit_suite_ms": posted_audit_suite_ms,
+    }
+
+
+def _stream_us(env) -> dict:
+    """Microseconds of a first ``draw_pair`` on a fresh address and of
+    one revenue-audit type draw on ``env`` in a ``STREAM_EPISODES`` batch."""
+    from dynamech import rng
+
+    seed = 7
+    rows = [(s, i) for s in range(STREAM_EPISODES) for i in range(env.k)]
+    if hasattr(rng, "stream_keys"):
+
+        def type_draws(seed):
+            keys = rng.stream_keys(seed, "rev-types", rows)
+            return [env.agents[i].distribution.sample(rng.keyed(key)) for (_, i), key in zip(rows, keys)]
+
+    else:
+
+        def type_draws(seed):
+            return [env.agents[i].distribution.sample(rng.substream(seed, "rev-types", s, i)) for s, i in rows]
+
+    rng.ExperienceStreams(seed, -1, "revenue").draw_pair(0)  # untimed: the seed and purpose seen once
+    type_draws(seed + 1)
+    fresh = [rng.ExperienceStreams(seed, path, "revenue") for path in range(STREAM_ADDRESSES)]
+    start = time.perf_counter()
+    for streams in fresh:
+        streams.draw_pair(0)
+    first_s = time.perf_counter() - start
+    start = time.perf_counter()
+    type_draws(seed)
+    types_s = time.perf_counter() - start
+    return {
+        "first draw_pair on a fresh address": 1e6 * first_s / STREAM_ADDRESSES,
+        f"revenue-audit type draw ({STREAM_EPISODES}-episode batch)": 1e6 * types_s / len(rows),
     }
 
 

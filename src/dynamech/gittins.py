@@ -542,7 +542,7 @@ def weighted_welfare(
     matching the mechanism's hard exclusion).
     """
     if mode != "rollout":
-        raise DomainError(f"unknown welfare mode {mode!r}")
+        raise DomainError(f"unknown welfare mode {mode!r}: the one accepted mode is 'rollout'")
     included: list[int] = []
     transforms: dict[int, VirtualTransform] = {}
     for i in range(env.k):

@@ -36,7 +36,7 @@ from .mechanism import (
     _schedule,
     fee_quadrature,
 )
-from .rng import ExperienceStreams, substream
+from .rng import ExperienceStreams, keyed, stream_keys
 from .virtual import transform_or_dormant
 
 __all__ = [
@@ -321,10 +321,12 @@ def audit_revenue_bound(
     diffs = np.zeros(episodes)
     errors = np.zeros(episodes)
     purpose = "revenue"
+    # episode s draws agent i's type from substream(seed, "rev-types", s, i)
+    type_keys = stream_keys(seed, "rev-types", [(s, i) for s in range(episodes) for i in range(env.k)])
     for s in range(episodes):
         theta = [
-            env.agents[i].distribution.sample(substream(seed, "rev-types", s, i))
-            for i in range(env.k)
+            agent.distribution.sample(keyed(type_keys[s * env.k + i]))
+            for i, agent in enumerate(env.agents)
         ]
         transforms = _active_transforms(env, runtime, theta)
         if not transforms:  # every agent dormant: no round allocates, diffs[s] and errors[s] stay 0.0

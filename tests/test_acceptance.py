@@ -296,7 +296,20 @@ def test_criterion_11_complete_monitoring_equivalence(sponsored2, sponsored2_run
     )
     plain = mech.run_episode(sponsored2, [Truthful()] * 2, **kwargs)
     watched = mech.run_episode(sponsored2, [Truthful()] * 2, monitored=True, **kwargs)
-    _report(11, plain == watched, "reported vs monitored transcripts bit-identical")
+    # agent 1 misreports its experience at round 1: monitoring restores the
+    # truthful outcome, and without it the lie moves the outcome (the e_hat
+    # column records the report either way, so whole transcripts differ)
+    liar = [Truthful(), mech.MisreportExperience(1, 2)]
+    liar_watched = mech.run_episode(sponsored2, liar, monitored=True, **kwargs)
+    liar_plain = mech.run_episode(sponsored2, liar, **kwargs)
+
+    def outcome(tr):
+        return [r.winner for r in tr.rounds], [r.payment for r in tr.rounds], tr.revenue, tr.utilities
+
+    ok = plain == watched and outcome(liar_watched) == outcome(plain) and outcome(liar_plain) != outcome(plain)
+    _report(
+        11, ok, "reported vs monitored transcripts bit-identical; monitoring undoes an experience misreport"
+    )
 
 
 def test_criterion_12_reused_runtime_determinism(tmp_path, monkeypatch):

@@ -349,7 +349,7 @@ def test_weighted_welfare_rollout_agrees_with_exact(sponsored_small, sponsored_s
     )
     roll = gittins.weighted_welfare(env, reports, theta, [0, 0], [0, 0], n_paths=3000, seed=5)
     assert abs(roll.mean - exact.policy_value) <= 3.5 * roll.std_error
-    with pytest.raises(DomainError, match="unknown welfare mode 'exact_dp'"):
+    with pytest.raises(DomainError, match="unknown welfare mode 'exact_dp': the one accepted mode is 'rollout'"):
         gittins.weighted_welfare(env, reports, theta, [0, 0], [0, 0], mode="exact_dp")
 
 

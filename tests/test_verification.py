@@ -7,6 +7,7 @@ from dynamech import environments as envs
 from dynamech import mechanism as mech
 from dynamech import verification as ver
 from dynamech.environments import DomainError
+from dynamech.rng import substream
 
 from conftest import constant_arm_env
 from oracles import alloc_times, exact_dp_policy_value
@@ -115,7 +116,7 @@ def test_revenue_audit_reads_each_value_once(monkeypatch):
     diffs, errors = np.zeros(episodes), np.zeros(episodes)
     for s in range(episodes):
         theta = [
-            env.agents[i].distribution.sample(ver.substream(seed, "rev-types", s, i))
+            env.agents[i].distribution.sample(substream(seed, "rev-types", s, i))
             for i in range(env.k)
         ]
         transforms = mech._active_transforms(env, rt, theta)

@@ -155,8 +155,8 @@ def parse_config(path) -> RunConfig:
 
 
 def check_seed(name: str, seed) -> None:
-    """Seeds key ``numpy.random.SeedSequence`` entropy, which must be a
-    non-negative integer."""
+    """Seeds are the entropy of every stream key (``rng.stream_key``),
+    which must be a non-negative integer."""
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"{name} must be a non-negative integer, got {seed!r}")
 

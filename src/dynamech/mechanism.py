@@ -185,26 +185,46 @@ class CorrectingDeviation(Strategy):
 
 
 _TRAJECTORY_PATHS = 1024  # stream addresses whose trajectories a runtime keeps
-_TABLE_KEYS = 64  # (agent, report, theta) keys whose index tables and hit discounts a runtime keeps
+_TABLE_KEYS = 64  # (agent, report, theta) keys whose index records (``_Index``) a runtime keeps
 
 
-class _Whittle:
-    """One key's positive index levels, its arm's hit columns
-    (``gittins.HitColumns``), and W of the arm alone against the zero
-    arm per state, computed once: Whittle's formula with one factor,
-    sum_k (levels[k] - levels[k+1]) (1 - hits[k]) / (1 - delta) with
-    levels[K] = 0, summed as levels[0] - gaps @ hits."""
+class _Index:
+    """One (agent, pegged report, theta) key's index ``table`` per flat
+    state, or an agent model's base arm's, and what is read of it, each
+    built on first read and kept: ``rows`` (the table as a list), the
+    positive ``levels``, the hit column at a state (``hits``, from
+    ``gittins.HitColumns``) and W of the arm alone against the zero arm
+    (``lone``), Whittle's formula with one factor: sum_k (levels[k] -
+    levels[k+1]) (1 - hits[k]) / (1 - delta) with levels[K] = 0, summed
+    as levels[0] - gaps @ hits.  A scale-homogeneous key (``scaled``)
+    has the base record's table and levels times its scale and the base
+    arm's hit columns: a positive scale leaves every stopping set as it is.
+    """
 
-    __slots__ = ("levels", "_columns", "_gaps", "_top", "_discount", "_lone")
-
-    def __init__(self, levels: np.ndarray, columns: HitColumns, delta: float):
-        positive = int(np.count_nonzero(levels > 0.0))  # a prefix: levels never rise
-        self.levels = levels[:positive]
+    def __init__(self, table: np.ndarray, levels: np.ndarray, columns: HitColumns, delta: float, scale=None):
+        self.table = table
+        self._levels = levels  # every level of the arm, non-increasing, before ``scale``
+        self._scale = scale
         self._columns = columns
-        self._gaps = self.levels - np.append(self.levels[1:], 0.0)
-        self._top = self.levels[0] if positive else 0.0  # no levels: the arm never plays
-        self._discount = 1.0 - delta
+        self._delta = delta
         self._lone: dict[int, float] = {}
+
+    def scaled(self, scale: float) -> _Index:
+        """The record of a key whose index table is ``scale`` times this one's."""
+        return _Index(scale * self.table, self._levels, self._columns, self._delta, scale)
+
+    @functools.cached_property
+    def rows(self) -> list[float]:
+        return self.table.tolist()
+
+    @functools.cached_property
+    def levels(self) -> np.ndarray:
+        levels = self._levels if self._scale is None else self._scale * self._levels
+        return levels[: int(np.count_nonzero(levels > 0.0))]  # a prefix: levels never rise
+
+    @functools.cached_property
+    def _gaps(self) -> np.ndarray:
+        return self.levels - np.append(self.levels[1:], 0.0)
 
     def hits(self, state: int) -> np.ndarray:
         """The hit column at ``state``, one entry per positive level."""
@@ -214,7 +234,8 @@ class _Whittle:
         """W of this arm alone against the zero arm from ``state``."""
         out = self._lone.get(state)
         if out is None:
-            out = self._lone[state] = float((self._top - self._gaps @ self.hits(state)) / self._discount)
+            top = self.levels[0] if len(self.levels) else 0.0  # no levels: the arm never plays
+            out = self._lone[state] = float((top - self._gaps @ self.hits(state)) / (1.0 - self._delta))
         return out
 
 
@@ -267,16 +288,16 @@ class _Trajectories:
 class MechanismRuntime:
     """Compiled, cached machinery shared across episodes of one environment.
 
-    Index tables and hit discounts (``_Whittle``, with the lone-arm
-    values they give) are cached per (agent, pegged report, current
-    theta), for the ``_TABLE_KEYS`` most recently used keys; a key leaves
-    with both its table and its hits, and comes back rebuilt to the same
-    bits.  Multiplicative values with C = 0 use the positive-homogeneity
-    of the index in the rewards: one sweep of the experience process's
-    base arm gives the base index table and hit columns, kept per agent
-    model, and these serve every (report, theta) pair through the scale
-    alpha(report) * A(theta), a positive scale leaving every stopping
-    set, hence the hit discounts, unchanged.
+    Index data is kept in one record per (agent, pegged report, current
+    theta) key (``_Index``: the table, its rows, levels, hit columns and
+    lone-arm values), for the ``_TABLE_KEYS`` most recently used keys
+    (``index``); an evicted key comes back rebuilt to the same bits.
+    Multiplicative values with C = 0 use the positive-homogeneity of the
+    index in the rewards: one sweep of the experience process's base arm
+    gives the base record, kept per agent model, and it serves every
+    (report, theta) pair through the scale alpha(report) * A(theta)
+    (``scale``), a positive scale leaving every stopping set, hence the
+    hit discounts, unchanged.
 
     Experience trajectories are cached per stream address
     ``(master_seed, purpose, path_id)``, the ``_TRAJECTORY_PATHS`` most
@@ -290,14 +311,12 @@ class MechanismRuntime:
     def __init__(self, env: Environment):
         self.env = env
         self._transforms: dict[tuple[int, float], VirtualTransform | None] = {}
-        self._tables: dict[tuple[int, float, float], np.ndarray] = {}
-        self._hits: dict[tuple[int, float, float], _Whittle] = {}
-        self._recent: dict[tuple[int, float, float], None] = {}  # keys of both, least recently used first
-        self._bases: dict[int, tuple[np.ndarray, np.ndarray, HitColumns]] = {}
+        self._records: dict[tuple[int, float, float], _Index] = {}  # least recently used first
+        self._bases: dict[int, _Index] = {}
         self._paths: dict[tuple[int, str, int], _Trajectories] = {}
         self._thresholds: dict[int, float] = {}
         self._n_rho = [agent.public.n for agent in env.agents]
-        # multiplicative with C = 0: xi is a scale times B (``_homogeneous_scale``)
+        # multiplicative with C = 0: xi is a scale times B (``scale``)
         self._homogeneous = [
             isinstance(agent.value, MultiplicativeValue) and not np.any(agent.value.c != 0.0)
             for agent in env.agents
@@ -331,82 +350,54 @@ class MechanismRuntime:
 
     # -- per-agent tables -------------------------------------------------
 
-    def _use(self, key: tuple[int, float, float]) -> None:
-        """Mark ``key`` most recently used; past ``_TABLE_KEYS`` keys, the
-        least recently used one leaves ``_tables`` and ``_hits``."""
-        recent = self._recent
-        recent.pop(key, None)
-        recent[key] = None
-        if len(recent) > _TABLE_KEYS:
-            old = next(iter(recent))
-            del recent[old]
-            self._tables.pop(old, None)
-            self._hits.pop(old, None)
-
-    def _homogeneous_scale(self, agent_id: int, transform: VirtualTransform, theta: float):
-        """scale s.t. xi = scale * B, or None when the shortcut is invalid."""
+    def scale(self, agent_id: int, report: float, theta: float) -> float | None:
+        """alpha(report) * A(theta), which takes a scale-homogeneous
+        agent's base arm to its index at (report, theta): 0.0 where the
+        agent is dormant at the report, None for an agent that is not
+        scale-homogeneous or a negative scale.  alpha is the transform's
+        own scalar (``virtual.multiplicative_alpha``); none is built."""
         if not self._homogeneous[agent_id]:
             return None
-        scale = transform.alpha * self.env.agents[agent_id].value.a(theta)
+        agent = self.env.agents[agent_id]
+        alpha = multiplicative_alpha(agent, report)
+        if alpha is None or alpha <= 0.0:
+            return 0.0
+        scale = alpha * agent.value.a(theta)
         return scale if scale >= 0.0 else None
 
-    def _base(self, agent_id: int) -> tuple[np.ndarray, np.ndarray, HitColumns]:
-        """(index table, levels, hit columns) of the experience rewards B
-        alone, from one ``gittins.hit_discounts`` sweep, which refuses
-        arms above the sweep's cutoff.  A scale-homogeneous agent's index
-        table and levels at any (report, theta) are its scale times
-        these."""
+    def _base(self, agent_id: int) -> _Index:
+        """The record of the experience rewards B alone, from one
+        ``gittins.hit_discounts`` sweep, which refuses arms above the
+        sweep's cutoff."""
         # identical agent models (replicated built-ins) share one build
         agent = self.env.agents[agent_id]
         base = self._bases.get(id(agent))
         if base is None:
             arm = compile_reward_arm(agent, agent.value.b, self.env.delta)
-            base = self._bases[id(agent)] = hit_discounts(arm)
+            base = self._bases[id(agent)] = _Index(*hit_discounts(arm), self.env.delta)
         return base
 
-    def index_flat(self, agent_id: int, transform: VirtualTransform, theta: float) -> np.ndarray:
-        """Index table at (pegged report, theta), cached.  A key that is
-        not scale-homogeneous takes one ``hit_discounts`` sweep for both
-        its index table and its hit discounts (``hits_flat``); no hit
-        column is replayed here."""
+    def index(self, agent_id: int, transform: VirtualTransform, theta: float) -> _Index:
+        """The record at (pegged report, theta), cached: the base record
+        scaled (``scale``), or one ``hit_discounts`` sweep of the key's
+        own arm for its table, levels and hit columns together."""
         key = (agent_id, transform.pegged_report, theta)
-        self._use(key)
-        out = self._tables.get(key)
+        out = self._records.pop(key, None)
         if out is None:
-            scale = self._homogeneous_scale(agent_id, transform, theta)
+            scale = self.scale(agent_id, transform.pegged_report, theta)
             if scale is None:
-                self._sweep_key(key, transform)
+                arm = compile_arm(self.env, agent_id, transform, theta)
+                out = _Index(*hit_discounts(arm), self.env.delta)
             else:
-                self._tables[key] = scale * self._base(agent_id)[0]
-            out = self._tables[key]
+                out = self._base(agent_id).scaled(scale)
+            if len(self._records) >= _TABLE_KEYS:
+                del self._records[next(iter(self._records))]  # least recently used
+        self._records[key] = out
         return out
 
-    def _sweep_key(self, key: tuple[int, float, float], transform: VirtualTransform) -> None:
-        """Index table and hit discounts of a key that is not
-        scale-homogeneous, from one ``hit_discounts`` sweep."""
-        agent_id, _, theta = key
-        indices, levels, columns = hit_discounts(compile_arm(self.env, agent_id, transform, theta))
-        self._tables[key] = indices
-        self._hits[key] = _Whittle(levels, columns, self.env.delta)
-
-    def hits_flat(self, agent_id: int, transform: VirtualTransform, theta: float) -> _Whittle:
-        """This agent's positive index levels at (pegged report, theta),
-        its arm's hit columns (``gittins.hit_discounts``, which refuses
-        arms above the sweep's cutoff) and its lone-arm W per state
-        (``_Whittle``).  A scale-homogeneous agent's keys share the base
-        arm's columns, each replayed once per agent model."""
-        key = (agent_id, transform.pegged_report, theta)
-        self._use(key)
-        out = self._hits.get(key)
-        if out is not None:
-            return out
-        scale = self._homogeneous_scale(agent_id, transform, theta)
-        if scale is None:
-            self._sweep_key(key, transform)
-            return self._hits[key]
-        _, levels, columns = self._base(agent_id)
-        out = self._hits[key] = _Whittle(scale * levels, columns, self.env.delta)
-        return out
+    def index_flat(self, agent_id: int, transform: VirtualTransform, theta: float) -> np.ndarray:
+        """Index table at (pegged report, theta): ``index(...).table``."""
+        return self.index(agent_id, transform, theta).table
 
     # -- externality values ------------------------------------------------
 
@@ -414,7 +405,7 @@ class MechanismRuntime:
         """Optimal transformed surplus of the given arms from their flat
         states, with the zero arm available, by Whittle's retirement
         formula over the arms' hit discounts at every arity: one arm
-        reads its memoized lone-arm W (``hits_flat``), more pass each
+        reads its memoized lone-arm W (``_Index.lone``), more pass each
         arm's levels and hit column at its state to
         ``gittins.retirement_surplus``, exact and O(sum of the arms'
         levels) per call once the columns are replayed.  An arm above
@@ -424,10 +415,10 @@ class MechanismRuntime:
             return 0.0
         if len(others) == 1:
             agent_id, tr, theta = others[0]
-            return self.hits_flat(agent_id, tr, theta).lone(states[0])
+            return self.index(agent_id, tr, theta).lone(states[0])
         factors = []
         for (agent_id, tr, theta), s in zip(others, states):
-            arm = self.hits_flat(agent_id, tr, theta)
+            arm = self.index(agent_id, tr, theta)
             factors.append((arm.levels, arm.hits(s)))
         return retirement_surplus(factors) / (1.0 - self.env.delta)
 
@@ -728,7 +719,7 @@ class _Opponents(NamedTuple):
     key: tuple  # ((j, pegged report, theta_j), ...): their levels' cache key on a path
     agents: list[int]
     arms: list[tuple[int, VirtualTransform, float]]  # ``w_minus``'s arms
-    tables: list[list[float]]  # index tables at their types
+    tables: list[list[float]]  # index rows at their types (``_Index.rows``)
     absorbing: list[list[bool]]  # their ``AgentModel.absorbing``
 
 
@@ -738,7 +729,7 @@ def _opponents(runtime: MechanismRuntime, transforms, theta, i: int) -> _Opponen
         tuple((j, tr.pegged_report, th) for j, tr, th in arms),
         [j for j, _, _ in arms],
         arms,
-        [runtime.index_flat(j, tr, th).tolist() for j, tr, th in arms],
+        [runtime.index(j, tr, th).rows for j, tr, th in arms],
         [runtime.env.agents[j].absorbing for j, _, _ in arms],
     )
 
@@ -813,7 +804,7 @@ class _Deviator:
     plays its strategy's report schedule (``_schedule``), built
     once here for its type and resolved into the rounds where what i
     presents changes (``changes``): each segment's start, with the index
-    table at its reported type (``_table``), and each experience
+    rows at its reported type (``_Index.rows``), and each experience
     override's round and the round after it.  Between them i presents
     that table at its state (the override's experience and its true
     public state at an override round), re-read only when i moves.
@@ -852,7 +843,6 @@ class _Deviator:
         self.n_rho = runtime._n_rho[i]
         self.absorbing = env.agents[i].absorbing
         self.w_weight = 1.0 - env.delta
-        self.tables: dict[float, list[float]] = {}
         self.fixed: _Run | None = None  # the run of every path, once one read no draw
         if self.transform is None:  # dormant at its period-0 report: never allocated
             self.fixed = _Run(0.0, 0.0, [])
@@ -861,21 +851,15 @@ class _Deviator:
             self.beta = self.transform.beta.tolist()
             self.changes = self._changes(schedule, horizon)
 
-    def _table(self, theta_hat: float) -> list[float]:
-        table = self.tables.get(theta_hat)
-        if table is None:
-            table = self.runtime.index_flat(self.i, self.transform, theta_hat).tolist()
-            self.tables[theta_hat] = table
-        return table
-
     def _changes(self, schedule: ReportSchedule, horizon: int) -> list[tuple[int, list[float], int | None]]:
         """(round, table, experience override or None) at round 1 and at
         every later round up to ``horizon`` where what i presents changes."""
         rounds = {1} | {start for start, _ in schedule.segments}
         for t in schedule.overrides:
             rounds.update((t, t + 1))
+        runtime, i, transform = self.runtime, self.i, self.transform
         return [
-            (t, self._table(schedule.theta_hat(t)), schedule.overrides.get(t))
+            (t, runtime.index(i, transform, schedule.theta_hat(t)).rows, schedule.overrides.get(t))
             for t in sorted(rounds)
             if 1 <= t <= horizon
         ]
@@ -1057,14 +1041,6 @@ def _brent_steps(
     raise RuntimeError(f"Brent's method did not converge in {_ROOT_MAXITER} iterations; last x {xcur!r}")
 
 
-def _scale_at(z: float, env: Environment, i: int) -> float:
-    """alpha(z) * A(z): a scale-homogeneous agent's index scale with its
-    report and type both at z (0 when dormant)."""
-    agent = env.agents[i]
-    alpha = multiplicative_alpha(agent, z)
-    return alpha * agent.value.a(z) if alpha is not None and alpha > 0.0 else 0.0
-
-
 class _Piece(NamedTuple):
     """Agent i's side of a path at one point of the walk."""
 
@@ -1153,18 +1129,18 @@ class _RentWalk:
         self.max_pieces = horizon * (horizon + 1) // 2 + 1
         self.fixed: tuple[float, float, int] | None = None  # every path's result, once one read no draw
         self._draw_free = True  # no merge of the current walk has moved either side
-        self.scale_hi = runtime._homogeneous_scale(i, transforms[i], self.hi)
+        self.scale_hi = runtime.scale(i, transforms[i].pegged_report, self.hi)
         if self.scale_hi is not None:
-            self.base = runtime._base(i)[0].tolist()
+            self.base = runtime._base(i).rows
             self.scale_lo = self._scale(self.lo)
         else:
             self.tol = (self.hi - self.lo) * 2.0**-_BRACKET_LEVELS
             # Brent's smallest step is xtol / 2, which must move z
             self.xtol = max(self.tol, 2.0 * math.ulp(self.hi))
-            self.tables = {self.hi: runtime.index_flat(i, transforms[i], self.hi).tolist()}
+            self.tables = {self.hi: runtime.index(i, transforms[i], self.hi).rows}
 
     def _scale(self, z: float) -> float:
-        return _scale_at(z, self.env, self.i)
+        return self.runtime.scale(self.i, z, z)
 
     def _merge(self, paths: _Trajectories, levels: _Levels, table: list, scale: float | None) -> _Piece:
         """Agent i's rounds on the path against the others' levels, with

@@ -8,14 +8,13 @@ perturbs existing draws.  Recreating a stream from the same key replays
 the same draws, which is what the paired (common-random-number)
 estimators rely on.
 
-An address's stream is the Philox stream that ``substream`` builds
-through NumPy's ``SeedSequence``.  Philox is counter-based: a stream is
-set by its 128-bit key and its counter alone.  So the hot paths derive
-the key that ``SeedSequence`` would give (``stream_key``, or
-``stream_keys`` for many addresses in one vectorized pass) and draw from
-one scratch generator per thread, re-keyed to the address (``keyed``),
-instead of building a ``SeedSequence`` and a ``Philox`` per address.
-``substream`` stays the reference they are tested against.
+An address's stream is a Philox stream keyed by NumPy's seed-sequence
+hash of the master seed and the address's words (``stream_key``, or
+``stream_keys`` for many addresses in one vectorized pass), computed in
+plain integers.  Philox is counter-based: a stream is set by its 128-bit
+key and its counter alone.  So ``substream`` builds an independent
+generator at the key, and the hot paths draw from one scratch generator
+per thread, re-keyed to the address (``keyed``).
 """
 
 from __future__ import annotations
@@ -30,12 +29,12 @@ __all__ = ["substream", "stream_key", "stream_keys", "keyed", "ExperienceStreams
 
 _DRAW_BLOCK = 32  # draw pairs an agent's stream yields per generator call
 
-# SeedSequence's mixing constants (numpy/random/bit_generator.pyx)
+# the seed-sequence mixing constants of numpy/random/bit_generator.pyx
 _MASK = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_POOL = 4  # SeedSequence's default pool size, in uint32 words
+_POOL = 4  # the default entropy pool size, in uint32 words
 _PREFIX_CACHE_MAX = 4096
 
 
@@ -65,26 +64,24 @@ def _key_words(part) -> tuple[int, ...]:
     raise TypeError(f"stream key parts must be int or str, got {type(part)!r}")
 
 
-def substream(master_seed: int, *key) -> np.random.Generator:
-    """Return a Philox generator for the given (master_seed, *key) address.
+def substream(master_seed: int, first, *rest) -> np.random.Generator:
+    """An independent Philox generator at the key (``stream_key``) of
+    the address (master_seed, first, *rest).
 
     The same address always yields an identical stream; distinct
     addresses yield statistically independent streams.
     """
-    spawn: list[int] = []
-    for part in key:
-        spawn.extend(_key_words(part))
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(spawn))
-    return np.random.Generator(np.random.Philox(ss))
+    k0, k1 = stream_key(master_seed, first, *rest)
+    return np.random.Generator(np.random.Philox(key=k0 | k1 << 64))
 
 
 # ---------------------------------------------------------------------------
-# SeedSequence's key derivation, without SeedSequence
+# NumPy's seed-sequence key derivation, in plain integers
 # ---------------------------------------------------------------------------
 
 
 def _hashmix(v: int, h: int) -> tuple[int, int]:
-    """SeedSequence's ``hashmix`` of v, and the next hash constant."""
+    """The seed sequence's ``hashmix`` of v, and the next hash constant."""
     v ^= h
     h = h * _MULT_A & _MASK
     v = v * h & _MASK
@@ -98,7 +95,7 @@ def _mix(x: int, y: int) -> int:
 
 def _absorb(pool, h: int, words):
     """Mix entropy words past the pool size into ``pool`` as
-    ``SeedSequence.mix_entropy`` does (``_mix(pool[d], _hashmix(w))``,
+    the seed sequence's ``mix_entropy`` does (``_mix(pool[d], _hashmix(w))``,
     inlined); ``h`` is its running hash constant.
 
     The words may be ints or uint64 arrays of uint32 values (one address
@@ -167,7 +164,8 @@ def _philox_key(pool):
 
 
 def stream_key(master_seed: int, first, *rest) -> tuple[int, int]:
-    """The Philox key of ``substream(master_seed, first, *rest)``."""
+    """The Philox key of (master_seed, first, *rest): what NumPy's seed
+    sequence of that entropy and spawn key (``_key_words``) generates."""
     pool, h = _prefix(master_seed, first)
     words = [w for part in rest for w in _key_words(part)]
     return _philox_key(_absorb(pool, h, words)[0])
@@ -235,11 +233,11 @@ class ExperienceStreams:
     every later run, fee-walk piece or audit cell on the address reads
     the cached states instead of drawing again.
 
-    Agent i's stream is ``substream(master_seed, purpose, path_id, i)``.
-    Its key is derived as ``SeedSequence`` does (``stream_key``), and its
-    pairs come in blocks of ``_DRAW_BLOCK``: block b is one
-    ``random(2 * _DRAW_BLOCK)`` call on the thread's scratch generator,
-    re-keyed to the stream at counter ``b * _DRAW_BLOCK // 2`` (``keyed``).
+    Agent i's stream is ``substream(master_seed, purpose, path_id, i)``,
+    at ``stream_key``'s key.  Its pairs come in blocks of ``_DRAW_BLOCK``:
+    block b is one ``random(2 * _DRAW_BLOCK)`` call on the thread's
+    scratch generator, re-keyed to the stream at counter
+    ``b * _DRAW_BLOCK // 2`` (``keyed``).
     That yields the same numbers as one ``random(2)`` call per pair on
     the stream read straight through.
     """

@@ -190,7 +190,7 @@ def test_bisect_walk_matches_replay_oracle(theta):
     pieces = []
     for i in range(env.k):
         data = mech.fee_quadrature(env, theta, i, paths=4, seed=2, horizon=horizon, runtime=rt)
-        assert rt._homogeneous_scale(i, rt.transform(i, theta[i]), theta[i]) is None
+        assert rt.scale(i, theta[i], theta[i]) is None
         oracle = ref.replay_fee_walk(env, theta, i, 4, 2, horizon, rt)
         got = list(zip(data.integral.tolist(), data.error.tolist(), data.pieces.tolist()))
         assert got == oracle

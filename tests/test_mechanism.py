@@ -154,7 +154,7 @@ def test_fee_walk_costs_one_replay_per_piece(sponsored2, sponsored2_runtime, mon
     env, rt = sponsored2, sponsored2_runtime
     rt.index_flat(0, rt.transform(0, 0.9), 0.9)
     rt.index_flat(1, rt.transform(1, 0.7), 0.7)
-    tables = dict(rt._tables)
+    tables = dict(rt._records)
     calls, value_runs = [], []
     run_rounds, run = mech._run_rounds, mech._Deviator.run
     monkeypatch.setattr(mech, "_run_rounds", lambda *a, **kw: calls.append(1) or run_rounds(*a, **kw))
@@ -163,10 +163,36 @@ def test_fee_walk_costs_one_replay_per_piece(sponsored2, sponsored2_runtime, mon
     assert len(value_runs) == 6 and not calls
     assert data.pieces.max() > 2  # the path crosses breakpoints
     assert data.quad_error() <= 1e-9
-    assert rt._tables.keys() == tables.keys()
+    assert rt._records.keys() == tables.keys()
     posted = posted_price_env()
     one = mech.fee_quadrature(posted, [0.8], 0, paths=4, runtime=mech.MechanismRuntime(posted))
     assert list(one.pieces) == [1, 1, 1, 1] and one.quad_error() == 0.0
+
+
+def test_engines_read_the_runtime_records_rows(sponsored2):
+    # the opponents' tables, a deviator's change tables and a fee walk's
+    # top and base tables are the runtime's records' rows, listed once per
+    # key rather than once per engine
+    env, theta = sponsored2, [0.9, 0.7]
+    rt = mech.MechanismRuntime(env)
+    transforms = mech._active_transforms(env, rt, theta)
+    opponents = mech._opponents(rt, transforms, theta, 0)
+    assert opponents.tables[0] is rt.index(1, transforms[1], 0.7).rows
+    assert opponents.tables[0] == rt.index(1, transforms[1], 0.7).table.tolist()
+    strategy = mech.CorrectingDeviation(-0.2, correct_round=3)
+    deviator = mech._Deviator(env, rt, transforms, theta, 0, strategy, 10)
+    schedule = mech._schedule(strategy, env, 0, 0.9)
+    assert [t for t, _, _ in deviator.changes] == [1, 3]
+    for t, rows, _ in deviator.changes:
+        record = rt.index(0, transforms[0], schedule.theta_hat(t))
+        assert rows is record.rows and rows == record.table.tolist()
+    walk = mech._RentWalk(env, rt, transforms, theta, 0, rt.threshold(0), 10)
+    assert walk.base is rt._base(0).rows and walk.base == rt._base(0).table.tolist()
+    env = _ar1_env(2)  # additive: the walk starts from the record at the report
+    rt = mech.MechanismRuntime(env)
+    transforms = mech._active_transforms(env, rt, theta)
+    walk = mech._RentWalk(env, rt, transforms, theta, 1, rt.threshold(1), 10)
+    assert walk.tables[0.7] is rt.index(1, transforms[1], 0.7).rows
 
 
 def test_table_walk_builds_few_tables_per_breakpoint(monkeypatch):
@@ -263,7 +289,7 @@ def test_lone_arm_vector_equals_per_state_whittle_sum(which, sponsored_small):
     env = sponsored_small if which == "sponsored" else _ar1_env(1)
     rt = mech.MechanismRuntime(env)
     tr, theta = rt.transform(0, 0.9), 0.75
-    arm = rt.hits_flat(0, tr, theta)
+    arm = rt.index(0, tr, theta)
     assert len(arm.levels) > 0
     states = range(env.agents[0].private.n * env.agents[0].public.n)
     lone = np.array([arm.lone(s) for s in states])
@@ -497,6 +523,17 @@ def test_complete_monitoring_equivalence(sponsored_small, sponsored_small_runtim
         sponsored_small, [mech.Truthful()] * 2, monitored=True, **kwargs
     )
     assert plain == watched
+    # agent 1 misreports its experience at round 1: monitoring restores
+    # the truthful outcome, and without it the lie moves the outcome
+    liar = [mech.Truthful(), mech.MisreportExperience(1, 2)]
+    liar_watched = mech.run_episode(sponsored_small, liar, monitored=True, **kwargs)
+    liar_plain = mech.run_episode(sponsored_small, liar, **kwargs)
+
+    def outcome(tr):
+        return [r.winner for r in tr.rounds], [r.payment for r in tr.rounds], tr.revenue, tr.utilities
+
+    assert outcome(liar_watched) == outcome(plain)
+    assert outcome(liar_plain) != outcome(plain)
 
 
 def test_transcript_accounting_recomputable(sponsored_small, sponsored_small_runtime):
@@ -634,13 +671,17 @@ def test_scale_at_equals_the_transforms_alpha_times_a():
     from dynamech.virtual import transform_or_dormant
 
     for env in (envs.sponsored_search(k=2, cap=2, delta=0.8), posted_price_env()):
+        rt = mech.MechanismRuntime(env)
         theta_bar = env.agents[0].distribution.theta_bar
         lo = dormancy_threshold(env, 0)
         grid = np.concatenate([np.linspace(0.0, theta_bar, 401), [5e-324, lo, math.nextafter(lo, 0.0)]])
         for z in grid.tolist():
             tr = transform_or_dormant(env, 0, z)
             want = 0.0 if tr is None else tr.alpha * env.agents[0].value.a(z)
-            assert mech._scale_at(z, env, 0).hex() == want.hex()
+            assert rt.scale(0, z, z).hex() == want.hex()
+            if tr is not None:  # the report pegs alpha, theta moves A
+                want = tr.alpha * env.agents[0].value.a(0.5 * z)
+                assert rt.scale(0, z, 0.5 * z).hex() == want.hex()
 
 
 def test_brent_port_equals_scipy_on_fee_walk_calls(tmp_path, monkeypatch):

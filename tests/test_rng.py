@@ -85,8 +85,19 @@ _PARTS = st.one_of(
 )
 
 
+def _numpy_generator(master_seed, *key) -> np.random.Generator:
+    """The address's generator as NumPy's own ``SeedSequence`` keys it."""
+    words = tuple(w for part in key for w in rng._key_words(part))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=master_seed, spawn_key=words)))
+
+
 def _numpy_key(master_seed, *key) -> tuple[int, int]:
-    return tuple(int(x) for x in substream(master_seed, *key).bit_generator.state["state"]["key"])
+    return tuple(int(x) for x in _numpy_generator(master_seed, *key).bit_generator.state["state"]["key"])
+
+
+@pytest.mark.parametrize("address", [(0, "types", 1), (5, "rev-types", 3, 0), (2**70 + 1, "x", -5, "y")])
+def test_substream_draws_equal_seed_sequence_draws(address):
+    assert substream(*address).random(9).tolist() == _numpy_generator(*address).random(9).tolist()
 
 
 @settings(max_examples=300, deadline=None)
@@ -113,7 +124,7 @@ def test_experience_draws_equal_substream_draws(seed, purpose, path, blocks):
                 got[agent].append(streams.draw_pair(agent))
                 left[agent] -= 1
     for agent, pairs in enumerate(got):
-        want = substream(seed, purpose, path, agent).random(2 * len(pairs)).tolist()
+        want = _numpy_generator(seed, purpose, path, agent).random(2 * len(pairs)).tolist()
         assert pairs == list(zip(want[::2], want[1::2]))
 
 

@@ -222,9 +222,8 @@ def test_ic_audit_keeps_at_most_the_table_cap_and_the_same_bits(monkeypatch):
 
     uncapped, full = audit(10**9)
     capped, rt = audit(8)
-    assert len(full._tables) > 8 and len(full._hits) > 8  # the cap evicts
-    assert len(rt._recent) <= 8 and len(rt._tables) <= 8 and len(rt._hits) <= 8
-    assert set(rt._tables) | set(rt._hits) <= set(rt._recent)
+    assert len(full._records) > 8  # the cap evicts
+    assert len(rt._records) <= 8
     assert capped == uncapped
 
 

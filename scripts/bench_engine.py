@@ -29,15 +29,18 @@ tree goes first.  Recorded per tree:
 - ``draw_pair_calls``: ``ExperienceStreams.draw_pair`` calls made by
   one operation of each kind above;
 - ``additive_table_builds_per_path``: index tables the additive fee
-  call builds at points of its walk (``mechanism.index_of_states``
-  calls), per path;
+  call builds at points of its walk (``gittins.index_of_states`` calls,
+  wherever the tree calls it from), per path;
 - ``sweep_ms``: best of ``SWEEP_CALLS`` index sweeps of the
   experience-reward arms of sponsored search at caps 2-5 and 7 and of
-  the AR(1) environment above: index-only (``gittins._sweep_indices``),
-  and again with the hit columns one ``simulate`` reads
-  (``gittins.hit_discounts``, then ``column`` at each of those states;
-  a tree whose ``hit_discounts`` builds the whole hit table is timed on
-  that call alone);
+  the AR(1) environment above: index-only over every state
+  (``gittins._sweep_indices``), again with the hit columns one
+  ``simulate`` reads (``gittins.hit_discounts``, then ``column`` at each
+  of those states; a tree whose ``hit_discounts`` builds the whole hit
+  table is timed on that call alone), and, in a tree that has it, over
+  the states reachable from state 0 alone (``gittins.start_indices``,
+  the arm's closure already built; ``START_ARMS``' arms only), labelled
+  with the closure's size;
 - ``simulate_columns``: those states per arm, counted: the distinct
   opponent states whose lone-arm price one ``run_episode`` with fees
   reads on the arm's k=2 environment (delta 0.8) at types (0.9, 0.8),
@@ -117,6 +120,7 @@ WARM_UP = 10**6  # stream seed of the untimed calls
 STRATEGIC_PATHS = 64
 SWEEP_CALLS = 5
 SWEEP_CAPS = (2, 3, 4, 5, 7)
+START_ARMS = ("sponsored cap 2", "sponsored cap 5", "ar1")  # the arms whose start-closure sweep is timed
 SIMULATE_SEED, SIMULATE_FEE_ROLLOUTS = 11, 16  # as the sponsored-simulate benchmark's config
 TIMES = (
     "fee_ms_per_path", "episode_ms", "posted_audit_ic_s", "additive_fee_ms_per_path", "strategic_run_us",
@@ -141,6 +145,7 @@ def _measure() -> dict:
     import numpy as np
 
     from dynamech import environments as envs
+    from dynamech import gittins
     from dynamech import mechanism as mech
     from dynamech import verification as ver
     from dynamech.config import build_environment, parse_config_text
@@ -211,17 +216,20 @@ def _measure() -> dict:
     ar1_rt = MechanismRuntime(ar1)
     fee_quadrature(ar1, [0.8, 0.7], 0, paths=1, seed=WARM_UP, runtime=ar1_rt)
     builds = [0]
-    index_of_states = mech.index_of_states
+    index_of_states = gittins.index_of_states
 
     def counted_build(*args):
         builds[0] += 1
         return index_of_states(*args)
 
-    mech.index_of_states = counted_build
+    callers = [m for m in (mech, gittins) if getattr(m, "index_of_states", None) is index_of_states]
+    for module in callers:
+        module.index_of_states = counted_build
     additive_s, _ = timed(
         lambda: fee_quadrature(ar1, [0.8, 0.7], 0, paths=FEE_PATHS, seed=1, runtime=ar1_rt)
     )
-    mech.index_of_states = index_of_states
+    for module in callers:
+        module.index_of_states = index_of_states
     ExperienceStreams.draw_pair = draw_pair
     sweep_ms, simulate_columns = _sweep_ms()
     index_build_us = _index_build_us()
@@ -450,6 +458,8 @@ def _sweep_ms() -> tuple[dict, dict]:
         label = f"{name} ({arm.n} states)"
         counts[label] = len(states)
         modes = {"index": lambda: gittins._sweep_indices(arm), "simulate columns": lambda: columns(arm, states)}
+        if name in START_ARMS and hasattr(gittins, "start_indices"):
+            modes[f"start closure ({len(arm.graph.start(arm.delta)[0])} states)"] = lambda: gittins.start_indices(arm)
         for mode, sweep in modes.items():
             best = math.inf
             for _ in range(SWEEP_CALLS):

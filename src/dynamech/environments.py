@@ -397,17 +397,19 @@ class SweepGraph:
     discount factor (``sweep_rows``), each state's successors
     (``succ``), whether every edge goes to an equal or higher state
     (``forward``), and, where one does not, the strongly connected
-    components (``reach``).  All depend on the transition alone, so one
-    agent model's graph (``AgentModel.graph``) serves the index build at
-    every type and report.
+    components (``reach``), and the states reachable from flat state 0
+    as a graph of their own (``start``).  All depend on the transition
+    alone, so one agent model's graph (``AgentModel.graph``) serves the
+    index build at every type and report.
 
     The transition is given by its kernels G (n_rho, n_rho) and H
     (n_rho, n_e, n_e), read in one pass at the first ``sweep_rows``; a
     chain given as one matrix P is the one-public-state case G = [[1]],
     H = P[None].  A graph refers to no agent model, so a model and its
-    graph are freed together, by reference counting."""
+    graph are freed together, by reference counting (a graph with a
+    start closure by the cycle collector: the two refer to each other)."""
 
-    __slots__ = ("kernels", "_rows", "_succ", "_forward", "_reach")
+    __slots__ = ("kernels", "_rows", "_succ", "_forward", "_reach", "_start")
 
     def __init__(self, g: np.ndarray, h: np.ndarray):
         self.kernels = (g, h)
@@ -415,6 +417,7 @@ class SweepGraph:
         self._succ: list[list[int]] | None = None
         self._forward = False
         self._reach: Reach | None = None
+        self._start: tuple[list[int], SweepGraph] | None = None
 
     def _read(self, delta: float) -> Rows:
         """One pass over the kernels (``_read_kernels``): Q = delta * P as
@@ -435,10 +438,15 @@ class SweepGraph:
         if delta not in self._rows:
             self._rows[delta] = None
             return self._read(delta)
-        kept = self._rows[delta]
+        rows, preds = self._kept(delta)
+        return list(map(dict.copy, rows)), list(map(set.copy, preds))
+
+    def _kept(self, delta: float) -> Rows:
+        """The pristine read at delta, kept from now on (read-only)."""
+        kept = self._rows.get(delta)
         if kept is None:
             kept = self._rows[delta] = self._read(delta)
-        return list(map(dict.copy, kept[0])), list(map(set.copy, kept[1]))
+        return kept
 
     @property
     def succ(self) -> list[list[int]]:
@@ -468,6 +476,60 @@ class SweepGraph:
         if self._reach is None:
             self._reach = _reach(self.succ)
         return self._reach
+
+    def start(self, delta: float) -> tuple[list[int], SweepGraph]:
+        """The start closure, built on first use: the flat states
+        reachable from state 0 along ``succ`` (zero products included),
+        ascending, and those states as a graph of their own
+        (``_Closure``).  Every engine starts an agent at state 0, so a
+        table read only along its trajectories needs these states alone.
+        No edge leaves them and a sweep folds a state only into the
+        states that step to it, so their sweep gives each of them the
+        full sweep's index bit for bit (``gittins.start_indices``).  The
+        read kept at ``delta``, which the closure's rows restrict, also
+        gives ``succ``, so the kernels are not read for it alone."""
+        if self._start is None:
+            self._kept(delta)
+            succ = self.succ
+            seen, todo = {0}, [0]
+            while todo:
+                for j in succ[todo.pop()]:
+                    if j not in seen:
+                        seen.add(j)
+                        todo.append(j)
+            states = sorted(seen)
+            self._start = states, _Closure(self, states)
+        return self._start
+
+
+class _Closure(SweepGraph):
+    """A successor-closed set of a graph's states (``SweepGraph.start``)
+    as a graph of its own, its k-th lowest state numbered k, with no
+    kernels.  Its rows and predecessor sets at a delta are the parent's
+    kept read restricted and renumbered, and its successors the parent's
+    renumbered, so an edge whose product is 0 stays an edge.  Ascending
+    numbers keep every comparison's order: a tie in the sweep still goes
+    to the lowest original state, and a ``forward`` parent has a forward
+    closure, which runs no Tarjan pass."""
+
+    __slots__ = ("_parent", "_states", "_new")
+
+    def __init__(self, parent: SweepGraph, states: list[int]):
+        self.kernels = None
+        self._rows = {}
+        self._reach = self._start = None
+        self._parent, self._states = parent, states
+        new = self._new = {s: k for k, s in enumerate(states)}
+        self._succ = [[new[j] for j in parent.succ[s]] for s in states]
+        self._forward = all(out[0] >= k for k, out in enumerate(self._succ))
+
+    def _read(self, delta: float) -> Rows:
+        rows, preds = self._parent._kept(delta)
+        new = self._new
+        return (
+            [{new[j]: v for j, v in rows[s].items()} for s in self._states],
+            [{new[p] for p in preds[s] if p in new} for s in self._states],
+        )
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,7 @@ __all__ = [
     "compile_arm",
     "compile_reward_arm",
     "index_of_states",
+    "start_indices",
     "hit_discounts",
     "HitColumns",
     "retirement_surplus",
@@ -207,14 +208,17 @@ def _sweep_indices(arm: CompiledArm) -> tuple[np.ndarray, np.ndarray, HitColumns
     rewards are constant keeps its reward bit-exactly.  Arms above
     ``DENSE_SWEEP_MAX_STATES`` states raise DomainError before anything
     is allocated."""
-    if arm.n > DENSE_SWEEP_MAX_STATES:
-        raise DomainError(
-            f"index sweep refused: {arm.n} states exceeds "
-            f"DENSE_SWEEP_MAX_STATES = {DENSE_SWEEP_MAX_STATES}"
-        )
+    _refuse_above_cutoff(arm.n)
     out, order, hits = _eliminate(arm)
     lo, hi = _reward_range(arm)
     return np.clip(out, lo, hi), order, hits
+
+
+def _refuse_above_cutoff(n: int) -> None:
+    if n > DENSE_SWEEP_MAX_STATES:
+        raise DomainError(
+            f"index sweep refused: {n} states exceeds DENSE_SWEEP_MAX_STATES = {DENSE_SWEEP_MAX_STATES}"
+        )
 
 
 def _eliminate(arm: CompiledArm) -> tuple[np.ndarray, np.ndarray, HitColumns]:
@@ -396,6 +400,24 @@ def index_of_states(arm: CompiledArm, states: np.ndarray) -> np.ndarray:
     constant gets its reward bit-exactly, and identical inputs give
     identical bits."""
     return _sweep_indices(arm)[0][states]
+
+
+def start_indices(arm: CompiledArm) -> list[float | None]:
+    """The index of every state reachable from flat state 0, where every
+    engine starts an agent, and None at every other state, so that a
+    stray read fails loudly: one ``index_of_states`` pass over the
+    graph's start closure alone (``SweepGraph.start``).  No edge leaves
+    the closure, so its rows, reward ranges and retirement order among
+    its states are the full sweep's, and each index has the full sweep's
+    bits.  Refuses (DomainError) by the full arm's size, as
+    ``index_of_states`` does."""
+    _refuse_above_cutoff(arm.n)
+    states, graph = arm.graph.start(arm.delta)
+    closure = CompiledArm(arm.rewards[states], arm.delta, len(states), 1, graph)
+    out: list[float | None] = [None] * arm.n
+    for s, x in zip(states, index_of_states(closure, np.arange(len(states))).tolist()):
+        out[s] = x
+    return out
 
 
 # ---------------------------------------------------------------------------

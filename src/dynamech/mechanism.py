@@ -30,9 +30,9 @@ from .gittins import (
     compile_arm,
     compile_reward_arm,
     hit_discounts,
-    index_of_states,
     index_policy_rollout,
     retirement_surplus,
+    start_indices,
     tail_horizon,
 )
 from .rng import ExperienceStreams, substream
@@ -185,7 +185,7 @@ class CorrectingDeviation(Strategy):
 
 
 _TRAJECTORY_PATHS = 1024  # stream addresses whose trajectories a runtime keeps
-_TABLE_KEYS = 64  # (agent, report, theta) keys whose index records (``_Index``) a runtime keeps
+_TABLE_KEYS = 64  # (agent, report, theta) keys whose index records (``_Index``) a runtime keeps, and as many start tables
 
 
 class _Index:
@@ -299,6 +299,13 @@ class MechanismRuntime:
     (``scale``), a positive scale leaving every stopping set, hence the
     hit discounts, unchanged.
 
+    A reader that no price follows reads a table only along trajectories
+    from flat state 0 (``start_rows``): it takes the key's record's rows
+    when the key has one, else the indices of the states reachable from
+    state 0 alone (``gittins.start_indices``), kept for the
+    ``_TABLE_KEYS`` most recently used keys.  Records stay whole: W_{-i}
+    sums over every retirement level of an arm.
+
     Experience trajectories are cached per stream address
     ``(master_seed, purpose, path_id)``, the ``_TRAJECTORY_PATHS`` most
     recently used ones, so every run on an address (the audits' cells,
@@ -354,12 +361,19 @@ class MechanismRuntime:
         """alpha(report) * A(theta), which takes a scale-homogeneous
         agent's base arm to its index at (report, theta): 0.0 where the
         agent is dormant at the report, None for an agent that is not
-        scale-homogeneous or a negative scale.  alpha is the transform's
-        own scalar (``virtual.multiplicative_alpha``); none is built."""
+        scale-homogeneous or a negative scale.  alpha is the cached
+        transform's where the report has one, else the transform's own
+        scalar (``virtual.multiplicative_alpha``); no transform is built
+        or cached."""
         if not self._homogeneous[agent_id]:
             return None
         agent = self.env.agents[agent_id]
-        alpha = multiplicative_alpha(agent, report)
+        key = (agent_id, report)
+        if key in self._transforms:
+            tr = self._transforms[key]
+            alpha = None if tr is None else tr.alpha
+        else:
+            alpha = multiplicative_alpha(agent, report)
         if alpha is None or alpha <= 0.0:
             return 0.0
         scale = alpha * agent.value.a(theta)
@@ -398,6 +412,56 @@ class MechanismRuntime:
     def index_flat(self, agent_id: int, transform: VirtualTransform, theta: float) -> np.ndarray:
         """Index table at (pegged report, theta): ``index(...).table``."""
         return self.index(agent_id, transform, theta).table
+
+    @functools.cached_property
+    def _starts(self) -> dict[tuple[int, float, float], list]:
+        return {}  # start tables, least recently used first
+
+    def start_rows(self, agent_id: int, transform: VirtualTransform, theta: float) -> list:
+        """The index rows at (pegged report, theta) for a reader that
+        reads them only at states reachable from flat state 0 and prices
+        nothing: the record's rows where the key has a record (always, on
+        a scale-homogeneous agent), else its start table (None off the
+        start closure, ``gittins.start_indices``), cached."""
+        key = (agent_id, transform.pegged_report, theta)
+        if self._homogeneous[agent_id] or key in self._records:
+            return self.index(agent_id, transform, theta).rows
+        starts = self._starts
+        out = starts.pop(key, None)
+        if out is None:
+            out = start_indices(compile_arm(self.env, agent_id, transform, theta))
+            if len(starts) >= _TABLE_KEYS:
+                del starts[next(iter(starts))]  # least recently used
+        starts[key] = out
+        return out
+
+    @functools.cached_property
+    def _frames(self) -> dict[tuple[int, float, int], tuple]:
+        return {}
+
+    def _frame(self, agent_id: int, lo: float, horizon: int) -> tuple:
+        """What every rent walk of the agent at threshold ``lo`` and
+        ``horizon`` reads, kept across episodes: the discounts, its
+        public states, ``AgentModel.absorbing``, its value, its rent
+        weights per flat state, the piece bound, and on a
+        scale-homogeneous agent its base record's rows and the scale at
+        ``lo`` (else None, None)."""
+        key = (agent_id, lo, horizon)
+        out = self._frames.get(key)
+        if out is None:
+            agent = self.env.agents[agent_id]
+            homogeneous = self._homogeneous[agent_id]
+            out = self._frames[key] = (
+                _discounts(self.env.delta, horizon),
+                agent.public.n,
+                agent.absorbing,
+                agent.value,
+                agent.value.weights.reshape(-1).tolist(),
+                horizon * (horizon + 1) // 2 + 1,
+                self._base(agent_id).rows if homogeneous else None,
+                self.scale(agent_id, lo, lo) if homogeneous else None,
+            )
+        return out
 
     # -- externality values ------------------------------------------------
 
@@ -581,6 +645,8 @@ def _run_rounds(
     winner's advances.  A truthful agent presents its table at its
     state; a strategic agent's index goes through its report schedule
     (``_schedule``, read once before round 1), on the same trajectory.
+    Without ``track_prices`` a truthful agent's table is its start table
+    (``MechanismRuntime.start_rows``).
     Prices are memoized within the path
     by the winner, its public state and the others' reports.  With every
     agent truthful, a round the zero arm wins, or one won at an absorbing
@@ -608,11 +674,12 @@ def _run_rounds(
     theta_hats = list(theta)
     e_hats = [0] * k
     cur_theta_hat: list[float | None] = [None] * k
-    tables: list[np.ndarray | None] = [None] * k
+    tables: list = [None] * k
     vals = [0.0] * len(active)
+    read = runtime.index_flat if track_prices else runtime.start_rows
     for p, i in enumerate(active):
         if truthful[i]:
-            tables[i] = runtime.index_flat(i, transforms[i], theta[i])
+            tables[i] = read(i, transforms[i], theta[i])
             vals[p] = tables[i][0]
     strategic_slots = [(i, slot.get(i), schedules[i]) for i in strategic]
     value_cache: list[np.ndarray | None] = [None] * k
@@ -719,17 +786,20 @@ class _Opponents(NamedTuple):
     key: tuple  # ((j, pegged report, theta_j), ...): their levels' cache key on a path
     agents: list[int]
     arms: list[tuple[int, VirtualTransform, float]]  # ``w_minus``'s arms
-    tables: list[list[float]]  # index rows at their types (``_Index.rows``)
+    tables: list[list[float]]  # index rows at their types, read along their trajectories
     absorbing: list[list[bool]]  # their ``AgentModel.absorbing``
 
 
-def _opponents(runtime: MechanismRuntime, transforms, theta, i: int) -> _Opponents:
+def _opponents(runtime: MechanismRuntime, transforms, theta, i: int, priced: bool = True) -> _Opponents:
+    """The opponents, with their records' rows where W_{-i} of them is
+    ``priced`` (it reads those records) and their start tables
+    (``MechanismRuntime.start_rows``) elsewhere."""
     arms = [(j, transforms[j], float(theta[j])) for j in sorted(transforms) if j != i]
     return _Opponents(
         tuple((j, tr.pegged_report, th) for j, tr, th in arms),
         [j for j, _, _ in arms],
         arms,
-        [runtime.index(j, tr, th).rows for j, tr, th in arms],
+        [runtime.index(*arm).rows if priced else runtime.start_rows(*arm) for arm in arms],
         [runtime.env.agents[j].absorbing for j, _, _ in arms],
     )
 
@@ -804,9 +874,10 @@ class _Deviator:
     plays its strategy's report schedule (``_schedule``), built
     once here for its type and resolved into the rounds where what i
     presents changes (``changes``): each segment's start, with the index
-    rows at its reported type (``_Index.rows``), and each experience
-    override's round and the round after it.  Between them i presents
-    that table at its state (the override's experience and its true
+    rows at its reported type (``_Index.rows``, or the start table of a
+    run that prices nothing and overrides no experience), and each
+    experience override's round and the round after it.  Between them i
+    presents that table at its state (the override's experience and its true
     public state at an override round), re-read only when i moves.
 
     Agent i wins iff its index b is positive and either b > level or
@@ -838,7 +909,7 @@ class _Deviator:
         schedule = _schedule(strategy, env, i, self.theta)
         self.track_prices = track_prices
         self.transform = transforms.get(i)
-        self.opponents = _opponents(runtime, transforms, theta, i)
+        self.opponents = _opponents(runtime, transforms, theta, i, track_prices)
         self.discs = _discounts(env.delta, horizon)
         self.n_rho = runtime._n_rho[i]
         self.absorbing = env.agents[i].absorbing
@@ -858,8 +929,14 @@ class _Deviator:
         for t in schedule.overrides:
             rounds.update((t, t + 1))
         runtime, i, transform = self.runtime, self.i, self.transform
+
+        def rows(theta_hat: float) -> list:
+            if self.track_prices or schedule.overrides:  # an override can name a state off the start closure
+                return runtime.index(i, transform, theta_hat).rows
+            return runtime.start_rows(i, transform, theta_hat)
+
         return [
-            (t, runtime.index(i, transform, schedule.theta_hat(t)).rows, schedule.overrides.get(t))
+            (t, rows(schedule.theta_hat(t)), schedule.overrides.get(t))
             for t in sorted(rounds)
             if 1 <= t <= horizon
         ]
@@ -1089,7 +1166,8 @@ class _RentWalk:
     runs at that scale.  No index table is built.  The error bound is
     the root's bracket times the jump.
 
-    Other arms merge on the index table at z (``_table_walk``).  A
+    Other arms merge on the index table at z (``_table_walk``), read
+    along trajectories alone (``MechanismRuntime.start_rows``).  A
     piece's merge records, per round i won, its state s and the level it
     beat; the margin F(z) = min over them of table_z[s] - level is
     continuous and nondecreasing in z under the precondition, and the
@@ -1119,25 +1197,20 @@ class _RentWalk:
         self.theta = list(theta_hat)
         self.hi = self.theta[i]
         self.lo = min(lo, self.hi)
-        self.opponents = _opponents(runtime, transforms, self.theta, i)
-        self.discs = _discounts(env.delta, horizon)
-        agent = env.agents[i]
-        self.n_rho = agent.public.n
-        self.absorbing = agent.absorbing
-        self.value = agent.value
-        self.weights = self.value.weights.reshape(-1).tolist()
-        self.max_pieces = horizon * (horizon + 1) // 2 + 1
+        self.opponents = _opponents(runtime, transforms, self.theta, i, False)
+        (
+            self.discs, self.n_rho, self.absorbing, self.value, self.weights, self.max_pieces, self.base,
+            self.scale_lo,
+        ) = runtime._frame(i, self.lo, horizon)
         self.fixed: tuple[float, float, int] | None = None  # every path's result, once one read no draw
         self._draw_free = True  # no merge of the current walk has moved either side
+        self._known: tuple = (None, None)  # (z, scale(z)) at the last breakpoint (scale walk)
         self.scale_hi = runtime.scale(i, transforms[i].pegged_report, self.hi)
-        if self.scale_hi is not None:
-            self.base = runtime._base(i).rows
-            self.scale_lo = self._scale(self.lo)
-        else:
+        if self.scale_hi is None:
             self.tol = (self.hi - self.lo) * 2.0**-_BRACKET_LEVELS
             # Brent's smallest step is xtol / 2, which must move z
             self.xtol = max(self.tol, 2.0 * math.ulp(self.hi))
-            self.tables = {self.hi: runtime.index(i, transforms[i], self.hi).rows}
+            self.tables = {self.hi: runtime.start_rows(i, transforms[i], self.hi)}
 
     def _scale(self, z: float) -> float:
         return self.runtime.scale(self.i, z, z)
@@ -1212,18 +1285,27 @@ class _RentWalk:
 
     def _z_at_scale(self, crit: float, z_top: float) -> tuple[float, float]:
         """Highest z in [lo, z_top] with scale(z) <= crit, and the width
-        of the bracket that holds it."""
+        of the bracket that holds it.  The scale at that z is kept
+        (``_known``): the next piece's top is there, and Brent's steps
+        have just evaluated it."""
         if crit <= self.scale_lo:
             return self.lo, 0.0
-        f_top = self._scale(z_top) - crit
-        if f_top <= 0.0:  # within rounding of the piece top
+        z_known, s_known = self._known
+        s_top = s_known if z_known == z_top else self._scale(z_top)
+        if s_top - crit <= 0.0:  # within rounding of the piece top
+            self._known = (z_top, s_top)
             return z_top, 0.0
         # _brentq evaluates the bracket's ends first: answer with the values at hand
-        ends = {self.lo: self.scale_lo - crit, z_top: f_top}
-        z = _brentq(
-            lambda z: ends[z] if z in ends else self._scale(z) - crit,
-            self.lo, z_top, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL,
-        )
+        scales = {self.lo: self.scale_lo, z_top: s_top}
+
+        def f(z: float) -> float:
+            s = scales.get(z)
+            if s is None:
+                s = scales[z] = self._scale(z)
+            return s - crit
+
+        z = _brentq(f, self.lo, z_top, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL)
+        self._known = (z, scales[z])
         return z, 2.0 * (_ROOT_XTOL + _ROOT_RTOL * abs(z))
 
     def _scale_walk(self, paths: _Trajectories, levels: _Levels) -> tuple[float, float, int]:
@@ -1254,8 +1336,7 @@ class _RentWalk:
     def _table(self, z: float) -> list:
         table = self.tables.get(z)
         if table is None:
-            arm = compile_arm(self.env, self.i, transform_or_dormant(self.env, self.i, z), z)
-            table = index_of_states(arm, np.arange(arm.n)).tolist()
+            table = self.runtime.start_rows(self.i, transform_or_dormant(self.env, self.i, z), z)
             if len(self.tables) < _PROBE_TABLES:
                 self.tables[z] = table
         return table
@@ -1333,6 +1414,9 @@ def fee_quadrature(
     merges agent i's trajectory against the others' levels once per
     constant piece of the integrand and needs allocation to be monotone
     in the report.  Once both are kept (``fixed``), later paths copy it.
+    The value run is built first: its prices build the records of the
+    keys it reads, and the walk then reads those records' rows instead
+    of sweeping the same keys' start tables.
     """
     runtime = runtime or MechanismRuntime(env)
     if horizon is None:
@@ -1342,8 +1426,8 @@ def fee_quadrature(
     pieces = np.zeros(paths, dtype=int)
     transforms = _active_transforms(env, runtime, theta_hat)
     if i in transforms:
-        walk = _RentWalk(env, runtime, transforms, theta_hat, i, runtime.threshold(i), horizon)
         truthful = _Deviator(env, runtime, transforms, theta_hat, i, Truthful(), horizon)
+        walk = _RentWalk(env, runtime, transforms, theta_hat, i, runtime.threshold(i), horizon)
         for j in range(paths):
             streams = ExperienceStreams(seed, path_offset + j, stream_purpose)
             values[j], payments[j], _ = truthful.run(streams)

@@ -348,6 +348,26 @@ def test_the_only_scipy_import_in_src_is_compiled_arm_transition():
     assert found == [("gittins.py", "CompiledArm", "transition", "scipy.sparse")]
 
 
+def test_the_package_imports_itself_only_relatively():
+    # scripts/ab_inprocess.py loads two trees' packages in one process,
+    # each under a name of its own: an absolute ``dynamech`` import in
+    # one of them would reach the other's modules
+    relative, absolute = 0, []
+    for name, tree in _src_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                relative += 1
+                continue
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            absolute += [(name, node.lineno, m) for m in modules if m.split(".")[0] == "dynamech"]
+    assert relative > 0 and absolute == []
+
+
 def _form_checks(tree: ast.AST):
     """The scope of each ``isinstance`` check against a value form class
     under ``tree``."""
@@ -529,6 +549,64 @@ def test_cli_simulate_refuses_lone_arm_above_sweep_cutoff(tmp_path, capsys, monk
     assert main(["--config", str(cfg), "--out", str(tmp_path / "refused"), *command]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "DENSE_SWEEP_MAX_STATES = 35" in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["audit", "--suite", "all"], ["bound"]])
+def test_no_additive_key_gets_both_a_start_sweep_and_a_full_sweep(tmp_path, monkeypatch, command):
+    # each (agent, report, theta) key is swept one way: whole, for a
+    # record that a price reads, or over the states reachable from state
+    # 0, for a table that no price reads.  A fee's value run comes before
+    # its walk, so the walk reads the records that its prices built.
+    # That holds across all of simulate and bound.  The audits' cells
+    # come one after another: a later cell may price a key that an
+    # earlier walk probed (where agent i ties an identical opponent's
+    # type) or read unpriced a key whose record has left the cache, so
+    # there it is checked per fee computation
+    from dynamech import mechanism as mech
+    from dynamech import verification as ver
+
+    keys, kinds, scope = {}, {}, [0]
+    compile_arm, hit_discounts, start_indices = mech.compile_arm, mech.hit_discounts, mech.start_indices
+    fee_quadrature = mech.fee_quadrature
+    per_fee = command == ["audit", "--suite", "all"]
+
+    def keyed(env, agent_id, transform, theta):
+        arm = compile_arm(env, agent_id, transform, theta)
+        keys[id(arm)] = (agent_id, transform.pegged_report, theta)
+        return arm
+
+    def logged(kind, sweep):
+        return lambda arm: kinds.setdefault((scope[0], keys.pop(id(arm))), set()).add(kind) or sweep(arm)
+
+    def scoped(*args, **kwargs):
+        scope[0] += 1
+        try:
+            return fee_quadrature(*args, **kwargs)
+        finally:
+            scope[0] += 1  # what follows the call is apart from it
+
+    monkeypatch.setattr(mech, "compile_arm", keyed)
+    monkeypatch.setattr(mech, "hit_discounts", logged("full", hit_discounts))
+    monkeypatch.setattr(mech, "start_indices", logged("start", start_indices))
+    if per_fee:
+        monkeypatch.setattr(mech, "fee_quadrature", scoped)
+        monkeypatch.setattr(ver, "fee_quadrature", scoped)
+    assert main(["--config", str(AR1_ADDITIVE), "--out", str(tmp_path), *command]) == 0
+    assert [key for key, both in kinds.items() if len(both) > 1] == []
+    swept = [kind for (at, _), both in kinds.items() for kind in both if at % 2 or not per_fee]
+    assert swept.count("start") > 0 and (swept.count("full") > 0) == (command != ["bound"])
+
+
+def test_start_sweeps_refuse_by_the_full_arm_size(tmp_path, capsys, monkeypatch):
+    # ``bound`` on additive values sweeps only the 7 states reachable
+    # from state 0, and still refuses the 35-state arm as a whole sweep would
+    from dynamech import gittins
+
+    monkeypatch.setattr(gittins, "DENSE_SWEEP_MAX_STATES", 34)
+    assert main(["--config", str(AR1_ADDITIVE), "--out", str(tmp_path), "bound"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: index sweep refused: 35 states exceeds DENSE_SWEEP_MAX_STATES = 34")
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 

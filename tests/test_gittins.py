@@ -12,7 +12,7 @@ from dynamech import gittins
 from dynamech.config import build_environment, parse_config
 from dynamech.environments import ArmState, DomainError
 from dynamech.rng import substream
-from dynamech.virtual import VirtualTransform, affine_coefficients
+from dynamech.virtual import VirtualTransform, affine_coefficients, transform_or_dormant
 
 from conftest import constant_arm_env, index_at, two_state_env
 from oracles import (
@@ -869,3 +869,105 @@ def test_v_max_is_the_same_for_replicated_and_distinct_agent_models(monkeypatch)
         distinct = envs.make_environment(models, 0.8)
         assert len(calls) == 4
         assert replicated.v_max == distinct.v_max == bound(agent)
+
+
+# ---------------------------------------------------------------------------
+# The start closure: a sweep of the states reachable from state 0 alone
+# ---------------------------------------------------------------------------
+
+
+def _assert_start_sweep_equals_full_sweep(arm: gittins.CompiledArm) -> int:
+    """``start_indices`` gives every state reachable from state 0 the
+    full sweep's index bit for bit (``tobytes`` tells -0.0 from 0.0) and
+    None elsewhere; returns the closure's size."""
+    states, _ = arm.graph.start(arm.delta)
+    succ = arm.graph.succ
+    assert states[0] == 0 and states == sorted(set(states))
+    assert all(set(succ[s]) <= set(states) for s in states)  # successor-closed
+    got = gittins.start_indices(arm)
+    assert [x is None for x in got] == [s not in states for s in range(arm.n)]
+    full = gittins.index_of_states(arm, np.arange(arm.n))
+    assert _bits([np.array([got[s] for s in states])]) == _bits([full[states]])
+    return len(states)
+
+
+def _closure_of(p: np.ndarray) -> set[int]:
+    seen, todo = {0}, [0]
+    while todo:
+        for j in np.nonzero(p[todo.pop()])[0].tolist():
+            if j not in seen:
+                seen.add(j)
+                todo.append(j)
+    return seen
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 100_000),
+    backward=st.booleans(),
+    tiny=st.sampled_from(["none", "fold underflow", "zero product"]),
+    ties=st.integers(0, 3),
+)
+def test_start_sweep_equals_full_sweep_on_random_chains(seed, backward, tiny, ties):
+    # 1-3 successors a state, only to equal or higher states unless
+    # ``backward`` (then Tarjan orders the components); rewards from a
+    # few values of both signs, +0.0 and -0.0 among them, so ratios tie
+    # exactly; a state off the closure copies the row and reward of a
+    # higher one on it (any one if ``backward``) and ties it at every
+    # step, winning each tie in the full sweep; entries near 1e-170 make fold products
+    # that underflow, and an entry of 5e-324 at a delta below 1/2 is an
+    # edge whose product rounds to 0
+    gen = substream(seed, "start-closure")
+    n = int(gen.integers(2, 25))
+    p = np.zeros((n, n))
+    for s in range(n):
+        first = 0 if backward else s
+        k = int(gen.integers(1, min(n - first, 3) + 1))
+        p[s, first + gen.choice(n - first, k, replace=False)] = 1.0 - gen.random(k)
+    if tiny == "fold underflow":
+        p[(gen.random((n, n)) < 0.15) & (p > 0.0)] = 1e-170
+    p /= p.sum(axis=1, keepdims=True)
+    delta = 0.5 + 0.48 * float(gen.random())
+    if tiny == "zero product":
+        s = int(gen.integers(0, n))
+        j = int(gen.integers(0 if backward else s, n))
+        if p[s, j] == 0.0:
+            p[s, j] = 5e-324
+        delta = 0.3 + 0.19 * float(gen.random())
+    rewards = gen.choice([-0.5, -0.25, -0.0, 0.0, 0.25, 0.5], n)
+    inside = sorted(_closure_of(p))
+    outside = sorted(set(range(n)) - set(inside))
+    pairs = [(u, t) for u in inside for t in outside if backward or t < u]
+    for k in gen.choice(len(pairs), min(ties, len(pairs)), replace=False).tolist() if pairs else ():
+        u, t = pairs[k]
+        p[t], rewards[t] = p[u], rewards[u]
+    arm = _chain_arm(rewards, p, delta)
+    assert arm.graph.forward or backward
+    assert _assert_start_sweep_equals_full_sweep(arm) == len(inside)
+
+
+def _config_agents():
+    """Agent 0 of each shipped config, with its environment."""
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    for path in sorted(configs.glob("*.cfg")):
+        yield path.stem, build_environment(parse_config(path))
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _config_agents()])
+def test_start_sweep_equals_full_sweep_on_shipped_agents(name):
+    # at the experience rewards and at virtual values of a grid of
+    # reports and types; the closures are 7 of 35 states on the AR(1)
+    # arm, 25 of 36 and 266 of 441 at sponsored caps 2 and 5, and the
+    # one state of the one-state arms
+    env = dict(_config_agents())[name]
+    agent = env.agents[0]
+    arms = [gittins.compile_reward_arm(agent, agent.value.b, env.delta)]
+    theta_bar = agent.distribution.theta_bar
+    for report in (0.5 * theta_bar, 0.8 * theta_bar, theta_bar):
+        tr = transform_or_dormant(env, 0, report)
+        if tr is not None:
+            arms += [gittins.compile_arm(env, 0, tr, theta) for theta in (0.3 * theta_bar, report)]
+    sizes = {(arm.n, _assert_start_sweep_equals_full_sweep(arm)) for arm in arms}
+    assert len(arms) > 2 and arms[0].graph is agent.graph
+    want = {"ar1_additive": (35, 7), "sponsored_search_2": (441, 266), "sponsored_search_4": (36, 25)}
+    assert sizes == {want.get(name, (1, 1))}

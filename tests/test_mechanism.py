@@ -170,9 +170,11 @@ def test_fee_walk_costs_one_replay_per_piece(sponsored2, sponsored2_runtime, mon
 
 
 def test_engines_read_the_runtime_records_rows(sponsored2):
-    # the opponents' tables, a deviator's change tables and a fee walk's
-    # top and base tables are the runtime's records' rows, listed once per
-    # key rather than once per engine
+    # priced engines read the runtime's records' rows, listed once per key
+    # rather than once per engine: the opponents' tables, a deviator's
+    # change tables and a scale walk's base; a reader that prices nothing
+    # reads a key's record's rows where it has one and else its start
+    # table, the indices of the states reachable from state 0 alone
     env, theta = sponsored2, [0.9, 0.7]
     rt = mech.MechanismRuntime(env)
     transforms = mech._active_transforms(env, rt, theta)
@@ -188,11 +190,21 @@ def test_engines_read_the_runtime_records_rows(sponsored2):
         assert rows is record.rows and rows == record.table.tolist()
     walk = mech._RentWalk(env, rt, transforms, theta, 0, rt.threshold(0), 10)
     assert walk.base is rt._base(0).rows and walk.base == rt._base(0).table.tolist()
-    env = _ar1_env(2)  # additive: the walk starts from the record at the report
+    env = _ar1_env(2)  # additive: the walk starts from the table at the report
     rt = mech.MechanismRuntime(env)
     transforms = mech._active_transforms(env, rt, theta)
     walk = mech._RentWalk(env, rt, transforms, theta, 1, rt.threshold(1), 10)
-    assert walk.tables[0.7] is rt.index(1, transforms[1], 0.7).rows
+    unpriced = mech._Deviator(env, rt, transforms, theta, 1, mech.Truthful(), 10, track_prices=False)
+    start = walk.tables[0.7]
+    assert not rt._records and start is rt._starts[(1, 0.7, 0.7)] and unpriced.changes[0][1] is start
+    assert walk.opponents.tables[0] is rt._starts[(0, 0.9, 0.9)] is unpriced.opponents.tables[0]
+    states = env.agents[1].graph.start(env.delta)[0]
+    record = rt.index(1, transforms[1], 0.7)
+    assert len(states) == 7 and [start[s] for s in states] == [record.rows[s] for s in states]
+    assert [s for s, x in enumerate(start) if x is None] == sorted(set(range(35)) - set(states))
+    walk = mech._RentWalk(env, rt, transforms, theta, 1, rt.threshold(1), 10)
+    priced = mech._Deviator(env, rt, transforms, theta, 0, mech.Truthful(), 10)
+    assert walk.tables[0.7] is record.rows and priced.opponents.tables[0] is record.rows
 
 
 def test_table_walk_builds_few_tables_per_breakpoint(monkeypatch):
@@ -208,7 +220,7 @@ def test_table_walk_builds_few_tables_per_breakpoint(monkeypatch):
         parse_config_text(json.dumps({"environment": {"name": "ar1", "params": params}, "delta": 0.8}))
     )
     builds, per_breakpoint = [0], []
-    build, steps = mech.index_of_states, mech._brent_steps
+    build, steps = mech.start_indices, mech._brent_steps
 
     def counted_build(*a):
         builds[0] += 1
@@ -220,7 +232,8 @@ def test_table_walk_builds_few_tables_per_breakpoint(monkeypatch):
         per_breakpoint.append(builds[0] - before)
         return out
 
-    monkeypatch.setattr(mech, "index_of_states", counted_build)  # the walk's tables at z alone call it
+    # the start tables call it: the walk's at z, and each agent's at its type
+    monkeypatch.setattr(mech, "start_indices", counted_build)
     monkeypatch.setattr(mech, "_brent_steps", counted_steps)
     for seed in range(400, 416):
         ver.audit_revenue_bound(env, episodes=2, seeds=(seed,))
@@ -341,7 +354,8 @@ def test_index_tables_replay_no_hit_column(monkeypatch):
 
 def test_additive_key_is_swept_once_for_index_and_prices(monkeypatch):
     # an additive agent's index table and hit discounts come from one
-    # sweep per (report, theta); fee-walk probe tables replay no column
+    # sweep per (report, theta); a fee-walk probe table sweeps the 7
+    # states reachable from state 0 alone and replays no column
     env = _ar1_env(2)
     rt = mech.MechanismRuntime(env)
     sweeps, replays = _record_sweeps(monkeypatch)
@@ -352,7 +366,7 @@ def test_additive_key_is_swept_once_for_index_and_prices(monkeypatch):
     theta = [0.9, 0.8]
     walk = mech._RentWalk(env, rt, mech._active_transforms(env, rt, theta), theta, 0, rt.threshold(0), 10)
     walk._table(0.85)
-    assert sweeps == [35, 35, 35] and replays == []
+    assert sweeps == [35, 35, 7] and replays == []
 
 
 @pytest.mark.parametrize("which", ["sponsored", "ar1"])
@@ -682,6 +696,31 @@ def test_scale_at_equals_the_transforms_alpha_times_a():
             if tr is not None:  # the report pegs alpha, theta moves A
                 want = tr.alpha * env.agents[0].value.a(0.5 * z)
                 assert rt.scale(0, z, 0.5 * z).hex() == want.hex()
+
+
+def test_scale_reads_alpha_from_the_transform_cache_and_walks_share_their_frame(monkeypatch):
+    # a cached report's alpha is the transform's (a cached None: dormant);
+    # the scale walk's points z compute theirs and cache no transform;
+    # every walk of one agent at one threshold and horizon reads one frame
+    env = envs.sponsored_search(k=2, cap=2, delta=0.8)
+    rt = mech.MechanismRuntime(env)
+    want = [rt.scale(0, 0.9, 0.7), rt.scale(0, 0.05, 0.7)]
+    tr, alpha, calls = rt.transform(0, 0.9), mech.multiplicative_alpha, []
+    monkeypatch.setattr(mech, "multiplicative_alpha", lambda *a: calls.append(a[1]) or alpha(*a))
+    assert rt.transform(0, 0.05) is None and want[1] == 0.0
+    assert [rt.scale(0, 0.9, 0.7).hex(), rt.scale(0, 0.05, 0.7)] == [want[0].hex(), 0.0] and calls == []
+    assert want[0] == tr.alpha * env.agents[0].value.a(0.7)
+    before = set(rt._transforms)
+    walks = []
+    init = mech._RentWalk.__init__
+    monkeypatch.setattr(mech._RentWalk, "__init__", lambda self, *a: walks.append(self) or init(self, *a))
+    for reports in ([0.9, 0.7], [0.8, 0.7]):
+        data = mech.fee_quadrature(env, reports, 0, paths=4, seed=3, horizon=20, runtime=rt)
+        assert data.pieces.max() > 1  # the walks crossed breakpoints, at z found by alpha
+    assert calls and set(rt._transforms) == before | {(0, 0.8), (1, 0.7)}
+    assert len(walks) == 2 and len(rt._frames) == 1
+    assert walks[0].discs is walks[1].discs and walks[0].base is walks[1].base is rt._base(0).rows
+    assert walks[0].scale_lo == walks[1].scale_lo == rt.scale(0, walks[0].lo, walks[0].lo)
 
 
 def test_brent_port_equals_scipy_on_fee_walk_calls(tmp_path, monkeypatch):
